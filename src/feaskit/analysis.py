@@ -16,10 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TooShort
-from .geometry import as_point
+from .errors import FeaskitError, TooShort
 from .problems import Problem, nearest_solution
-from .solvers import StopReason, StopRule, Trace, run
+from .solvers import StopReason, StopRule, Trace, run, trace_errors
 
 _ERROR_FLOOR = 1e-15
 _RATIO_BAND = (1e-3, 1e3)
@@ -73,12 +72,6 @@ class RateClass:
         if self.count is not None:
             return f"{name}({self.count})"
         return name
-
-
-def trace_errors(trace: Trace, solution) -> np.ndarray:
-    """Distance of every iterate to the solution."""
-    s = as_point(solution, trace.iterates.shape[1])
-    return np.sqrt(((trace.iterates - s) ** 2).sum(axis=1))
 
 
 def error_ratios(trace: Trace, solution, order: float = 1) -> np.ndarray:
@@ -147,6 +140,33 @@ class ComparisonRow:
     note: str = ""
 
 
+def _trace_row(trace: Trace, problem: Problem) -> ComparisonRow:
+    """A finished run as a comparison row.
+
+    The rate is taken toward the known solution nearest the final
+    iterate.  ERROR traces and problems without known solutions get no
+    rate; a trace too short to classify gets none either, and a note
+    saying so unless the run left a message.
+    """
+    rate = None
+    note = trace.message
+    s = nearest_solution(problem, trace.final)
+    if s is not None and trace.stop is not StopReason.ERROR:
+        try:
+            rate = classify_rate(trace, s)
+        except TooShort:
+            note = note or "trace too short to classify"
+    return ComparisonRow(
+        method=trace.method,
+        iterations=trace.iterations,
+        final_residual=float(trace.residuals[-1]),
+        rate=rate,
+        wall_time=trace.wall_time,
+        stop=trace.stop,
+        note=note,
+    )
+
+
 def compare(
     problem: Problem,
     methods,
@@ -156,8 +176,10 @@ def compare(
 ) -> list[ComparisonRow]:
     """Run every method from the same start and tabulate the outcomes.
 
-    Rows come back sorted by method id.  A method that fails produces a
-    row with ERROR semantics instead of failing the whole comparison.
+    Rows come back sorted by method id.  A method that raises a
+    FeaskitError (an unknown method, say) produces a row with ERROR
+    semantics instead of failing the whole comparison; any other
+    exception propagates.
     """
     methods = sorted(methods)
     if not methods:
@@ -170,7 +192,7 @@ def compare(
                 m, problem.a, problem.b, start,
                 stop=stop, tol=tol, root_graph=problem.graph,
             )
-        except Exception as exc:
+        except FeaskitError as exc:
             rows.append(
                 ComparisonRow(
                     method=m,
@@ -183,25 +205,7 @@ def compare(
                 )
             )
             continue
-        rate = None
-        note = trace.message
-        s = nearest_solution(problem, trace.final)
-        if s is not None and trace.stop is not StopReason.ERROR:
-            try:
-                rate = classify_rate(trace, s)
-            except TooShort:
-                note = note or "trace too short to classify"
-        rows.append(
-            ComparisonRow(
-                method=m,
-                iterations=trace.iterations,
-                final_residual=float(trace.residuals[-1]),
-                rate=rate,
-                wall_time=trace.wall_time,
-                stop=trace.stop,
-                note=note,
-            )
-        )
+        rows.append(_trace_row(trace, problem))
     return rows
 
 

@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import classify_rate, compare, comparison_to_csv
-from .errors import FeaskitError, TooShort
+from .analysis import _trace_row, compare, comparison_to_csv
+from .errors import FeaskitError, UnknownMethod
 from .geometry import DEFAULT_TOLERANCES
 from .plotting import TraceSeries, render_svg
-from .problems import Problem, builtin, load_problem, nearest_solution, problem_names
+from .problems import Problem, builtin, load_problem, problem_names
 from .sets import FunctionGraph, Hyperplane, Sphere
-from .solvers import METHODS, _SCALAR_METHODS, StopReason, StopRule, Trace, run
+from .solvers import METHODS, StopReason, StopRule, Trace, _method_step, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -108,17 +108,17 @@ def _resolve_problem(args) -> Problem:
 
 
 def _resolve_run_config(args, problem: Problem):
+    if args.format not in ("csv", "json"):
+        raise _ConfigError(f"unknown format {args.format!r}")
     tol = DEFAULT_TOLERANCES
     if args.eps_colinear is not None:
         try:
             tol = replace(tol, colinearity_eps=args.eps_colinear)
         except ValueError as exc:
             raise _ConfigError(str(exc)) from exc
+    limits = {"residual_tol": args.tol, "max_iter": args.max_iter}
     try:
-        stop = StopRule(
-            residual_tol=args.tol if args.tol is not None else 1e-10,
-            max_iter=args.max_iter if args.max_iter is not None else 100,
-        )
+        stop = StopRule(**{k: v for k, v in limits.items() if v is not None})
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     x0 = _parse_point(args.x0) if args.x0 else problem.default_x0
@@ -129,21 +129,12 @@ def _resolve_run_config(args, problem: Problem):
     return stop, tol, x0
 
 
-def _rate_text(trace: Trace, problem: Problem) -> str:
-    s = nearest_solution(problem, trace.final)
-    if s is None or trace.stop is StopReason.ERROR:
-        return "n/a"
-    try:
-        return str(classify_rate(trace, s))
-    except TooShort:
-        return "n/a"
-
-
 def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_trace_csv(path, trace: Trace, problem_name: str, dist=None) -> None:
+def write_trace_csv(path, trace: Trace, problem_name: str) -> None:
+    dist = trace.dist_to_solution
     dim = trace.iterates.shape[1]
     lines = [
         f"# method={trace.method}",
@@ -170,7 +161,8 @@ def write_trace_csv(path, trace: Trace, problem_name: str, dist=None) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_trace_json(path, trace: Trace, problem_name: str, dist=None) -> None:
+def write_trace_json(path, trace: Trace, problem_name: str) -> None:
+    dist = trace.dist_to_solution
     doc = {
         "method": trace.method,
         "problem": problem_name,
@@ -180,7 +172,7 @@ def write_trace_json(path, trace: Trace, problem_name: str, dist=None) -> None:
         "message": trace.message,
         "iterates": trace.iterates.tolist(),
         "residuals": trace.residuals.tolist(),
-        "dist_to_solution": None if dist is None else list(map(float, dist)),
+        "dist_to_solution": None if dist is None else dist.tolist(),
         "case_tags": [r.case.value for r in trace.step_results],
         "used_circumcenter": [r.used_circumcenter for r in trace.step_results],
     }
@@ -247,39 +239,28 @@ def _trace_from_csv(text: str):
     return _series(meta, iterates, residuals, dist if has_dist else None)
 
 
-def _solution_distances(problem: Problem, trace: Trace):
-    s = nearest_solution(problem, trace.final)
-    if s is None:
-        return None
-    return np.sqrt(((trace.iterates - s) ** 2).sum(axis=1))
-
-
 def cmd_run(args) -> int:
     problem = _resolve_problem(args)
-    method = args.method
-    if method not in METHODS:
-        raise _ConfigError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    if method in _SCALAR_METHODS and problem.graph is None:
-        raise _ConfigError(f"method {method!r} needs a function-graph problem")
-    if args.format not in ("csv", "json"):
-        raise _ConfigError(f"unknown format {args.format!r}")
     stop, tol, x0 = _resolve_run_config(args, problem)
     try:
         trace = run(
-            method, problem.a, problem.b, x0,
-            stop=stop, tol=tol, root_graph=problem.graph,
+            args.method, problem.a, problem.b, x0,
+            stop=stop, tol=tol, solution=problem.known_solutions or None,
+            root_graph=problem.graph,
         )
+    except UnknownMethod:
+        raise
     except FeaskitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    dist = _solution_distances(problem, trace)
     if args.out:
         writer = write_trace_csv if args.format == "csv" else write_trace_json
-        writer(args.out, trace, problem.name, dist)
+        writer(args.out, trace, problem.name)
+    rate = _trace_row(trace, problem).rate
     summary = (
-        f"method={method} problem={problem.name} stop={trace.stop.value} "
+        f"method={args.method} problem={problem.name} stop={trace.stop.value} "
         f"iterations={trace.iterations} final_residual={trace.residuals[-1]:.6g} "
-        f"rate={_rate_text(trace, problem)}"
+        f"rate={'n/a' if rate is None else rate}"
     )
     if trace.message:
         summary += f" message={trace.message!r}"
@@ -292,13 +273,8 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise _ConfigError("--methods must name at least one method")
-    for m in methods:
-        if m not in METHODS:
-            raise _ConfigError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-        if m in _SCALAR_METHODS and problem.graph is None:
-            raise _ConfigError(f"method {m!r} needs a function-graph problem")
-    if args.format not in ("csv", "json"):
-        raise _ConfigError(f"unknown format {args.format!r}")
+    for m in methods:  # run's own check: a bad method is a configuration error here
+        _method_step(m, problem.a, problem.graph)
     stop, tol, x0 = _resolve_run_config(args, problem)
     rows = compare(problem, methods, stop=stop, tol=tol, x0=x0)
     if args.format == "csv":
@@ -377,7 +353,7 @@ def main(argv=None) -> int:
         if args.command == "plot":
             return cmd_plot(args)
         return cmd_list_problems(args)
-    except _ConfigError as exc:
+    except (_ConfigError, UnknownMethod) as exc:
         print(f"feaskit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _TraceFileError as exc:

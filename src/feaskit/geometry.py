@@ -28,17 +28,17 @@ class Tolerances:
 
     colinearity_eps   slack in the triple alignment test (dimensionless)
     point_eq_eps      two points closer than this coincide
-    residual_tol      default solver stopping residual
     projection_tol    target bracket width for graph projections
+
+    The solver's stopping residual is ``StopRule.residual_tol``.
     """
 
     colinearity_eps: float = 1e-9
     point_eq_eps: float = 1e-12
-    residual_tol: float = 1e-10
     projection_tol: float = 1e-13
 
     def __post_init__(self):
-        for name in ("colinearity_eps", "point_eq_eps", "residual_tol", "projection_tol"):
+        for name in ("colinearity_eps", "point_eq_eps", "projection_tol"):
             value = getattr(self, name)
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -129,6 +129,15 @@ def circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
     return a + z1 * q1 + z2 * q2
 
 
+def _abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
+    """|cos| of the angle between legs ``u`` and ``v`` of norms ``nu`` and
+    ``nv``, clamped to [0, 1]; None when either leg is no longer than
+    ``eps``.  Unchecked: callers validate the points."""
+    if nu <= eps or nv <= eps:
+        return None
+    return min(abs(float(u @ v)) / (nu * nv), 1.0)
+
+
 def alignment_ratio(x, rax, rbrax, tol: Tolerances | None = None) -> float | None:
     """Absolute cosine of the angle at ``rbrax`` in the triple.
 
@@ -141,12 +150,7 @@ def alignment_ratio(x, rax, rbrax, tol: Tolerances | None = None) -> float | Non
     rbrax = as_point(rbrax, x.size)
     u = x - rbrax
     v = rax - rbrax
-    nu = _norm(u)
-    nv = _norm(v)
-    if nu <= tol.point_eq_eps or nv <= tol.point_eq_eps:
-        return None
-    ratio = abs(float(u @ v)) / (nu * nv)
-    return min(max(ratio, 0.0), 1.0)
+    return _abs_cosine(u, v, _norm(u), _norm(v), tol.point_eq_eps)
 
 
 def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> ColinearityCase:
@@ -164,14 +168,15 @@ def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Colinearity
     rbrax = as_point(rbrax, x.size)
     eps = tol.point_eq_eps
 
+    u = x - rbrax
+    v = rax - rbrax
     d_x_ra = _norm(x - rax)
-    d_x_rb = _norm(x - rbrax)
-    d_ra_rb = _norm(rax - rbrax)
+    d_x_rb = _norm(u)
+    d_ra_rb = _norm(v)
 
-    if d_x_rb > eps and d_ra_rb > eps:
-        ratio = abs(float((x - rbrax) @ (rax - rbrax))) / (d_x_rb * d_ra_rb)
-        if ratio < 1.0 - tol.colinearity_eps:
-            return ColinearityCase.NON_COLINEAR
+    ratio = _abs_cosine(u, v, d_x_rb, d_ra_rb, eps)
+    if ratio is not None and ratio < 1.0 - tol.colinearity_eps:
+        return ColinearityCase.NON_COLINEAR
 
     if d_x_ra <= eps and d_x_rb <= eps and d_ra_rb <= eps:
         return ColinearityCase.ALL_COINCIDE

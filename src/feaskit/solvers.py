@@ -1,8 +1,9 @@
 """Iterative operators for two-set feasibility and scalar root finding.
 
-Vector methods build on reflections through the two sets: averaged
-double reflection (``dr``), the circumcenter of a point and its two
-successive reflections (``crm_raw``), and the hybrid ``ct_step`` that
+Vector methods share one reflection step through the two sets, which
+ends in either the circumcenter of the triple (x, R_A x, R_B R_A x) or
+the average of x and R_B R_A x: averaged double reflection (``dr``),
+the raw circumcenter (``crm_raw``), and the hybrid ``ct_step`` that
 takes the circumcenter when the reflection triple spans a triangle and
 falls back to the averaged step when it degenerates to a line.  Scalar
 reductions (``newton_step``, ``subgrad_proj_step``) act on the abscissa
@@ -22,10 +23,8 @@ import numpy as np
 from .errors import (
     DerivativeUndefined,
     DerivativeZero,
-    DimensionMismatch,
     DistinctColinearInput,
     FeaskitError,
-    NonFinitePoint,
     UnknownMethod,
     ZeroSubgradient,
 )
@@ -38,10 +37,6 @@ from .geometry import (
     classify_triple,
 )
 from .sets import FeasibleSet, FunctionGraph
-
-METHODS = ("altproj", "crm", "dr", "newton", "subgrad")
-_SCALAR_METHODS = ("newton", "subgrad")
-
 
 class StopReason(Enum):
     """Why a run loop ended."""
@@ -124,17 +119,27 @@ class Trace:
         return self.iterates[-1]
 
 
-def _substeps(a: FeasibleSet, b: FeasibleSet, x, tol):
+def _reflection_step(a, b, x, tol, circumcenter_cases) -> StepResult:
+    """Reflect ``x`` through A, then through B, and classify the triple
+    (x, R_A x, R_B R_A x).  The step is the triple's circumcenter when
+    its case is in ``circumcenter_cases``, else the average of x and
+    R_B R_A x.  ``x`` must already be a checked point."""
     rax = a.reflect(x, tol)
     rbrax = b.reflect(rax, tol)
-    return rax, rbrax
+    case = classify_triple(x, rax, rbrax, tol)
+    if case in circumcenter_cases:
+        return StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
+    return StepResult(0.5 * (x + rbrax), case, rax, rbrax, False)
+
+
+_NEVER = frozenset()
+_SPANNING = frozenset({ColinearityCase.NON_COLINEAR})
+_NOT_DISTINCT_COLINEAR = frozenset(ColinearityCase) - {ColinearityCase.DISTINCT_COLINEAR}
 
 
 def dr_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
     """Averaged double reflection: (x + R_B R_A x) / 2."""
-    x = as_point(x)
-    _, rbrax = _substeps(a, b, x, tol)
-    return 0.5 * (x + rbrax)
+    return _reflection_step(a, b, as_point(x), tol, _NEVER).next
 
 
 def crm_raw(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
@@ -145,31 +150,18 @@ def crm_raw(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) ->
     triple of three distinct colinear points has no circumcenter and
     raises; ``ct_step`` handles that case by switching operators.
     """
-    tol = DEFAULT_TOLERANCES if tol is None else tol
-    x = as_point(x)
-    rax, rbrax = _substeps(a, b, x, tol)
-    case = classify_triple(x, rax, rbrax, tol)
-    if case is ColinearityCase.DISTINCT_COLINEAR:
+    step = _reflection_step(a, b, as_point(x), tol, _NOT_DISTINCT_COLINEAR)
+    if not step.used_circumcenter:
         raise DistinctColinearInput(
             "reflection triple is distinct and colinear; no circumcenter exists"
         )
-    return circumcenter(x, rax, rbrax, tol)
+    return step.next
 
 
 def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> StepResult:
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
-    tol = DEFAULT_TOLERANCES if tol is None else tol
-    x = as_point(x)
-    rax, rbrax = _substeps(a, b, x, tol)
-    case = classify_triple(x, rax, rbrax, tol)
-    if case is ColinearityCase.NON_COLINEAR:
-        nxt = circumcenter(x, rax, rbrax, tol)
-        used = True
-    else:
-        nxt = 0.5 * (x + rbrax)
-        used = False
-    return StepResult(next=nxt, case=case, rax=rax, rbrax=rbrax, used_circumcenter=used)
+    return _reflection_step(a, b, as_point(x), tol, _SPANNING)
 
 
 def altproj_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
@@ -177,13 +169,18 @@ def altproj_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = Non
     return b.project(a.project(as_point(x), tol), tol)
 
 
+def _derivative(g: FunctionGraph, t: float, tol: Tolerances) -> float:
+    """f'(t), or DerivativeUndefined where the oracle has no value."""
+    if not g.derivative_defined_at(t, tol.point_eq_eps):
+        raise DerivativeUndefined(f"derivative oracle undefined at t={t!r}")
+    return float(g.derivative(t))
+
+
 def newton_step(g: FunctionGraph, t: float, tol: Tolerances | None = None) -> float:
     """Newton update t - f(t) / f'(t) on the graph's function."""
     tol = DEFAULT_TOLERANCES if tol is None else tol
     t = float(t)
-    if not g.derivative_defined_at(t, tol.point_eq_eps):
-        raise DerivativeUndefined(f"derivative oracle undefined at t={t!r}")
-    d = float(g.derivative(t))
+    d = _derivative(g, t, tol)
     if abs(d) <= tol.point_eq_eps:
         raise DerivativeZero(f"derivative vanishes at t={t!r}")
     return t - float(g.f(t)) / d
@@ -215,15 +212,62 @@ def _residual(a: FeasibleSet, b: FeasibleSet, x, tol) -> float:
     return max(a.distance(x, tol), b.distance(x, tol))
 
 
-def _scalar_graph(method, a, root_graph):
-    if root_graph is not None:
-        return root_graph
-    if isinstance(a, FunctionGraph):
-        return a
-    raise UnknownMethod(
-        f"method {method!r} needs a function graph; supply root_graph "
-        "when the first set is not one"
-    )
+# Run-loop steps, each (a, b, graph, x, tol) -> (next iterate, StepResult
+# or None).  Scalar steps move the abscissa t of x = (t, 0) on the graph.
+def _altproj(a, b, graph, x, tol):
+    return altproj_step(a, b, x, tol), None
+
+
+def _reflections(circumcenter_cases):
+    def step(a, b, graph, x, tol):
+        result = _reflection_step(a, b, x, tol, circumcenter_cases)
+        return result.next, result
+
+    return step
+
+
+def _newton(a, b, graph, x, tol):
+    return np.array([newton_step(graph, x[0], tol), 0.0]), None
+
+
+def _subgrad(a, b, graph, x, tol):
+    t = float(x[0])
+    return np.array([subgrad_proj_step(graph, t, _derivative(graph, t, tol), tol), 0.0]), None
+
+
+# method -> (step, whether it steps a function graph's abscissa)
+_STEPS = {
+    "altproj": (_altproj, False),
+    "crm": (_reflections(_SPANNING), False),
+    "dr": (_reflections(_NEVER), False),
+    "newton": (_newton, True),
+    "subgrad": (_subgrad, True),
+}
+METHODS = tuple(_STEPS)
+
+
+def _method_step(method: str, a: FeasibleSet, root_graph: FunctionGraph | None):
+    """The run-loop step of ``method`` and the graph it steps on (None for
+    vector methods).  Raises UnknownMethod when the method does not exist
+    or needs a function graph that neither ``root_graph`` nor ``a`` is."""
+    if method not in _STEPS:
+        raise UnknownMethod(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    step, on_graph = _STEPS[method]
+    if not on_graph:
+        return step, None
+    graph = root_graph if root_graph is not None else a
+    if not isinstance(graph, FunctionGraph):
+        raise UnknownMethod(
+            f"method {method!r} needs a function-graph problem; supply root_graph "
+            "when the first set is not a graph"
+        )
+    return step, graph
+
+
+def trace_errors(trace: Trace, solution) -> np.ndarray:
+    """Distance of every iterate to the solution."""
+    s = as_point(solution, trace.iterates.shape[1])
+    return np.sqrt(((trace.iterates - s) ** 2).sum(axis=1))
 
 
 def run(
@@ -247,12 +291,10 @@ def run(
     ``solution`` may be one point or a stack of candidate points; the
     recorded distances are to the candidate nearest the final iterate.
     """
-    if method not in METHODS:
-        raise UnknownMethod(f"unknown method {method!r}; choose from {METHODS}")
+    step, graph = _method_step(method, a, root_graph)
     stop = StopRule() if stop is None else stop
     tol = DEFAULT_TOLERANCES if tol is None else tol
     x = as_point(x0)
-    graph = _scalar_graph(method, a, root_graph) if method in _SCALAR_METHODS else None
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")
 
@@ -267,43 +309,15 @@ def run(
     if residuals[0] <= stop.residual_tol:
         reason = StopReason.RESIDUAL_MET
     else:
-        t_cur = float(x[0])
         for _ in range(stop.max_iter):
             try:
-                if method == "dr":
-                    rax, rbrax = _substeps(a, b, x, tol)
-                    nxt = 0.5 * (x + rbrax)
-                    steps.append(
-                        StepResult(
-                            next=nxt,
-                            case=classify_triple(x, rax, rbrax, tol),
-                            rax=rax,
-                            rbrax=rbrax,
-                            used_circumcenter=False,
-                        )
-                    )
-                elif method == "crm":
-                    result = ct_step(a, b, x, tol)
-                    steps.append(result)
-                    nxt = result.next
-                elif method == "altproj":
-                    nxt = altproj_step(a, b, x, tol)
-                elif method == "newton":
-                    t_cur = newton_step(graph, t_cur, tol)
-                    nxt = np.array([t_cur, 0.0])
-                else:
-                    if not graph.derivative_defined_at(t_cur, tol.point_eq_eps):
-                        raise DerivativeUndefined(
-                            f"derivative oracle undefined at t={t_cur!r}"
-                        )
-                    t_cur = subgrad_proj_step(
-                        graph, t_cur, float(graph.derivative(t_cur)), tol
-                    )
-                    nxt = np.array([t_cur, 0.0])
+                nxt, result = step(a, b, graph, x, tol)
             except FeaskitError as exc:
                 reason = StopReason.ERROR
                 message = f"{type(exc).__name__}: {exc}"
                 break
+            if result is not None:
+                steps.append(result)
 
             iterates.append(nxt)
             residuals.append(_residual(a, b, nxt, tol))
@@ -317,20 +331,7 @@ def run(
                 break
             x = nxt
 
-    dist = None
-    if solution is not None:
-        cand = np.atleast_2d(np.asarray(solution, dtype=float))
-        if cand.ndim != 2 or cand.shape[1] != iterates[0].size:
-            raise DimensionMismatch(
-                f"solution shape {cand.shape} does not match iterate dimension"
-                f" {iterates[0].size}"
-            )
-        if not np.all(np.isfinite(cand)):
-            raise NonFinitePoint("solution coordinates must be finite")
-        s = cand[int(np.argmin(np.linalg.norm(cand - iterates[-1], axis=1)))]
-        dist = np.array([float(np.linalg.norm(p - s)) for p in iterates])
-
-    return Trace(
+    trace = Trace(
         method=method,
         iterates=np.vstack(iterates),
         residuals=np.array(residuals),
@@ -339,8 +340,12 @@ def run(
         wall_time=time.perf_counter() - t_start,
         message=message,
         cycle_period=cycle_period,
-        dist_to_solution=dist,
     )
+    if solution is not None:
+        cand = np.array([as_point(s, x.size) for s in np.atleast_2d(np.asarray(solution, float))])
+        nearest = cand[int(np.argmin(np.linalg.norm(cand - trace.final, axis=1)))]
+        trace.dist_to_solution = trace_errors(trace, nearest)
+    return trace
 
 
 def _cycle_lag(iterates, window: int, eps: float) -> int | None:

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from feaskit import (
+    FeasibleSet,
+    Hyperplane,
+    Problem,
     RateClass,
     RateKind,
     StopReason,
@@ -237,6 +240,24 @@ def test_compare_unknown_method_becomes_error_row():
     assert rows[1].stop is StopReason.ERROR
     assert rows[1].note.startswith("UnknownMethod:")
     assert math.isnan(rows[1].final_residual)
+
+
+class _BrokenProjection(FeasibleSet):
+    """A set whose projection has a programming bug."""
+
+    dimension = 2
+
+    def project(self, x, tol=None):
+        raise RuntimeError("bug in project")
+
+
+def test_compare_lets_unexpected_errors_propagate():
+    p = Problem(
+        name="broken", a=_BrokenProjection(), b=Hyperplane((0.0, 1.0)),
+        known_solutions=(), default_x0=(1.0, 1.0),
+    )
+    with pytest.raises(RuntimeError, match="bug in project"):
+        compare(p, ["crm"])
 
 
 def test_compare_rejects_empty_method_list():

@@ -284,3 +284,18 @@ def test_run_reads_json_traces_back_for_plotting(tmp_path, capsys):
     assert main(["plot", str(t1), "--out", str(fig)]) == EXIT_OK
     capsys.readouterr()
     assert fig.exists()
+
+
+def test_run_scalar_method_needs_graph_exits_64(tmp_path, capsys):
+    doc = {
+        "name": "bare-sphere",
+        "a": {"kind": "sphere", "center": [0.0, -0.5], "radius": 1.0},
+        "b": {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0},
+        "known_solutions": [[math.sqrt(3.0) / 2.0, 0.0]],
+        "default_x0": [0.9999, 0.0],
+    }
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["run", "--problem-file", str(path), "--method", "subgrad"])
+    assert rc == EXIT_CONFIG
+    assert "needs a function-graph problem" in capsys.readouterr().err

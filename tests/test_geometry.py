@@ -48,7 +48,7 @@ def test_tolerances_validation():
         Tolerances(colinearity_eps=1.5)
     tight = Tolerances(colinearity_eps=1e-12)
     assert tight.colinearity_eps == 1e-12
-    assert tight.residual_tol == 1e-10
+    assert tight.projection_tol == 1e-13
 
 
 def test_circumcenter_plane_instance():

@@ -295,12 +295,25 @@ def test_run_records_steps_only_for_reflection_methods():
     assert all(not s.used_circumcenter for s in tr.step_results)
 
 
-def test_run_dr_matches_manual_iteration():
+MANUAL_STEPS = {
+    "altproj": lambda p, x: altproj_step(p.a, p.b, x),
+    "crm": lambda p, x: ct_step(p.a, p.b, x).next,
+    "dr": lambda p, x: dr_step(p.a, p.b, x),
+    "newton": lambda p, x: np.array([newton_step(p.graph, x[0]), 0.0]),
+    "subgrad": lambda p, x: np.array(
+        [subgrad_proj_step(p.graph, float(x[0]), float(p.graph.derivative(float(x[0])))), 0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_matches_manual_iteration(method):
     p = builtin("sphere-line")
-    tr = run("dr", p.a, p.b, (0.9999, 0.0), StopRule(max_iter=3))
+    tr = run(method, p.a, p.b, (0.9999, 0.0), StopRule(max_iter=3), root_graph=p.graph)
+    assert tr.iterations == 3
     x = np.array([0.9999, 0.0])
     for k in range(3):
-        x = dr_step(p.a, p.b, x)
+        x = MANUAL_STEPS[method](p, x)
         assert np.array_equal(tr.iterates[k + 1], x)
 
 
