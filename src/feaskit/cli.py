@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -91,6 +92,8 @@ def _parse_point(text: str) -> np.ndarray:
         raise _ConfigError(f"cannot parse point {text!r}") from None
     if not vals:
         raise _ConfigError(f"cannot parse point {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise _ConfigError(f"point {text!r} has non-finite coordinates")
     return np.array(vals)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnknownProblem
-from .geometry import as_point
+from .geometry import _nearest, as_point
 from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere
 
 _SOLUTION_RESIDUAL_TOL = 1e-10
@@ -172,10 +172,10 @@ class Problem:
 
 def nearest_solution(problem: Problem, x) -> np.ndarray | None:
     """Known solution closest to ``x``, or None when none are stored."""
-    if not problem.known_solutions:
+    sols = problem.known_solutions
+    if not sols:
         return None
-    x = as_point(x)
-    return min(problem.known_solutions, key=lambda s: float(np.linalg.norm(x - s)))
+    return sols[_nearest(np.array(sols), as_point(x, sols[0].size))]
 
 
 _X_AXIS = dict(normal=(0.0, 1.0), offset=0.0)

@@ -32,6 +32,8 @@ from .geometry import (
     DEFAULT_TOLERANCES,
     ColinearityCase,
     Tolerances,
+    _nearest,
+    _norm,
     as_point,
     circumcenter,
     classify_triple,
@@ -119,12 +121,12 @@ class Trace:
         return self.iterates[-1]
 
 
-def _reflection_step(a, b, x, tol, circumcenter_cases) -> StepResult:
-    """Reflect ``x`` through A, then through B, and classify the triple
-    (x, R_A x, R_B R_A x).  The step is the triple's circumcenter when
-    its case is in ``circumcenter_cases``, else the average of x and
-    R_B R_A x.  ``x`` must already be a checked point."""
-    rax = a.reflect(x, tol)
+def _reflection_step(b, x, pax, tol, circumcenter_cases) -> StepResult:
+    """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
+    through B, and classify the triple (x, R_A x, R_B R_A x).  The step
+    is its circumcenter when its case is in ``circumcenter_cases``, else
+    the average of x and R_B R_A x.  ``x`` must be a checked point."""
+    rax = 2.0 * pax - x
     rbrax = b.reflect(rax, tol)
     case = classify_triple(x, rax, rbrax, tol)
     if case in circumcenter_cases:
@@ -139,7 +141,8 @@ _NOT_DISTINCT_COLINEAR = frozenset(ColinearityCase) - {ColinearityCase.DISTINCT_
 
 def dr_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
     """Averaged double reflection: (x + R_B R_A x) / 2."""
-    return _reflection_step(a, b, as_point(x), tol, _NEVER).next
+    x = as_point(x)
+    return _reflection_step(b, x, a.project(x, tol), tol, _NEVER).next
 
 
 def crm_raw(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
@@ -150,7 +153,8 @@ def crm_raw(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) ->
     triple of three distinct colinear points has no circumcenter and
     raises; ``ct_step`` handles that case by switching operators.
     """
-    step = _reflection_step(a, b, as_point(x), tol, _NOT_DISTINCT_COLINEAR)
+    x = as_point(x)
+    step = _reflection_step(b, x, a.project(x, tol), tol, _NOT_DISTINCT_COLINEAR)
     if not step.used_circumcenter:
         raise DistinctColinearInput(
             "reflection triple is distinct and colinear; no circumcenter exists"
@@ -161,7 +165,8 @@ def crm_raw(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) ->
 def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> StepResult:
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
-    return _reflection_step(a, b, as_point(x), tol, _SPANNING)
+    x = as_point(x)
+    return _reflection_step(b, x, a.project(x, tol), tol, _SPANNING)
 
 
 def altproj_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
@@ -208,29 +213,31 @@ def subgrad_proj_step(g, y, ystar, tol: Tolerances | None = None):
     return float(out[0]) if scalar else out
 
 
-def _residual(a: FeasibleSet, b: FeasibleSet, x, tol) -> float:
-    return max(a.distance(x, tol), b.distance(x, tol))
+def _residual(a: FeasibleSet, b: FeasibleSet, x, tol) -> tuple[float, np.ndarray]:
+    """max(d_A(x), d_B(x)) and P_A x, which the next step reuses."""
+    pax = a.project(x, tol)
+    return max(_norm(x - pax), b.distance(x, tol)), pax
 
 
-# Run-loop steps, each (a, b, graph, x, tol) -> (next iterate, StepResult
-# or None).  Scalar steps move the abscissa t of x = (t, 0) on the graph.
-def _altproj(a, b, graph, x, tol):
-    return altproj_step(a, b, x, tol), None
+# Run-loop steps, each (a, b, graph, x, P_A x, tol) -> (next iterate,
+# StepResult or None).  Scalar steps move the abscissa t of x = (t, 0).
+def _altproj(a, b, graph, x, pax, tol):
+    return b.project(pax, tol), None
 
 
 def _reflections(circumcenter_cases):
-    def step(a, b, graph, x, tol):
-        result = _reflection_step(a, b, x, tol, circumcenter_cases)
+    def step(a, b, graph, x, pax, tol):
+        result = _reflection_step(b, x, pax, tol, circumcenter_cases)
         return result.next, result
 
     return step
 
 
-def _newton(a, b, graph, x, tol):
+def _newton(a, b, graph, x, pax, tol):
     return np.array([newton_step(graph, x[0], tol), 0.0]), None
 
 
-def _subgrad(a, b, graph, x, tol):
+def _subgrad(a, b, graph, x, pax, tol):
     t = float(x[0])
     return np.array([subgrad_proj_step(graph, t, _derivative(graph, t, tol), tol), 0.0]), None
 
@@ -285,8 +292,9 @@ def run(
     Scalar methods step the abscissa of the function graph (``a`` when
     it is a graph, else ``root_graph``) and record iterates embedded as
     (t, 0).  Residuals are always measured against ``a`` and ``b``.
-    Step errors are caught and reported through a trace with stop
-    reason ERROR rather than raised.
+    Reflection is 2P(x) - x for every set; P_A x comes from the residual
+    test of the same iterate.  Step errors are caught and reported
+    through a trace with stop reason ERROR rather than raised.
 
     ``solution`` may be one point or a stack of candidate points; the
     recorded distances are to the candidate nearest the final iterate.
@@ -299,8 +307,9 @@ def run(
         raise UnknownMethod("scalar methods need a 2-dimensional start point")
 
     t_start = time.perf_counter()
+    residual, pax = _residual(a, b, x, tol)
     iterates = [x]
-    residuals = [_residual(a, b, x, tol)]
+    residuals = [residual]
     steps: list[StepResult] = []
     reason = StopReason.MAX_ITER
     message = ""
@@ -311,7 +320,7 @@ def run(
     else:
         for _ in range(stop.max_iter):
             try:
-                nxt, result = step(a, b, graph, x, tol)
+                nxt, result = step(a, b, graph, x, pax, tol)
             except FeaskitError as exc:
                 reason = StopReason.ERROR
                 message = f"{type(exc).__name__}: {exc}"
@@ -319,8 +328,9 @@ def run(
             if result is not None:
                 steps.append(result)
 
+            residual, pax = _residual(a, b, nxt, tol)
             iterates.append(nxt)
-            residuals.append(_residual(a, b, nxt, tol))
+            residuals.append(residual)
             if residuals[-1] <= stop.residual_tol:
                 reason = StopReason.RESIDUAL_MET
                 break
@@ -343,8 +353,7 @@ def run(
     )
     if solution is not None:
         cand = np.array([as_point(s, x.size) for s in np.atleast_2d(np.asarray(solution, float))])
-        nearest = cand[int(np.argmin(np.linalg.norm(cand - trace.final, axis=1)))]
-        trace.dist_to_solution = trace_errors(trace, nearest)
+        trace.dist_to_solution = trace_errors(trace, cand[_nearest(cand, trace.final)])
     return trace
 
 

@@ -299,3 +299,13 @@ def test_run_scalar_method_needs_graph_exits_64(tmp_path, capsys):
     rc = main(["run", "--problem-file", str(path), "--method", "subgrad"])
     assert rc == EXIT_CONFIG
     assert "needs a function-graph problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("x0", ["nan,0", "inf,0", "0,-inf"])
+def test_non_finite_start_is_a_config_error(command, x0, capsys):
+    assert main([command, "--problem", "parabola", "--x0", x0]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("feaskit:")
+    assert "non-finite" in captured.err

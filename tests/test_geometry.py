@@ -1,9 +1,12 @@
 """Circumcenter kernel, alignment ratios, and triple classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feaskit import (
     ColinearityCase,
@@ -37,6 +40,23 @@ def test_as_point_rejects_bad_shapes():
         as_point((1.0, math.nan))
     with pytest.raises(NonFinitePoint):
         as_point((math.inf, 0.0))
+
+
+EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0, -0.0])
+
+
+@given(st.lists(st.one_of(st.floats(), EXTREMES), min_size=1, max_size=5))
+def test_as_point_accepts_exactly_the_all_finite_points(coords):
+    # The rule as_point has to keep: np.all(np.isfinite(arr)).
+    arr = np.asarray(coords, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.all(np.isfinite(arr)):
+            assert np.array_equal(as_point(coords), arr)
+        else:
+            with pytest.raises(NonFinitePoint) as info:
+                as_point(coords)
+            assert str(info.value) == f"point has non-finite coordinates: {arr!r}"
 
 
 def test_tolerances_validation():

@@ -1,9 +1,11 @@
-"""The catalog table agrees with the outcomes pinned in bench/reference.
+"""Comparison tables agree with the outcomes pinned in bench/reference.
 
-Every problem x method row of the benchmark's reference must come out of
+Every problem x method row of the catalog reference, and every start of
+the sphere-basin pool through each of its methods, must come out of
 ``compare`` with the same stop reason, iteration count, rate kind and
 count, the same note (only the exception type for ERROR rows), and a
-final residual within 1e-12 relative.
+final residual within 1e-12 relative.  The reference files are read,
+never written.
 """
 
 import json
@@ -14,24 +16,23 @@ import pytest
 
 from feaskit import METHODS, StopReason, builtin, compare
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "catalog.json"
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 RESIDUAL_RTOL = 1e-12
+
+
+def _load(name: str) -> dict:
+    return json.loads((REFERENCE / f"{name}.json").read_text(encoding="utf-8"))
+
+
 PINNED = {
     key: row
-    for key, row in json.loads(REFERENCE.read_text(encoding="utf-8"))["ops"].items()
+    for key, row in _load("catalog")["ops"].items()
     if key.partition("/")[2] in METHODS
 }
+BASIN = _load("sphere-basin")
 
 
-def test_reference_covers_the_catalog_table():
-    assert len(PINNED) == 50
-
-
-@pytest.mark.parametrize("key", sorted(PINNED))
-def test_compare_matches_pinned_row(key):
-    problem, _, method = key.partition("/")
-    want = PINNED[key]
-    (row,) = compare(builtin(problem), [method])
+def assert_matches_pinned(row, want) -> None:
     assert row.stop.value == want["stop"]
     assert row.iterations == want["iterations"]
     assert (row.rate.kind.value if row.rate else None) == want["rate"]
@@ -41,3 +42,28 @@ def test_compare_matches_pinned_row(key):
     assert math.isclose(
         row.final_residual, want["final_residual"], rel_tol=RESIDUAL_RTOL, abs_tol=0.0
     )
+
+
+def test_reference_covers_the_catalog_table():
+    assert len(PINNED) == 50
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_compare_matches_pinned_row(key):
+    problem, _, method = key.partition("/")
+    (row,) = compare(builtin(problem), [method])
+    assert_matches_pinned(row, PINNED[key])
+
+
+def test_reference_covers_the_sphere_basin_pool():
+    assert len(BASIN["ops"]) == 256
+    assert BASIN["methods"] == ["crm", "dr"]
+
+
+@pytest.mark.parametrize("key", sorted(BASIN["ops"]))
+def test_sphere_basin_start_matches_pinned_rows(key):
+    want = BASIN["ops"][key]
+    rows = compare(builtin("sphere-line"), BASIN["methods"], x0=want["x0"])
+    assert [r.method for r in rows] == BASIN["methods"]
+    for row, pinned in zip(rows, want["rows"]):
+        assert_matches_pinned(row, pinned)

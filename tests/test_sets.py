@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from feaskit import (
     DimensionMismatch,
@@ -80,6 +82,41 @@ def test_reflect_is_projection_doubled():
             r = s.reflect(x)
             p = s.project(x)
             assert np.linalg.norm(r - (2.0 * p - x)) <= 1e-12
+
+
+COORD = st.floats(-100.0, 100.0)
+INVOLUTION_RTOL = 1e-12
+
+
+def _vectors(dim: int):
+    return st.lists(COORD, min_size=dim, max_size=dim).map(np.array)
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(_vectors(d), COORD, _vectors(d))))
+def test_reflect_is_an_involution_on_hyperplanes(case):
+    normal, offset, x = case
+    assume(np.linalg.norm(normal) >= 1e-3)
+    h = Hyperplane(normal, offset)
+    scale = 1.0 + abs(h.offset) + float(np.abs(x).max())
+    assert np.abs(h.reflect(h.reflect(x)) - x).max() <= INVOLUTION_RTOL * scale
+
+
+@given(
+    st.integers(2, 4).flatmap(lambda d: st.tuples(_vectors(d), _vectors(d))),
+    st.floats(0.01, 100.0),
+    st.floats(0.01, 0.99),
+)
+def test_reflect_is_an_involution_on_spheres_away_from_the_center(case, radius, frac):
+    # Reflection maps a point at distance n in (0, 2r) from the center to
+    # distance 2r - n on the same ray.  Farther out it passes through the
+    # center and does not come back, so the start is drawn inside 2r.
+    center, direction = case
+    length = np.linalg.norm(direction)
+    assume(length >= 1e-3)
+    s = Sphere(center, radius)
+    x = s.center + (2.0 * radius * frac / length) * direction
+    scale = 1.0 + float(np.abs(s.center).max()) + radius
+    assert np.abs(s.reflect(s.reflect(x)) - x).max() <= INVOLUTION_RTOL * scale
 
 
 def test_parabola_projection():

@@ -11,6 +11,7 @@ from feaskit import (
     DerivativeZero,
     DimensionMismatch,
     DistinctColinearInput,
+    FunctionGraph,
     Hyperplane,
     METHODS,
     Sphere,
@@ -26,9 +27,11 @@ from feaskit import (
     ct_step,
     dr_step,
     make_curve,
+    nearest_solution,
     newton_step,
     run,
     subgrad_proj_step,
+    trace_errors,
 )
 
 X_AXIS = Hyperplane((0.0, 1.0), 0.0)
@@ -322,3 +325,36 @@ def test_run_crm_flags_match_cases():
     tr = run("crm", p.a, p.b, (3.0, -5.0))
     for s in tr.step_results:
         assert s.used_circumcenter == (s.case is ColinearityCase.NON_COLINEAR)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.3), (1e-16, 0.0), (-1e-16, 0.0), (5e-17, 0.0)])
+def test_run_and_nearest_solution_pick_the_same_root_on_a_near_tie(x0):
+    # The two roots of sphere-line are mirror images, so starts on or next
+    # to the mirror axis are (near-)ties; an exact tie goes to the first.
+    p = builtin("sphere-line")
+    tr = run("crm", p.a, p.b, x0, StopRule(residual_tol=10.0), solution=p.known_solutions)
+    assert tr.iterations == 0
+    nearest = nearest_solution(p, tr.final)
+    assert np.array_equal(tr.dist_to_solution, trace_errors(tr, nearest))
+    if x0[0] == 0.0:
+        assert nearest is p.known_solutions[0]
+    else:
+        assert math.copysign(1.0, nearest[0]) == math.copysign(1.0, x0[0])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_makes_one_graph_projection_per_iterate(method, monkeypatch):
+    # Every iterate's residual projects onto the graph A once, and the
+    # reflection and alternating-projection steps reuse that projection.
+    p = builtin("parabola")
+    calls = []
+    project = FunctionGraph.project
+
+    def counted(self, x, tol=None):
+        calls.append(1)
+        return project(self, x, tol)
+
+    monkeypatch.setattr(FunctionGraph, "project", counted)
+    tr = run(method, p.a, p.b, (0.75, 0.5), StopRule(max_iter=12))
+    assert tr.iterations >= 3
+    assert len(calls) == tr.iterations + 1
