@@ -69,6 +69,8 @@ def _poly2(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> FunctionGraph:
 
 def _signed_sqrt() -> FunctionGraph:
     def f(t):
+        if isinstance(t, float):
+            return math.copysign(math.sqrt(abs(t)), t) if t else 0.0
         return np.sign(t) * np.sqrt(np.abs(t))
 
     def d(t):
@@ -79,6 +81,8 @@ def _signed_sqrt() -> FunctionGraph:
 
 def _kinked_line() -> FunctionGraph:
     def f(t):
+        if isinstance(t, float):
+            return -t if t <= 1.0 else -1.0
         return np.where(np.asarray(t, dtype=float) <= 1.0, -np.asarray(t, dtype=float), -1.0)
 
     def d(t):
@@ -93,6 +97,9 @@ def _pnorm_branch(p: float, a: float = 1.0, b: float = 1.0, cx: float = 0.0, cy:
         raise UnknownProblem("pnorm_branch needs p > 1 and positive semi-axes")
 
     def f(t):
+        if isinstance(t, float):
+            inner = max(1.0 - abs((t - cx) / a) ** p, 0.0)
+            return cy + b * inner ** (1.0 / p)
         u = (np.asarray(t, dtype=float) - cx) / a
         inner = np.maximum(1.0 - np.abs(u) ** p, 0.0)
         return cy + b * inner ** (1.0 / p)

@@ -17,11 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDomain
+from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
 from .geometry import DEFAULT_TOLERANCES, Tolerances, as_point
 
 _GRID_POINTS = 2048
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 class FeasibleSet(ABC):
@@ -148,8 +149,12 @@ class FunctionGraph(FeasibleSet):
     Parameters
     ----------
     f : callable
-        Finite-valued oracle on the domain.  Vectorized evaluation over
-        numpy arrays is used when available, scalar calls otherwise.
+        Finite-valued oracle on the domain (``project`` raises
+        NonFinitePoint where it is not).  ``project`` calls it once on a
+        2048-point numpy array (one call per point when that fails) and
+        otherwise on Python floats, about 40 times per projection.  A
+        branch for ``float`` input that returns exactly what the array
+        path returns makes those calls cheap.
     derivative : callable, optional
         Derivative oracle, valid away from the declared ``nonsmooth``
         abscissas.
@@ -204,25 +209,29 @@ class FunctionGraph(FeasibleSet):
         lo, hi = self.domain
         if lo > hi:
             raise EmptyDomain(f"graph domain {self.domain} is empty")
+        f = self.f
         x0 = float(x[0])
         x1 = float(x[1])
         anchor = min(max(x0, lo), hi)
-        r0 = abs(x1 - float(self.f(anchor)))
+        f_anchor = float(f(anchor))
+        if not math.isfinite(f_anchor):
+            raise NonFinitePoint(f"curve value at t={anchor!r} is not finite")
+        r0 = abs(x1 - f_anchor)
         wlo = max(lo, anchor - r0)
         whi = min(hi, anchor + r0)
         if wlo > whi:
             raise EmptyDomain("projection window misses the graph domain")
 
         def dist2(t: float) -> float:
-            ft = float(self.f(t))
+            ft = float(f(t))
             return (x0 - t) ** 2 + (x1 - ft) ** 2
 
         if whi - wlo <= tol.projection_tol:
             y = 0.5 * (wlo + whi)
-            return np.array([y, float(self.f(y))])
+            return np.array([y, float(f(y))])
 
         ts = np.linspace(wlo, whi, _GRID_POINTS)
-        fs = _eval_curve(self.f, ts)
+        fs = _eval_curve(f, ts)
         d2 = (x0 - ts) ** 2 + (x1 - fs) ** 2
         i = int(np.argmin(d2))
         a = float(ts[max(i - 1, 0)])
@@ -245,10 +254,12 @@ class FunctionGraph(FeasibleSet):
                 candidates.append((dist2(s), 0, s))
         for endpoint in (wlo, whi):
             candidates.append((dist2(endpoint), 2, endpoint))
-        d_min = min(d for d, _, _ in candidates)
-        band = 16.0 * np.finfo(float).eps * d_min
+        d_min = min((d for d, _, _ in candidates if d <= math.inf), default=math.nan)
+        if not math.isfinite(d_min):
+            raise NonFinitePoint(f"curve has no finite value near t in [{wlo!r}, {whi!r}]")
+        band = 16.0 * _EPS * d_min
         _, y = min((pri, y) for d, pri, y in candidates if d <= d_min + band)
-        return np.array([y, float(self.f(y))])
+        return np.array([y, float(f(y))])
 
     def _polish(self, x0, x1, y, wlo, whi, tol):
         """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0, or None."""

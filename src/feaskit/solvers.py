@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DerivativeUndefined,
     DerivativeZero,
+    DimensionMismatch,
     DistinctColinearInput,
     FeaskitError,
     UnknownMethod,
@@ -293,8 +294,10 @@ def run(
     it is a graph, else ``root_graph``) and record iterates embedded as
     (t, 0).  Residuals are always measured against ``a`` and ``b``.
     Reflection is 2P(x) - x for every set; P_A x comes from the residual
-    test of the same iterate.  Step errors are caught and reported
-    through a trace with stop reason ERROR rather than raised.
+    test of the same iterate.  Errors of a step or of an iterate's
+    residual test are caught and reported through a trace with stop
+    reason ERROR rather than raised; the trace ends at the last iterate
+    whose residual is known, or holds the start with residual NaN.
 
     ``solution`` may be one point or a stack of candidate points; the
     recorded distances are to the candidate nearest the final iterate.
@@ -305,41 +308,41 @@ def run(
     x = as_point(x0)
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")
+    if not x.size == a.dimension == b.dimension:
+        raise DimensionMismatch(f"start {x.size}-D, sets {a.dimension}-D and {b.dimension}-D")
 
     t_start = time.perf_counter()
-    residual, pax = _residual(a, b, x, tol)
     iterates = [x]
-    residuals = [residual]
+    residuals = [math.nan]
     steps: list[StepResult] = []
     reason = StopReason.MAX_ITER
     message = ""
     cycle_period = None
 
-    if residuals[0] <= stop.residual_tol:
-        reason = StopReason.RESIDUAL_MET
-    else:
-        for _ in range(stop.max_iter):
-            try:
+    try:
+        residuals[0], pax = _residual(a, b, x, tol)
+        if residuals[0] <= stop.residual_tol:
+            reason = StopReason.RESIDUAL_MET
+        else:
+            for _ in range(stop.max_iter):
                 nxt, result = step(a, b, graph, x, pax, tol)
-            except FeaskitError as exc:
-                reason = StopReason.ERROR
-                message = f"{type(exc).__name__}: {exc}"
-                break
-            if result is not None:
-                steps.append(result)
-
-            residual, pax = _residual(a, b, nxt, tol)
-            iterates.append(nxt)
-            residuals.append(residual)
-            if residuals[-1] <= stop.residual_tol:
-                reason = StopReason.RESIDUAL_MET
-                break
-            lag = _cycle_lag(iterates, stop.cycle_window, tol.point_eq_eps)
-            if lag is not None:
-                reason = StopReason.CYCLE
-                cycle_period = lag
-                break
-            x = nxt
+                residual, pax = _residual(a, b, nxt, tol)
+                if result is not None:
+                    steps.append(result)
+                iterates.append(nxt)
+                residuals.append(residual)
+                if residuals[-1] <= stop.residual_tol:
+                    reason = StopReason.RESIDUAL_MET
+                    break
+                lag = _cycle_lag(iterates, stop.cycle_window, tol.point_eq_eps)
+                if lag is not None:
+                    reason = StopReason.CYCLE
+                    cycle_period = lag
+                    break
+                x = nxt
+    except FeaskitError as exc:
+        reason = StopReason.ERROR
+        message = f"{type(exc).__name__}: {exc}"
 
     trace = Trace(
         method=method,

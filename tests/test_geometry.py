@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from feaskit import (
@@ -136,6 +136,26 @@ def test_circumcenter_equidistance_and_affine_membership():
         q, _ = np.linalg.qr(np.stack([pts[1] - pts[0], pts[2] - pts[0]], axis=1))
         v = c - pts[0]
         assert float(np.linalg.norm(v - q @ (q.T @ v))) / scale <= AFFINE_TOL
+
+
+def _triples(dim: int):
+    coords = st.lists(st.floats(-100.0, 100.0), min_size=dim, max_size=dim)
+    return st.lists(coords, min_size=3, max_size=3).map(np.array)
+
+
+@given(st.integers(2, 4).flatmap(_triples), st.permutations(range(3)))
+def test_circumcenter_is_equidistant_and_ignores_argument_order(pts, order):
+    # Non-colinear and well conditioned: twice the area is at least 1e-3
+    # of the squared longest edge, so the circumradius stays within 500
+    # longest edges.
+    d1, d2 = pts[1] - pts[0], pts[2] - pts[0]
+    longest = max(np.linalg.norm(d1), np.linalg.norm(d2), np.linalg.norm(d2 - d1))
+    twice_area = math.sqrt(max((d1 @ d1) * (d2 @ d2) - (d1 @ d2) ** 2, 0.0))
+    assume(longest >= 1e-3 and twice_area >= 1e-3 * longest**2)
+    c = circumcenter(*pts)
+    assert np.array_equal(circumcenter(*pts[list(order)]), c)
+    d = [float(np.linalg.norm(c - q)) for q in pts]
+    assert max(d) - min(d) <= EQUIDIST_TOL * (1.0 + max(d))
 
 
 def test_alignment_ratio_values():

@@ -1,20 +1,24 @@
-"""Comparison tables agree with the outcomes pinned in bench/reference.
+"""Comparison tables and CLI output agree with the outcomes pinned in
+bench/reference.
 
 Every problem x method row of the catalog reference, and every start of
 the sphere-basin pool through each of its methods, must come out of
 ``compare`` with the same stop reason, iteration count, rate kind and
 count, the same note (only the exception type for ERROR rows), and a
-final residual within 1e-12 relative.  The reference files are read,
-never written.
+final residual within 1e-12 relative.  The catalog's command line calls
+must print exactly the pinned lines and exit with the pinned code.  The
+reference files are read, never written.
 """
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
-from feaskit import METHODS, StopReason, builtin, compare
+from feaskit import METHODS, StopReason, builtin, compare, problem_names
+from feaskit.cli import main
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 RESIDUAL_RTOL = 1e-12
@@ -30,6 +34,12 @@ PINNED = {
     if key.partition("/")[2] in METHODS
 }
 BASIN = _load("sphere-basin")
+CLI_CALLS = ("run-csv", "run-json", "plot", "compare")
+PINNED_CLI = {
+    key: row
+    for key, row in _load("catalog")["ops"].items()
+    if key.partition("/")[2] in CLI_CALLS
+}
 
 
 def assert_matches_pinned(row, want) -> None:
@@ -67,3 +77,27 @@ def test_sphere_basin_start_matches_pinned_rows(key):
     assert [r.method for r in rows] == BASIN["methods"]
     for row, pinned in zip(rows, want["rows"]):
         assert_matches_pinned(row, pinned)
+
+
+def test_reference_covers_the_cli_calls():
+    assert sorted(PINNED_CLI) == sorted(
+        f"{name}/{call}" for name in problem_names() for call in CLI_CALLS
+    )
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_cli_calls_match_pinned_output(name, tmp_path, capsys):
+    csv, js, svg = (str(tmp_path / f"{name}.{ext}") for ext in ("csv", "json", "svg"))
+    argvs = {
+        "run-csv": ["run", "--problem", name, "--out", csv],
+        "run-json": ["run", "--problem", name, "--format", "json", "--out", js],
+        "plot": ["plot", csv, js, "--out", svg],  # reads the two traces above
+        "compare": ["compare", "--problem", name],
+    }
+    for call in CLI_CALLS:
+        code = main(argvs[call])
+        lines = capsys.readouterr().out.replace(f"{tmp_path}{os.sep}", "").splitlines()
+        if call == "compare":
+            # wall_time_ms, the last column, is a measurement.
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        assert {"exit": code, "stdout": lines} == PINNED_CLI[f"{name}/{call}"], call

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feaskit import (
     CaseLabel,
@@ -88,6 +90,41 @@ def test_graph_property_prefers_first_set_then_root_curve():
     p = builtin("sphere-line")
     assert p.graph is p.root_curve
     assert isinstance(p.graph, FunctionGraph)
+
+
+# Every registry curve with the parameters the catalog uses.
+CATALOG_CURVES = (
+    [("poly2", {"a": 1.0, "b": b, "c": 0.0}) for b in (0.0, 2.0)]
+    + [("signed_sqrt", {}), ("kinked_line", {})]
+    + [
+        ("pnorm_branch", {"p": p, "a": a, "b": 1.0, "cx": 0.0, "cy": -0.5})
+        for p in (1.5, 2.0, 3.0, 4.0)
+        for a in (1.0, 2.0)
+    ]
+)
+
+
+def _abscissas(g):
+    # The domain, or [-8, 8] where it is unbounded, widened by a quarter,
+    # plus both zeros, the kinks and the domain ends.
+    lo, hi = max(g.domain[0], -8.0), min(g.domain[1], 8.0)
+    margin = 0.25 * (hi - lo)
+    special = (0.0, -0.0, 1.0, -1.0, lo, hi, *g.nonsmooth)
+    return st.one_of(st.sampled_from(special), st.floats(lo - margin, hi + margin))
+
+
+CURVE_IDS = ["-".join([c, *(f"{k}{v:g}" for k, v in p.items())]) for c, p in CATALOG_CURVES]
+
+
+@pytest.mark.parametrize("curve, params", CATALOG_CURVES, ids=CURVE_IDS)
+@given(data=st.data(), scalar=st.sampled_from((float, np.float64)))
+def test_curve_scalar_calls_match_the_array_path_bitwise(curve, params, data, scalar):
+    # FunctionGraph.project calls f on Python floats; each must give
+    # exactly what the 0-d array path gives, down to the sign of zero.
+    g = make_curve(curve, **params)
+    t = data.draw(_abscissas(g))
+    got = g.f(scalar(t))
+    assert float(got).hex() == float(g.f(np.asarray(t))).hex()
 
 
 def test_make_curve_registry():

@@ -8,14 +8,17 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from feaskit import (
+    DEFAULT_TOLERANCES,
     DimensionMismatch,
     EmptyDomain,
     FunctionGraph,
+    NonFinitePoint,
     Hyperplane,
     Sphere,
     builtin,
     graph_normal_coefficient,
     make_curve,
+    problem_names,
 )
 
 EXACT = 0.0
@@ -183,6 +186,17 @@ def test_graph_empty_domain_raises():
         g.project((0.0, 0.0))
 
 
+def test_graph_projection_rejects_non_finite_curve_values():
+    # NaN at the anchor abscissa 0.9, and NaN everywhere in the window
+    # except at one abscissa no candidate reaches.
+    g = FunctionGraph(f=lambda t: math.nan if t > 0.5 else t, domain=(-1.0, 1.0))
+    with pytest.raises(NonFinitePoint, match="t=0.9"):
+        g.project((0.9, 0.2))
+    g = FunctionGraph(f=lambda t: t if 0.29 < t < 0.31 else math.nan, domain=(-1.0, 1.0))
+    with pytest.raises(NonFinitePoint, match="no finite value"):
+        g.project((0.3, 0.9))
+
+
 def test_graph_projection_respects_domain():
     g = builtin("sphere-line").graph
     for x in (5.0, -5.0):
@@ -247,3 +261,25 @@ def test_projection_minimizes_against_grid():
             fs = np.array([float(g.f(t)) for t in ts])
             d_grid = float(np.min(np.hypot(x[0] - ts, x[1] - fs)))
             assert d_best <= d_grid + 1e-6
+
+
+CATALOG_GRAPHS = {name: builtin(name).graph for name in problem_names()}
+SCAN_POINTS = 100_001
+
+
+@given(st.sampled_from(sorted(CATALOG_GRAPHS)), st.floats(-4.0, 4.0), st.floats(-3.0, 3.0))
+def test_projection_is_no_farther_than_a_dense_scan(name, x0, x1):
+    # No graph point outside [anchor - r0, anchor + r0] is nearer than
+    # (anchor, f(anchor)), so a scan of that window, its ends, the anchor
+    # and the kinks bounds the true distance from above.
+    g = CATALOG_GRAPHS[name]
+    lo, hi = g.domain
+    anchor = min(max(x0, lo), hi)
+    r0 = abs(x1 - float(g.f(anchor)))
+    wlo, whi = max(lo, anchor - r0), min(hi, anchor + r0)
+    kinks = [s for s in g.nonsmooth if wlo <= s <= whi]
+    ts = np.concatenate([np.linspace(wlo, whi, SCAN_POINTS), [anchor, wlo, whi], kinks])
+    d_scan = float(np.min(np.hypot(x0 - ts, x1 - g.f(ts))))
+    p = g.project((x0, x1))
+    d = math.hypot(x0 - p[0], x1 - p[1])
+    assert d <= d_scan + DEFAULT_TOLERANCES.projection_tol * (1.0 + d_scan)

@@ -283,6 +283,32 @@ def test_run_solution_distances_single_and_stack():
     assert plain.dist_to_solution is None
 
 
+def test_run_reports_a_non_finite_curve_value_as_an_error_trace():
+    # At the start the residual is unknown and reads NaN; later, the
+    # iterate whose residual test fails is left out of the trace.
+    g = FunctionGraph(f=lambda t: math.nan if t > 0.5 else t, domain=(-1.0, 1.0))
+    trace = run("crm", g, X_AXIS, (0.9, 0.2))
+    assert trace.stop is StopReason.ERROR
+    assert trace.message.startswith("NonFinitePoint: ")
+    assert np.array_equal(trace.iterates, [[0.9, 0.2]])
+    assert math.isnan(trace.residuals[0])
+    trace = run("altproj", g, Hyperplane((1.0, 0.0), 0.8), (0.4, 0.4))
+    assert trace.stop is StopReason.ERROR
+    assert "t=0.8" in trace.message
+    assert np.array_equal(trace.iterates, [[0.4, 0.4]])
+    assert trace.residuals.tolist() == [0.4]
+
+
+def test_run_rejects_a_start_or_set_of_another_dimension():
+    # A configuration error, raised before the loop that turns errors
+    # into ERROR traces.
+    p = builtin("sphere-line")
+    with pytest.raises(DimensionMismatch):
+        run("crm", p.a, p.b, (0.5, 0.0, 0.0))
+    with pytest.raises(DimensionMismatch):
+        run("crm", p.a, Hyperplane((0.0, 0.0, 1.0)), (0.5, 0.0))
+
+
 def test_run_solution_validation():
     p = builtin("sphere-line")
     with pytest.raises(DimensionMismatch):
