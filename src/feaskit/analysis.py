@@ -84,7 +84,11 @@ def error_ratios(trace: Trace, solution, order: float = 1) -> np.ndarray:
         raise ValueError("order must be 1 or 2")
     if trace.iterates.shape[0] < 3:
         raise TooShort("need at least 3 iterates to form ratio tails")
-    e = trace_errors(trace, solution)
+    return _ratios(trace_errors(trace, solution), order)
+
+
+def _ratios(e: np.ndarray, order: float) -> np.ndarray:
+    """``error_ratios`` of the error sequence ``e``."""
     out = []
     for n in range(e.size - 1):
         if e[n] <= _ERROR_FLOOR:
@@ -103,8 +107,8 @@ def classify_rate(trace: Trace, solution) -> RateClass:
         return RateClass(RateKind.CYCLING, count=int(trace.cycle_period or 1))
     if e.size < 4:
         raise TooShort("need at least 4 iterates to classify a rate")
-    r1 = error_ratios(trace, solution, order=1)
-    r2 = error_ratios(trace, solution, order=2)
+    r1 = _ratios(e, 1)
+    r2 = _ratios(e, 2)
     if r1.size < 2:
         return RateClass(RateKind.INCONCLUSIVE)
     tail = max(4, math.ceil(r1.size / 4))

@@ -84,7 +84,9 @@ def _nearest(candidates: np.ndarray, x: np.ndarray) -> int:
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(v, v)))
+    # math.sqrt and np.sqrt are both correctly rounded, so this is
+    # bitwise np.sqrt(v @ v) without a numpy scalar round trip.
+    return math.sqrt(float(np.dot(v, v)))
 
 
 def circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
-from .geometry import DEFAULT_TOLERANCES, Tolerances, as_point
+from .geometry import DEFAULT_TOLERANCES, Tolerances, _norm, as_point
 
 _GRID_POINTS = 2048
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,8 +44,7 @@ class FeasibleSet(ABC):
 
     def distance(self, x, tol: Tolerances | None = None) -> float:
         x = as_point(x, self.dimension)
-        d = x - self.project(x, tol)
-        return float(np.sqrt(np.dot(d, d)))
+        return _norm(x - self.project(x, tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +60,7 @@ class Hyperplane(FeasibleSet):
 
     def __post_init__(self):
         n = as_point(self.normal)
-        scale = float(np.sqrt(np.dot(n, n)))
+        scale = _norm(n)
         if scale <= 0.0:
             raise DimensionMismatch("hyperplane normal must be nonzero")
         n = n / scale
@@ -101,7 +100,7 @@ class Sphere(FeasibleSet):
         tol = DEFAULT_TOLERANCES if tol is None else tol
         x = as_point(x, self.dimension)
         v = x - self.center
-        n = float(np.sqrt(np.dot(v, v)))
+        n = _norm(v)
         if n <= tol.point_eq_eps:
             # The center is equidistant from the whole shell; pick the
             # point along the first coordinate axis.
@@ -150,9 +149,10 @@ class FunctionGraph(FeasibleSet):
     ----------
     f : callable
         Finite-valued oracle on the domain (``project`` raises
-        NonFinitePoint where it is not).  ``project`` calls it once on a
-        2048-point numpy array (one call per point when that fails) and
-        otherwise on Python floats, about 40 times per projection.  A
+        NonFinitePoint where it is not, unless NaN values leave a finite
+        part of the search window to search).  ``project`` calls it once
+        on a 2048-point numpy array (one call per point when that fails)
+        and otherwise on Python floats, about 40 times per projection.  A
         branch for ``float`` input that returns exactly what the array
         path returns makes those calls cheap.
     derivative : callable, optional
@@ -224,7 +224,10 @@ class FunctionGraph(FeasibleSet):
 
         def dist2(t: float) -> float:
             ft = float(f(t))
-            return (x0 - t) ** 2 + (x1 - ft) ** 2
+            d = (x0 - t) ** 2 + (x1 - ft) ** 2
+            # NaN as +inf, so golden section and the candidate minimum
+            # move away from where the curve has no value.
+            return d if d <= math.inf else math.inf
 
         if whi - wlo <= tol.projection_tol:
             y = 0.5 * (wlo + whi)
@@ -234,6 +237,9 @@ class FunctionGraph(FeasibleSet):
         fs = _eval_curve(f, ts)
         d2 = (x0 - ts) ** 2 + (x1 - fs) ** 2
         i = int(np.argmin(d2))
+        if math.isnan(d2[i]) and not np.isnan(d2).all():
+            # argmin stops at the first NaN; bracket the nearest finite sample.
+            i = int(np.nanargmin(d2))
         a = float(ts[max(i - 1, 0)])
         b = float(ts[min(i + 1, _GRID_POINTS - 1)])
         y_best, d_best = _golden_min(dist2, a, b, tol.projection_tol)
@@ -254,7 +260,7 @@ class FunctionGraph(FeasibleSet):
                 candidates.append((dist2(s), 0, s))
         for endpoint in (wlo, whi):
             candidates.append((dist2(endpoint), 2, endpoint))
-        d_min = min((d for d, _, _ in candidates if d <= math.inf), default=math.nan)
+        d_min = min(d for d, _, _ in candidates)
         if not math.isfinite(d_min):
             raise NonFinitePoint(f"curve has no finite value near t in [{wlo!r}, {whi!r}]")
         band = 16.0 * _EPS * d_min

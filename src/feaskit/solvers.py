@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,7 +129,7 @@ def _reflection_step(b, x, pax, tol, circumcenter_cases) -> StepResult:
     is its circumcenter when its case is in ``circumcenter_cases``, else
     the average of x and R_B R_A x.  ``x`` must be a checked point."""
     rax = 2.0 * pax - x
-    rbrax = b.reflect(rax, tol)
+    rbrax = 2.0 * b.project(rax, tol) - rax
     case = classify_triple(x, rax, rbrax, tol)
     if case in circumcenter_cases:
         return StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
@@ -217,7 +218,7 @@ def subgrad_proj_step(g, y, ystar, tol: Tolerances | None = None):
 def _residual(a: FeasibleSet, b: FeasibleSet, x, tol) -> tuple[float, np.ndarray]:
     """max(d_A(x), d_B(x)) and P_A x, which the next step reuses."""
     pax = a.project(x, tol)
-    return max(_norm(x - pax), b.distance(x, tol)), pax
+    return max(_norm(x - pax), _norm(x - b.project(x, tol))), pax
 
 
 # Run-loop steps, each (a, b, graph, x, P_A x, tol) -> (next iterate,
@@ -293,8 +294,10 @@ def run(
     Scalar methods step the abscissa of the function graph (``a`` when
     it is a graph, else ``root_graph``) and record iterates embedded as
     (t, 0).  Residuals are always measured against ``a`` and ``b``.
-    Reflection is 2P(x) - x for every set; P_A x comes from the residual
-    test of the same iterate.  Errors of a step or of an iterate's
+    Reflection is 2P(x) - x and distance is ||x - P(x)|| for every set,
+    from its ``project``, so a subclass that overrides ``reflect`` or
+    ``distance`` is not consulted; P_A x comes from the residual test of
+    the same iterate.  Errors of a step or of an iterate's
     residual test are caught and reported through a trace with stop
     reason ERROR rather than raised; the trace ends at the last iterate
     whose residual is known, or holds the start with residual NaN.
@@ -313,6 +316,8 @@ def run(
 
     t_start = time.perf_counter()
     iterates = [x]
+    # First coordinates of the iterates the cycle test can still reach.
+    firsts = deque([float(x[0])], maxlen=stop.cycle_window + 1)
     residuals = [math.nan]
     steps: list[StepResult] = []
     reason = StopReason.MAX_ITER
@@ -330,11 +335,12 @@ def run(
                 if result is not None:
                     steps.append(result)
                 iterates.append(nxt)
+                firsts.append(float(nxt[0]))
                 residuals.append(residual)
                 if residuals[-1] <= stop.residual_tol:
                     reason = StopReason.RESIDUAL_MET
                     break
-                lag = _cycle_lag(iterates, stop.cycle_window, tol.point_eq_eps)
+                lag = _cycle_lag(iterates, firsts, stop.cycle_window, tol.point_eq_eps)
                 if lag is not None:
                     reason = StopReason.CYCLE
                     cycle_period = lag
@@ -360,14 +366,26 @@ def run(
     return trace
 
 
-def _cycle_lag(iterates, window: int, eps: float) -> int | None:
-    """Lag of a revisit of a recent iterate by the newest one, if any."""
+# From this point_eq_eps on, (2 eps)**2 is a normal double, which the
+# first-coordinate screen of _cycle_lag needs to be exact.
+_SCREEN_MIN_EPS = 1e-154
+
+
+def _cycle_lag(iterates, firsts, window: int, eps: float) -> int | None:
+    """Lag of a revisit of a recent iterate by the newest one, if any.
+
+    ``firsts`` holds at least the last ``window + 1`` first coordinates
+    of ``iterates`` as floats.  A lag whose first coordinates differ by
+    more than 2 ``eps`` is skipped without the vector test: the computed
+    squared norm is then at least (2 eps)**2 (1 - O(u)) whatever the
+    summation order, so its correctly rounded square root exceeds eps.
+    """
     new = iterates[-1]
-    for lag in range(1, window + 1):
-        j = len(iterates) - 1 - lag
-        if j < 0:
-            break
-        d = new - iterates[j]
-        if float(np.sqrt(np.dot(d, d))) <= eps:
+    new0 = firsts[-1]
+    screen = 2.0 * eps if eps >= _SCREEN_MIN_EPS else math.inf
+    for lag in range(1, min(window, len(iterates) - 1) + 1):
+        if abs(new0 - firsts[-1 - lag]) > screen:
+            continue
+        if _norm(new - iterates[-1 - lag]) <= eps:
             return lag
     return None

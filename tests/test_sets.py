@@ -192,9 +192,19 @@ def test_graph_projection_rejects_non_finite_curve_values():
     g = FunctionGraph(f=lambda t: math.nan if t > 0.5 else t, domain=(-1.0, 1.0))
     with pytest.raises(NonFinitePoint, match="t=0.9"):
         g.project((0.9, 0.2))
-    g = FunctionGraph(f=lambda t: t if 0.29 < t < 0.31 else math.nan, domain=(-1.0, 1.0))
+    g = FunctionGraph(f=lambda t: t if t == 0.3 else math.nan, domain=(-1.0, 1.0))
     with pytest.raises(NonFinitePoint, match="no finite value"):
         g.project((0.3, 0.9))
+
+
+def test_graph_projection_brackets_the_finite_part_of_a_partly_nan_curve():
+    # The grid's first sample in the window is NaN; np.argmin would stop
+    # there and bracket no finite value.
+    g = FunctionGraph(f=lambda t: t if 0.29 < t < 0.31 else math.nan, domain=(-1.0, 1.0))
+    p = g.project((0.3, 0.9))
+    assert np.all(np.isfinite(p))
+    assert 0.29 < p[0] < 0.31 and p[1] == p[0]
+    assert abs(p[0] - 0.31) < 1e-9
 
 
 def test_graph_projection_respects_domain():

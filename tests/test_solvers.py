@@ -1,9 +1,12 @@
 """Step operators and the run loop: dispatch, traces, stop reasons."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from feaskit import (
     ColinearityCase,
@@ -33,6 +36,7 @@ from feaskit import (
     subgrad_proj_step,
     trace_errors,
 )
+from feaskit.solvers import _cycle_lag
 
 X_AXIS = Hyperplane((0.0, 1.0), 0.0)
 STEP_TOL = 1e-12
@@ -368,19 +372,82 @@ def test_run_and_nearest_solution_pick_the_same_root_on_a_near_tie(x0):
         assert math.copysign(1.0, nearest[0]) == math.copysign(1.0, x0[0])
 
 
+def _counted(project, calls):
+    def counted(self, x, tol=None):
+        calls.append(1)
+        return project(self, x, tol)
+
+    return counted
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_run_makes_one_graph_projection_per_iterate(method, monkeypatch):
     # Every iterate's residual projects onto the graph A once, and the
     # reflection and alternating-projection steps reuse that projection.
     p = builtin("parabola")
     calls = []
-    project = FunctionGraph.project
-
-    def counted(self, x, tol=None):
-        calls.append(1)
-        return project(self, x, tol)
-
-    monkeypatch.setattr(FunctionGraph, "project", counted)
+    monkeypatch.setattr(FunctionGraph, "project", _counted(FunctionGraph.project, calls))
     tr = run(method, p.a, p.b, (0.75, 0.5), StopRule(max_iter=12))
     assert tr.iterations >= 3
     assert len(calls) == tr.iterations + 1
+
+
+@pytest.mark.parametrize("method", ["crm", "dr"])
+def test_run_makes_three_closed_set_projections_per_iteration(method, monkeypatch):
+    # The benchmark's tracer sees the loop only through the public
+    # project methods: P_B of R_A x in the step, then P_A and P_B of the
+    # new iterate in its residual test.
+    p = builtin("sphere-line")
+    calls = []
+    for cls in (Sphere, Hyperplane):
+        monkeypatch.setattr(cls, "project", _counted(cls.project, calls))
+    tr = run(method, p.a, p.b, (0.4, 0.7))
+    assert tr.iterations >= 3
+    assert len(calls) == 3 * tr.iterations + 2
+
+
+def _unscreened_cycle_lag(iterates, window, eps):
+    """The cycle test before the first-coordinate screen, kept as the
+    reference the screened one must agree with."""
+    new = iterates[-1]
+    for lag in range(1, window + 1):
+        j = len(iterates) - 1 - lag
+        if j < 0:
+            break
+        d = new - iterates[j]
+        if float(np.sqrt(np.dot(d, d))) <= eps:
+            return lag
+    return None
+
+
+def _around(v):
+    return [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+
+
+@st.composite
+def _cycle_inputs(draw):
+    eps = draw(st.sampled_from([1e-12, 1e-200, 1e-154, 0.5]) | st.floats(1e-300, 1.0))
+    dim = draw(st.integers(1, 4))
+    window = draw(st.integers(0, 8))
+    # Offsets from the newest iterate at eps, 2 eps and their neighbouring
+    # ulps, with either sign, split across coordinates or not.
+    edges = [s * v / k for v in (eps, 2.0 * eps) for s in (1.0, -1.0) for k in (1.0, 2.0, 3.0)]
+    offset = st.sampled_from([0.0] + [w for v in edges for w in _around(v)])
+    offset |= st.floats(-4.0 * eps, 4.0 * eps) | st.floats(-2.0, 2.0)
+    coord = st.just(0.0) | st.floats(-100.0, 100.0) | offset
+    new = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    older = draw(
+        st.lists(st.lists(offset, min_size=dim, max_size=dim), min_size=0, max_size=10)
+    )
+    iterates = [new + np.array(o) for o in older] + [new]
+    return iterates, window, eps
+
+
+@given(_cycle_inputs())
+# 2.0000000000000004e-200 squared underflows to 0, so the vector test sees a
+# revisit that a screen at 2 eps = 2e-200 would skip.
+@example(([np.array([math.nextafter(2e-200, 1.0)]), np.array([0.0])], 1, 1e-200))
+def test_screened_cycle_lag_matches_the_unscreened_loop(case):
+    iterates, window, eps = case
+    firsts = deque((float(p[0]) for p in iterates), maxlen=window + 1)
+    assert _cycle_lag(iterates, firsts, window, eps) == _unscreened_cycle_lag(iterates, window, eps)
