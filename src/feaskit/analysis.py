@@ -143,32 +143,32 @@ class ComparisonRow:
     stop: StopReason
     note: str = ""
 
+    @classmethod
+    def from_trace(cls, trace: Trace, problem: Problem) -> ComparisonRow:
+        """A finished run as a comparison row.
 
-def _trace_row(trace: Trace, problem: Problem) -> ComparisonRow:
-    """A finished run as a comparison row.
-
-    The rate is taken toward the known solution nearest the final
-    iterate.  ERROR traces and problems without known solutions get no
-    rate; a trace too short to classify gets none either, and a note
-    saying so unless the run left a message.
-    """
-    rate = None
-    note = trace.message
-    s = nearest_solution(problem, trace.final)
-    if s is not None and trace.stop is not StopReason.ERROR:
-        try:
-            rate = classify_rate(trace, s)
-        except TooShort:
-            note = note or "trace too short to classify"
-    return ComparisonRow(
-        method=trace.method,
-        iterations=trace.iterations,
-        final_residual=float(trace.residuals[-1]),
-        rate=rate,
-        wall_time=trace.wall_time,
-        stop=trace.stop,
-        note=note,
-    )
+        The rate is taken toward the known solution nearest the final
+        iterate.  ERROR traces and problems without known solutions get
+        no rate; a trace too short to classify gets none either, and a
+        note saying so unless the run left a message.
+        """
+        rate = None
+        note = trace.message
+        s = nearest_solution(problem, trace.final)
+        if s is not None and trace.stop is not StopReason.ERROR:
+            try:
+                rate = classify_rate(trace, s)
+            except TooShort:
+                note = note or "trace too short to classify"
+        return cls(
+            method=trace.method,
+            iterations=trace.iterations,
+            final_residual=float(trace.residuals[-1]),
+            rate=rate,
+            wall_time=trace.wall_time,
+            stop=trace.stop,
+            note=note,
+        )
 
 
 def compare(
@@ -209,7 +209,7 @@ def compare(
                 )
             )
             continue
-        rows.append(_trace_row(trace, problem))
+        rows.append(ComparisonRow.from_trace(trace, problem))
     return rows
 
 

@@ -17,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import _trace_row, compare, comparison_to_csv
+from .analysis import ComparisonRow, compare, comparison_to_csv
 from .errors import FeaskitError, UnknownMethod
 from .geometry import DEFAULT_TOLERANCES
 from .plotting import TraceSeries, render_svg
 from .problems import Problem, builtin, load_problem, problem_names
 from .sets import FunctionGraph, Hyperplane, Sphere
-from .solvers import METHODS, StopReason, StopRule, Trace, _method_step, run
+from .solvers import METHODS, StopReason, StopRule, Trace, check_method, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -259,7 +259,7 @@ def cmd_run(args) -> int:
     if args.out:
         writer = write_trace_csv if args.format == "csv" else write_trace_json
         writer(args.out, trace, problem.name)
-    rate = _trace_row(trace, problem).rate
+    rate = ComparisonRow.from_trace(trace, problem).rate
     summary = (
         f"method={args.method} problem={problem.name} stop={trace.stop.value} "
         f"iterations={trace.iterations} final_residual={trace.residuals[-1]:.6g} "
@@ -277,7 +277,7 @@ def cmd_compare(args) -> int:
     if not methods:
         raise _ConfigError("--methods must name at least one method")
     for m in methods:  # run's own check: a bad method is a configuration error here
-        _method_step(m, problem.a, problem.graph)
+        check_method(m, problem.a, problem.graph)
     stop, tol, x0 = _resolve_run_config(args, problem)
     rows = compare(problem, methods, stop=stop, tol=tol, x0=x0)
     if args.format == "csv":

@@ -1,14 +1,12 @@
 """Iterative operators for two-set feasibility and scalar root finding.
 
-Vector methods share one reflection step through the two sets, which
-ends in either the circumcenter of the triple (x, R_A x, R_B R_A x) or
-the average of x and R_B R_A x: averaged double reflection (``dr``),
-the raw circumcenter (``crm_raw``), and the hybrid ``ct_step`` that
-takes the circumcenter when the reflection triple spans a triangle and
-falls back to the averaged step when it degenerates to a line.  Scalar
-reductions (``newton_step``, ``subgrad_proj_step``) act on the abscissa
-of a function graph.  ``run`` drives any of them to a stopping rule and
-returns the full trace.
+``run`` drives any method of ``METHODS`` to a stopping rule and returns
+the full trace; it is how to iterate ``dr`` (averaged double
+reflection), ``altproj`` and ``newton``.  The public single steps are
+the paper's hybrid ``ct_step`` (circumcenter of (x, R_A x, R_B R_A x)
+when that triple spans a triangle, else the average of x and
+R_B R_A x) and the scalar reduction ``subgrad_proj_step`` on the
+abscissa of a function graph.  ``check_method`` validates a method.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .errors import (
     DerivativeUndefined,
     DerivativeZero,
     DimensionMismatch,
-    DistinctColinearInput,
     FeaskitError,
     UnknownMethod,
     ZeroSubgradient,
@@ -138,30 +135,6 @@ def _reflection_step(b, x, pax, tol, circumcenter_cases) -> StepResult:
 
 _NEVER = frozenset()
 _SPANNING = frozenset({ColinearityCase.NON_COLINEAR})
-_NOT_DISTINCT_COLINEAR = frozenset(ColinearityCase) - {ColinearityCase.DISTINCT_COLINEAR}
-
-
-def dr_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
-    """Averaged double reflection: (x + R_B R_A x) / 2."""
-    x = as_point(x)
-    return _reflection_step(b, x, a.project(x, tol), tol, _NEVER).next
-
-
-def crm_raw(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
-    """Circumcenter of (x, R_A x, R_B R_A x).
-
-    Degenerate triples follow the circumcenter conventions (a single
-    point maps to itself, two distinct points to their midpoint).  A
-    triple of three distinct colinear points has no circumcenter and
-    raises; ``ct_step`` handles that case by switching operators.
-    """
-    x = as_point(x)
-    step = _reflection_step(b, x, a.project(x, tol), tol, _NOT_DISTINCT_COLINEAR)
-    if not step.used_circumcenter:
-        raise DistinctColinearInput(
-            "reflection triple is distinct and colinear; no circumcenter exists"
-        )
-    return step.next
 
 
 def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> StepResult:
@@ -171,11 +144,6 @@ def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) ->
     return _reflection_step(b, x, a.project(x, tol), tol, _SPANNING)
 
 
-def altproj_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> np.ndarray:
-    """Alternating projections: P_B P_A x."""
-    return b.project(a.project(as_point(x), tol), tol)
-
-
 def _derivative(g: FunctionGraph, t: float, tol: Tolerances) -> float:
     """f'(t), or DerivativeUndefined where the oracle has no value."""
     if not g.derivative_defined_at(t, tol.point_eq_eps):
@@ -183,36 +151,19 @@ def _derivative(g: FunctionGraph, t: float, tol: Tolerances) -> float:
     return float(g.derivative(t))
 
 
-def newton_step(g: FunctionGraph, t: float, tol: Tolerances | None = None) -> float:
-    """Newton update t - f(t) / f'(t) on the graph's function."""
-    tol = DEFAULT_TOLERANCES if tol is None else tol
-    t = float(t)
-    d = _derivative(g, t, tol)
-    if abs(d) <= tol.point_eq_eps:
-        raise DerivativeZero(f"derivative vanishes at t={t!r}")
-    return t - float(g.f(t)) / d
+def subgrad_proj_step(g, y: float, ystar: float, tol: Tolerances | None = None) -> float:
+    """Subgradient projection update y - (f(y) / ystar^2) ystar on a scalar y.
 
-
-def subgrad_proj_step(g, y, ystar, tol: Tolerances | None = None):
-    """Subgradient projection update y - (f(y) / ||ystar||^2) ystar.
-
-    ``g`` is a FunctionGraph or a bare callable giving f; ``y`` and
-    ``ystar`` may be scalars or vectors of matching shape.  Scalar input
-    returns a float.
+    ``g`` is a FunctionGraph or a bare callable giving f.  The step is
+    scalar-only: ``y`` and the subgradient ``ystar`` are reals.
     """
     tol = DEFAULT_TOLERANCES if tol is None else tol
     f = g.f if isinstance(g, FunctionGraph) else g
-    scalar = np.ndim(y) == 0
-    y_vec = np.atleast_1d(np.asarray(y, dtype=float))
-    ystar_vec = np.atleast_1d(np.asarray(ystar, dtype=float))
-    if y_vec.shape != ystar_vec.shape:
-        raise ZeroSubgradient("ystar shape must match y")
-    nsq = float(ystar_vec @ ystar_vec)
+    y, ystar = float(y), float(ystar)
+    nsq = ystar * ystar
     if math.sqrt(nsq) <= tol.point_eq_eps:
         raise ZeroSubgradient("ystar is numerically zero")
-    fval = float(f(float(y_vec[0]) if scalar else y_vec))
-    out = y_vec - (fval / nsq) * ystar_vec
-    return float(out[0]) if scalar else out
+    return y - (float(f(y)) / nsq) * ystar
 
 
 def _residual(a: FeasibleSet, b: FeasibleSet, x, tol) -> tuple[float, np.ndarray]:
@@ -236,7 +187,11 @@ def _reflections(circumcenter_cases):
 
 
 def _newton(a, b, graph, x, pax, tol):
-    return np.array([newton_step(graph, x[0], tol), 0.0]), None
+    t = float(x[0])
+    d = _derivative(graph, t, tol)
+    if abs(d) <= tol.point_eq_eps:
+        raise DerivativeZero(f"derivative vanishes at t={t!r}")
+    return np.array([t - float(graph.f(t)) / d, 0.0]), None
 
 
 def _subgrad(a, b, graph, x, pax, tol):
@@ -255,22 +210,21 @@ _STEPS = {
 METHODS = tuple(_STEPS)
 
 
-def _method_step(method: str, a: FeasibleSet, root_graph: FunctionGraph | None):
-    """The run-loop step of ``method`` and the graph it steps on (None for
-    vector methods).  Raises UnknownMethod when the method does not exist
-    or needs a function graph that neither ``root_graph`` nor ``a`` is."""
+def check_method(method: str, a: FeasibleSet, root_graph: FunctionGraph | None = None):
+    """The function graph ``method`` steps on (None for vector methods).
+    Raises UnknownMethod when the method does not exist or needs a
+    function graph that neither ``root_graph`` nor ``a`` is."""
     if method not in _STEPS:
         raise UnknownMethod(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    step, on_graph = _STEPS[method]
-    if not on_graph:
-        return step, None
+    if not _STEPS[method][1]:
+        return None
     graph = root_graph if root_graph is not None else a
     if not isinstance(graph, FunctionGraph):
         raise UnknownMethod(
             f"method {method!r} needs a function-graph problem; supply root_graph "
             "when the first set is not a graph"
         )
-    return step, graph
+    return graph
 
 
 def trace_errors(trace: Trace, solution) -> np.ndarray:
@@ -305,7 +259,8 @@ def run(
     ``solution`` may be one point or a stack of candidate points; the
     recorded distances are to the candidate nearest the final iterate.
     """
-    step, graph = _method_step(method, a, root_graph)
+    graph = check_method(method, a, root_graph)
+    step = _STEPS[method][0]
     stop = StopRule() if stop is None else stop
     tol = DEFAULT_TOLERANCES if tol is None else tol
     x = as_point(x0)

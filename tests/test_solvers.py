@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from feaskit import (
     ColinearityCase,
-    DerivativeUndefined,
-    DerivativeZero,
     DimensionMismatch,
-    DistinctColinearInput,
     FunctionGraph,
     Hyperplane,
     METHODS,
@@ -24,14 +21,10 @@ from feaskit import (
     Trace,
     UnknownMethod,
     ZeroSubgradient,
-    altproj_step,
     builtin,
-    crm_raw,
     ct_step,
-    dr_step,
     make_curve,
     nearest_solution,
-    newton_step,
     run,
     subgrad_proj_step,
     trace_errors,
@@ -80,11 +73,22 @@ def test_trace_validation():
     assert np.array_equal(tr.final, pts[-1])
 
 
+def _first_step(method, a, b, x0) -> Trace:
+    return run(method, a, b, x0, StopRule(max_iter=1))
+
+
+def _dr_formula(a, b, x):
+    """(x + R_B R_A x) / 2 spelled out, with R = 2P - I."""
+    rax = 2.0 * a.project(x) - x
+    return 0.5 * (x + (2.0 * b.project(rax) - rax))
+
+
 def test_dr_step_perpendicular_lines_land_on_intersection():
     a = Hyperplane((0.0, 1.0), offset=1.0)
     b = Hyperplane((1.0, 0.0), offset=0.0)
-    nxt = dr_step(a, b, (2.0, 3.0))
-    assert np.array_equal(nxt, np.array([0.0, 1.0]))
+    tr = _first_step("dr", a, b, (2.0, 3.0))
+    assert tr.iterations == 1
+    assert np.array_equal(tr.final, np.array([0.0, 1.0]))
 
 
 def test_dr_step_matches_reflection_composition():
@@ -94,7 +98,9 @@ def test_dr_step_matches_reflection_composition():
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=2)
         expected = 0.5 * (x + b.reflect(a.reflect(x)))
-        assert np.array_equal(dr_step(a, b, x), expected)
+        tr = _first_step("dr", a, b, x)
+        assert tr.iterations == 1
+        assert np.array_equal(tr.final, expected)
 
 
 def test_ct_step_takes_circumcenter_on_spanning_triple():
@@ -110,7 +116,7 @@ def test_ct_step_falls_back_to_averaged_step_bitwise():
     s = ct_step(g, X_AXIS, (3.0, -5.0))
     assert s.case is ColinearityCase.DISTINCT_COLINEAR
     assert not s.used_circumcenter
-    assert np.array_equal(s.next, dr_step(g, X_AXIS, (3.0, -5.0)))
+    assert np.array_equal(s.next, _dr_formula(g, X_AXIS, np.array([3.0, -5.0])))
     assert np.array_equal(s.next, np.array([3.0, -4.0]))
 
 
@@ -142,46 +148,35 @@ def test_colinear_step_equals_projection_identity():
     assert kept >= 20
 
 
-def test_crm_raw_raises_on_distinct_colinear_triple():
-    g = builtin("pline").a
-    with pytest.raises(DistinctColinearInput):
-        crm_raw(g, X_AXIS, (3.0, -5.0))
-
-
-def test_crm_raw_matches_hybrid_on_spanning_triple():
-    g = make_curve("poly2", a=1.0, b=0.0, c=0.0)
-    assert np.array_equal(crm_raw(g, X_AXIS, (3.0, 0.0)), ct_step(g, X_AXIS, (3.0, 0.0)).next)
-
-
 def test_altproj_step():
     g = make_curve("poly2", a=1.0, b=0.0, c=0.0)
-    nxt = altproj_step(g, X_AXIS, (3.0, 0.0))
-    assert np.allclose(nxt, [1.0, 0.0], atol=STEP_TOL)
+    tr = _first_step("altproj", g, X_AXIS, (3.0, 0.0))
+    assert tr.iterations == 1
+    assert np.allclose(tr.final, [1.0, 0.0], atol=STEP_TOL)
 
 
 def test_newton_step_values_and_errors():
     g = make_curve("poly2", a=1.0, b=0.0, c=-1.0)
-    assert newton_step(g, 1.5) == 13.0 / 12.0
+    tr = _first_step("newton", g, X_AXIS, (1.5, 0.0))
+    assert tr.iterations == 1
+    assert np.array_equal(tr.final, np.array([13.0 / 12.0, 0.0]))
+    # Off the axis, so the residual is positive and the step is taken.
     flat = make_curve("poly2", a=1.0, b=0.0, c=0.0)
-    with pytest.raises(DerivativeZero):
-        newton_step(flat, 0.0)
+    tr = _first_step("newton", flat, X_AXIS, (0.0, 1.0))
+    assert tr.stop is StopReason.ERROR
+    assert tr.message.startswith("DerivativeZero:")
     kinked = builtin("signed-sqrt").a
-    with pytest.raises(DerivativeUndefined):
-        newton_step(kinked, 0.0)
+    tr = _first_step("newton", kinked, X_AXIS, (0.0, 1.0))
+    assert tr.stop is StopReason.ERROR
+    assert tr.message.startswith("DerivativeUndefined:")
 
 
-def test_subgrad_proj_step_scalar_and_vector():
+def test_subgrad_proj_step_values_and_errors():
     assert subgrad_proj_step(lambda y: y * y, 1.0, 2.0) == 0.5
-    out = subgrad_proj_step(
-        lambda v: float(v[0] ** 2 + v[1] ** 2 - 1.0),
-        np.array([1.0, 1.0]),
-        np.array([2.0, 2.0]),
-    )
-    assert np.array_equal(out, np.array([0.75, 0.75]))
+    g = make_curve("poly2", a=1.0, b=0.0, c=-1.0)
+    assert subgrad_proj_step(g, 1.5, 3.0) == 1.5 - (1.25 / 9.0) * 3.0
     with pytest.raises(ZeroSubgradient):
         subgrad_proj_step(lambda y: y, 1.0, 0.0)
-    with pytest.raises(ZeroSubgradient):
-        subgrad_proj_step(lambda v: 1.0, np.array([1.0, 1.0]), np.array([1.0]))
 
 
 def test_run_rejects_unknown_method():
@@ -328,23 +323,39 @@ def test_run_records_steps_only_for_reflection_methods():
     assert all(not s.used_circumcenter for s in tr.step_results)
 
 
+def _newton_formula(g, t):
+    return t - g.f(t) / g.derivative(t)
+
+
+def _subgrad_formula(g, t):
+    d = g.derivative(t)
+    return t - (g.f(t) / (d * d)) * d
+
+
+# Each method's step written out from the sets' projections and the
+# graph's oracles; scalar steps move the abscissa t of x = (t, 0).
 MANUAL_STEPS = {
-    "altproj": lambda p, x: altproj_step(p.a, p.b, x),
+    "altproj": lambda p, x: p.b.project(p.a.project(x)),
     "crm": lambda p, x: ct_step(p.a, p.b, x).next,
-    "dr": lambda p, x: dr_step(p.a, p.b, x),
-    "newton": lambda p, x: np.array([newton_step(p.graph, x[0]), 0.0]),
-    "subgrad": lambda p, x: np.array(
-        [subgrad_proj_step(p.graph, float(x[0]), float(p.graph.derivative(float(x[0])))), 0.0]
-    ),
+    "dr": lambda p, x: _dr_formula(p.a, p.b, x),
+    "newton": lambda p, x: np.array([_newton_formula(p.graph, float(x[0])), 0.0]),
+    "subgrad": lambda p, x: np.array([_subgrad_formula(p.graph, float(x[0])), 0.0]),
 }
 
+# Starts from which every method takes three steps without stopping;
+# the parabola start is off the axis, so the steps go through
+# FunctionGraph.project.
+MANUAL_CASES = [pytest.param("sphere-line", (0.9999, 0.0), m, id=m) for m in METHODS] + [
+    pytest.param("parabola", (0.75, 0.5), m, id=f"parabola-{m}") for m in METHODS
+]
 
-@pytest.mark.parametrize("method", METHODS)
-def test_run_matches_manual_iteration(method):
-    p = builtin("sphere-line")
-    tr = run(method, p.a, p.b, (0.9999, 0.0), StopRule(max_iter=3), root_graph=p.graph)
+
+@pytest.mark.parametrize("name, x0, method", MANUAL_CASES)
+def test_run_matches_manual_iteration(name, x0, method):
+    p = builtin(name)
+    tr = run(method, p.a, p.b, x0, StopRule(max_iter=3), root_graph=p.graph)
     assert tr.iterations == 3
-    x = np.array([0.9999, 0.0])
+    x = np.array(x0)
     for k in range(3):
         x = MANUAL_STEPS[method](p, x)
         assert np.array_equal(tr.iterates[k + 1], x)
