@@ -21,6 +21,9 @@ from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
 from .geometry import DEFAULT_TOLERANCES, Tolerances, _norm, as_point
 
 _GRID_POINTS = 2048
+# The ramp np.linspace scales and shifts into each 2048-point grid.
+_GRID_INDEX = np.arange(float(_GRID_POINTS))
+_GRID_INDEX.setflags(write=False)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 
@@ -121,24 +124,57 @@ def _eval_curve(f: Callable, ts: np.ndarray) -> np.ndarray:
     return np.array([float(f(t)) for t in ts])
 
 
-def _golden_min(fun, a: float, b: float, xtol: float):
-    """Golden-section minimum of ``fun`` on [a, b]; returns (x, fun(x))."""
+def _grid(wlo: float, whi: float) -> np.ndarray:
+    """``np.linspace(wlo, whi, 2048)``, bit for bit, in a fresh array."""
+    delta = float(whi) - float(wlo)
+    step = delta / (_GRID_POINTS - 1)
+    if step == 0:
+        # linspace's order for a width whose step underflows to zero.
+        ts = _GRID_INDEX / (_GRID_POINTS - 1)
+        ts *= delta
+    else:
+        ts = _GRID_INDEX * step
+    ts += wlo
+    ts[-1] = whi
+    return ts
+
+
+def _golden_min(f: Callable, x0: float, x1: float, a: float, b: float, xtol: float):
+    """Golden-section minimum on [a, b] of the squared distance from
+    (x0, x1) to the curve; returns (t, distance squared, f(t)).
+
+    A NaN distance counts as +inf, so the search moves away from where
+    the curve has no value.  Squares are ``** 2`` (libm ``pow``), whose
+    last bit can differ from ``x * x``'s; projections are pinned bitwise.
+    """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc = fun(c)
-    fd = fun(d)
+    fc = float(f(c))
+    dc = (x0 - c) ** 2 + (x1 - fc) ** 2
+    if dc != dc:
+        dc = math.inf
+    fd = float(f(d))
+    dd = (x0 - d) ** 2 + (x1 - fd) ** 2
+    if dd != dd:
+        dd = math.inf
     for _ in range(256):
         if b - a <= xtol:
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
+        if dc < dd:
+            b, d, fd, dd = d, c, fc, dc
             c = b - _INVPHI * (b - a)
-            fc = fun(c)
+            fc = float(f(c))
+            dc = (x0 - c) ** 2 + (x1 - fc) ** 2
+            if dc != dc:
+                dc = math.inf
         else:
-            a, c, fc = c, d, fd
+            a, c, fc, dc = c, d, fd, dd
             d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc < fd else (d, fd)
+            fd = float(f(d))
+            dd = (x0 - d) ** 2 + (x1 - fd) ** 2
+            if dd != dd:
+                dd = math.inf
+    return (c, dc, fc) if dc < dd else (d, dd, fd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,10 +187,13 @@ class FunctionGraph(FeasibleSet):
         Finite-valued oracle on the domain (``project`` raises
         NonFinitePoint where it is not, unless NaN values leave a finite
         part of the search window to search).  ``project`` calls it once
-        on a 2048-point numpy array (one call per point when that fails)
-        and otherwise on Python floats, about 40 times per projection.  A
-        branch for ``float`` input that returns exactly what the array
-        path returns makes those calls cheap.
+        on a 2048-point numpy array, the values ``np.linspace`` gives
+        over the search window (one call per point when that fails), and
+        otherwise on Python floats, about 37 times per projection over
+        the built-in problems.  A branch for ``float`` input that
+        returns exactly what the array path returns makes those calls
+        cheap.  The returned ordinate is the value the oracle gave for
+        the returned abscissa, not a second call.
     derivative : callable, optional
         Derivative oracle, valid away from the declared ``nonsmooth``
         abscissas.
@@ -193,16 +232,16 @@ class FunctionGraph(FeasibleSet):
         The search window [anchor - r0, anchor + r0] around the
         domain-clamped abscissa is exhaustive: with r0 the vertical gap
         |x1 - f(anchor)|, no graph point outside it can be nearer than
-        (anchor, f(anchor)) itself.  A uniform grid locates the basin, a
-        golden-section pass narrows it to ``projection_tol``, and one
-        Newton step on the stationarity equation polishes the result
-        where the derivative oracle applies.  Declared nonsmooth
-        abscissas inside the window always compete as candidates, which
-        keeps projections landing on kinks exact.  Candidates whose
-        squared distances agree to relative rounding noise count as
-        tied; the polished point and the kink candidates then beat the
-        golden point and the window ends, and remaining ties go to the
-        smallest abscissa.
+        (anchor, f(anchor)) itself.  A uniform grid (bitwise
+        ``np.linspace``) locates the basin, a golden-section pass
+        narrows it to ``projection_tol``, and one Newton step on the
+        stationarity equation polishes the result where the derivative
+        oracle applies.  Declared nonsmooth abscissas inside the window
+        always compete as candidates, which keeps projections landing on
+        kinks exact.  Candidates whose squared distances agree to
+        relative rounding noise count as tied; the polished point and
+        the kink candidates then beat the golden point and the window
+        ends, and remaining ties go to the smallest abscissa.
         """
         tol = DEFAULT_TOLERANCES if tol is None else tol
         x = as_point(x, 2)
@@ -222,27 +261,29 @@ class FunctionGraph(FeasibleSet):
         if wlo > whi:
             raise EmptyDomain("projection window misses the graph domain")
 
-        def dist2(t: float) -> float:
-            ft = float(f(t))
-            d = (x0 - t) ** 2 + (x1 - ft) ** 2
-            # NaN as +inf, so golden section and the candidate minimum
-            # move away from where the curve has no value.
-            return d if d <= math.inf else math.inf
-
         if whi - wlo <= tol.projection_tol:
             y = 0.5 * (wlo + whi)
-            return np.array([y, float(f(y))])
+            fy = float(f(y))
+            if not math.isfinite(fy):
+                raise NonFinitePoint(f"curve value at t={y!r} is not finite")
+            return np.array([y, fy])
 
-        ts = np.linspace(wlo, whi, _GRID_POINTS)
+        ts = _grid(wlo, whi)
         fs = _eval_curve(f, ts)
-        d2 = (x0 - ts) ** 2 + (x1 - fs) ** 2
-        i = int(np.argmin(d2))
+        # Squared distances in one buffer; fs may be the oracle's own
+        # array, so it is only read.
+        d2 = x0 - ts
+        d2 *= d2
+        dy = x1 - fs
+        dy *= dy
+        d2 += dy
+        i = int(d2.argmin())
         if math.isnan(d2[i]) and not np.isnan(d2).all():
             # argmin stops at the first NaN; bracket the nearest finite sample.
             i = int(np.nanargmin(d2))
         a = float(ts[max(i - 1, 0)])
         b = float(ts[min(i + 1, _GRID_POINTS - 1)])
-        y_best, d_best = _golden_min(dist2, a, b, tol.projection_tol)
+        y_best, d_best, f_best = _golden_min(f, x0, x1, a, b, tol.projection_tol)
 
         # Squared-distance values carry a few ulps of relative rounding
         # noise, so near a flat basin bottom the bitwise-smallest value
@@ -250,36 +291,45 @@ class FunctionGraph(FeasibleSet):
         # minimizer.  Candidates within that noise of the best value
         # count as tied; the stationarity root and declared kinks then
         # outrank the golden point, which outranks the window ends, and
-        # remaining ties go to the smallest abscissa.
-        candidates = [(d_best, 1, y_best)]
-        y_pol = self._polish(x0, x1, y_best, wlo, whi, tol)
-        if y_pol is not None:
-            candidates.append((dist2(y_pol), 0, y_pol))
-        for s in self.nonsmooth:
-            if wlo <= s <= whi:
-                candidates.append((dist2(s), 0, s))
-        for endpoint in (wlo, whi):
-            candidates.append((dist2(endpoint), 2, endpoint))
-        d_min = min(d for d, _, _ in candidates)
+        # remaining ties go to the smallest abscissa.  Each candidate
+        # (distance squared, rank, t, f(t)) keeps its curve value, which
+        # the winner returns.
+        candidates = [(d_best, 1, y_best, f_best)]
+        y_pol = self._polish(x0, x1, y_best, f_best, wlo, whi, tol)
+        ranked = [] if y_pol is None else [(0, y_pol)]
+        ranked += [(0, s) for s in self.nonsmooth if wlo <= s <= whi]
+        ranked += [(2, wlo), (2, whi)]
+        for pri, t in ranked:
+            ft = float(f(t))
+            d = (x0 - t) ** 2 + (x1 - ft) ** 2
+            candidates.append((d if d == d else math.inf, pri, t, ft))
+        d_min = min(c[0] for c in candidates)
         if not math.isfinite(d_min):
             raise NonFinitePoint(f"curve has no finite value near t in [{wlo!r}, {whi!r}]")
         band = 16.0 * _EPS * d_min
-        _, y = min((pri, y) for d, pri, y in candidates if d <= d_min + band)
-        return np.array([y, float(f(y))])
+        tied = (c for c in candidates if c[0] <= d_min + band)
+        _, _, y, fy = min(tied, key=lambda c: (c[1], c[2]))
+        return np.array([y, fy])
 
-    def _polish(self, x0, x1, y, wlo, whi, tol):
-        """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0, or None."""
+    def _polish(self, x0, x1, y, fy, wlo, whi, tol):
+        """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0 from y,
+        where the curve value is fy; None when it does not apply."""
+        f, df = self.f, self.derivative
         eps = tol.point_eq_eps
         h = 1e-6 * (1.0 + abs(y))
-        pts = (y - h, y, y + h)
-        if any(not self.derivative_defined_at(t, eps) for t in pts):
+        y_lo = y - h
+        y_hi = y + h
+        # derivative_defined_at(t, eps) for t = y_lo, y, y_hi; y lies
+        # between the other two, so their domain test covers it.
+        lo, hi = self.domain
+        if df is None or not (lo <= y_lo and y_hi <= hi):
             return None
-
-        def stat(t: float) -> float:
-            return (t - x0) + (float(self.f(t)) - x1) * float(self.derivative(t))
-
-        g0 = stat(y)
-        slope = (stat(y + h) - stat(y - h)) / (2.0 * h)
+        if any(not abs(t - s) > eps for s in self.nonsmooth for t in (y_lo, y, y_hi)):
+            return None
+        g0 = (y - x0) + (fy - x1) * float(df(y))
+        g_hi = (y_hi - x0) + (float(f(y_hi)) - x1) * float(df(y_hi))
+        g_lo = (y_lo - x0) + (float(f(y_lo)) - x1) * float(df(y_lo))
+        slope = (g_hi - g_lo) / (2.0 * h)
         if not math.isfinite(slope) or abs(slope) <= eps:
             return None
         y_new = y - g0 / slope

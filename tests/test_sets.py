@@ -4,22 +4,26 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from feaskit import (
     DEFAULT_TOLERANCES,
     DimensionMismatch,
     EmptyDomain,
+    FeaskitError,
     FunctionGraph,
     NonFinitePoint,
     Hyperplane,
     Sphere,
+    Tolerances,
+    as_point,
     builtin,
     graph_normal_coefficient,
     make_curve,
     problem_names,
 )
+from feaskit.sets import _grid
 
 EXACT = 0.0
 PROJ_TOL = 1e-12
@@ -195,6 +199,12 @@ def test_graph_projection_rejects_non_finite_curve_values():
     g = FunctionGraph(f=lambda t: t if t == 0.3 else math.nan, domain=(-1.0, 1.0))
     with pytest.raises(NonFinitePoint, match="no finite value"):
         g.project((0.3, 0.9))
+    # A window narrower than projection_tol whose midpoint has no value.
+    g = FunctionGraph(f=lambda t: 0.0 if t == 0.3 else math.nan, domain=(0.3, 1.0))
+    with pytest.raises(NonFinitePoint, match=r"t=0\.300000000000025"):
+        g.project((0.3, 5e-14))
+    with pytest.raises(NonFinitePoint):
+        g.distance((0.3, 5e-14))
 
 
 def test_graph_projection_brackets_the_finite_part_of_a_partly_nan_curve():
@@ -293,3 +303,235 @@ def test_projection_is_no_farther_than_a_dense_scan(name, x0, x1):
     p = g.project((x0, x1))
     d = math.hypot(x0 - p[0], x1 - p[1])
     assert d <= d_scan + DEFAULT_TOLERANCES.projection_tol * (1.0 + d_scan)
+
+
+# Reference graph projection: np.linspace grid, golden section through a
+# distance closure, and a fresh oracle call for the returned ordinate and
+# the polish residual.  FunctionGraph.project must return its bits.
+_GRID_POINTS = 2048
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
+
+
+def _eval_curve(f, ts: np.ndarray) -> np.ndarray:
+    """Evaluate a curve oracle on a grid, vectorized when it allows."""
+    try:
+        out = np.asarray(f(ts), dtype=float)
+        if out.shape == ts.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(f(t)) for t in ts])
+
+
+def _golden_min(fun, a: float, b: float, xtol: float):
+    """Golden-section minimum of ``fun`` on [a, b]; returns (x, fun(x))."""
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = fun(c)
+    fd = fun(d)
+    for _ in range(256):
+        if b - a <= xtol:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fun(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+class _ReferenceGraph(FunctionGraph):
+    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
+        tol = DEFAULT_TOLERANCES if tol is None else tol
+        x = as_point(x, 2)
+        lo, hi = self.domain
+        if lo > hi:
+            raise EmptyDomain(f"graph domain {self.domain} is empty")
+        f = self.f
+        x0 = float(x[0])
+        x1 = float(x[1])
+        anchor = min(max(x0, lo), hi)
+        f_anchor = float(f(anchor))
+        if not math.isfinite(f_anchor):
+            raise NonFinitePoint(f"curve value at t={anchor!r} is not finite")
+        r0 = abs(x1 - f_anchor)
+        wlo = max(lo, anchor - r0)
+        whi = min(hi, anchor + r0)
+        if wlo > whi:
+            raise EmptyDomain("projection window misses the graph domain")
+
+        def dist2(t: float) -> float:
+            ft = float(f(t))
+            d = (x0 - t) ** 2 + (x1 - ft) ** 2
+            # NaN as +inf, so golden section and the candidate minimum
+            # move away from where the curve has no value.
+            return d if d <= math.inf else math.inf
+
+        if whi - wlo <= tol.projection_tol:
+            y = 0.5 * (wlo + whi)
+            return np.array([y, float(f(y))])
+
+        ts = np.linspace(wlo, whi, _GRID_POINTS)
+        fs = _eval_curve(f, ts)
+        d2 = (x0 - ts) ** 2 + (x1 - fs) ** 2
+        i = int(np.argmin(d2))
+        if math.isnan(d2[i]) and not np.isnan(d2).all():
+            # argmin stops at the first NaN; bracket the nearest finite sample.
+            i = int(np.nanargmin(d2))
+        a = float(ts[max(i - 1, 0)])
+        b = float(ts[min(i + 1, _GRID_POINTS - 1)])
+        y_best, d_best = _golden_min(dist2, a, b, tol.projection_tol)
+
+        # Squared-distance values carry a few ulps of relative rounding
+        # noise, so near a flat basin bottom the bitwise-smallest value
+        # can sit a sqrt(eps)-sized abscissa error away from the true
+        # minimizer.  Candidates within that noise of the best value
+        # count as tied; the stationarity root and declared kinks then
+        # outrank the golden point, which outranks the window ends, and
+        # remaining ties go to the smallest abscissa.
+        candidates = [(d_best, 1, y_best)]
+        y_pol = self._polish(x0, x1, y_best, wlo, whi, tol)
+        if y_pol is not None:
+            candidates.append((dist2(y_pol), 0, y_pol))
+        for s in self.nonsmooth:
+            if wlo <= s <= whi:
+                candidates.append((dist2(s), 0, s))
+        for endpoint in (wlo, whi):
+            candidates.append((dist2(endpoint), 2, endpoint))
+        d_min = min(d for d, _, _ in candidates)
+        if not math.isfinite(d_min):
+            raise NonFinitePoint(f"curve has no finite value near t in [{wlo!r}, {whi!r}]")
+        band = 16.0 * _EPS * d_min
+        _, y = min((pri, y) for d, pri, y in candidates if d <= d_min + band)
+        return np.array([y, float(f(y))])
+
+    def _polish(self, x0, x1, y, wlo, whi, tol):
+        """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0, or None."""
+        eps = tol.point_eq_eps
+        h = 1e-6 * (1.0 + abs(y))
+        pts = (y - h, y, y + h)
+        if any(not self.derivative_defined_at(t, eps) for t in pts):
+            return None
+
+        def stat(t: float) -> float:
+            return (t - x0) + (float(self.f(t)) - x1) * float(self.derivative(t))
+
+        g0 = stat(y)
+        slope = (stat(y + h) - stat(y - h)) / (2.0 * h)
+        if not math.isfinite(slope) or abs(slope) <= eps:
+            return None
+        y_new = y - g0 / slope
+        if not (wlo <= y_new <= whi) or not math.isfinite(y_new):
+            return None
+        return y_new
+
+
+def _cubic(t):
+    # Array-only: a float comes back as a 0-d array.
+    t = np.asarray(t, dtype=float)
+    return t**3 - t
+
+
+PARITY_GRAPHS = {
+    **CATALOG_GRAPHS,
+    "partly-nan": FunctionGraph(
+        f=lambda t: np.where(np.abs(t) < 0.8, np.cos(2.0 * t), np.nan),
+        derivative=lambda t: -2.0 * math.sin(2.0 * t),
+    ),
+    "kinked": FunctionGraph(
+        f=lambda t: abs(t - 0.25) - 0.5 * t,
+        derivative=lambda t: math.copysign(1.0, t - 0.25) - 0.5,
+        domain=(-1, 2),
+        nonsmooth=(0.25,),
+    ),
+    "array-only": FunctionGraph(f=_cubic, derivative=lambda t: 3.0 * t * t - 1.0),
+    "scalar-only": FunctionGraph(f=math.atan, domain=(-math.inf, 0.0)),
+}
+REFERENCE_GRAPHS = {
+    name: _ReferenceGraph(f=g.f, derivative=g.derivative, domain=g.domain, nonsmooth=g.nonsmooth)
+    for name, g in PARITY_GRAPHS.items()
+}
+TOLERANCES = st.one_of(
+    st.none(),
+    st.builds(
+        Tolerances,
+        point_eq_eps=st.floats(1e-15, 1e-4),
+        projection_tol=st.floats(1e-16, 1e-4),
+    ),
+)
+
+
+def _projection_outcome(g, x, tol):
+    try:
+        return g.project(x, tol)
+    except FeaskitError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.sampled_from(sorted(PARITY_GRAPHS)),
+    st.floats(-4.0, 4.0),
+    st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12)),
+    TOLERANCES,
+)
+# The nearest point sits in the grid's last cell, and the window width
+# times 2047/2047 rounds away from itself, so the grid's last sample
+# differs from the window end unless it is set to it.
+@example("scalar-only", 1.9974937343358394, -1.9994453647553176, None)
+def test_graph_projection_matches_the_reference_bitwise(name, x0, gap, tol):
+    # Points at gap above or below the curve value at the clamped
+    # abscissa, so small gaps take the narrow-window branch.
+    g = PARITY_GRAPHS[name]
+    lo, hi = g.domain
+    level = float(g.f(min(max(x0, lo), hi)))
+    x = (x0, level + gap if math.isfinite(level) else gap)
+    got = _projection_outcome(g, x, tol)
+    want = _projection_outcome(REFERENCE_GRAPHS[name], x, tol)
+    if isinstance(want, np.ndarray) and not np.isfinite(want).all():
+        # The reference returned an unchecked midpoint value.
+        assert got[0] is NonFinitePoint and "t=" in got[1]
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+@given(
+    st.floats(-1e300, 1e300),
+    st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1e300), st.floats(0.0, 1e-300)),
+)
+@example(0.0, 1e-321)  # the step underflows to zero
+@example(-3e-322, 2e-321)
+@example(0.0, 1e-318)  # a nonzero subnormal step
+@example(0.25, 0.0)
+def test_projection_grid_is_linspace_bitwise(wlo, width):
+    whi = wlo + width
+    assert _grid(wlo, whi).tobytes() == np.linspace(wlo, whi, 2048).tobytes()
+
+
+def test_graph_projection_oracle_calls():
+    # One scalar call at the anchor, the golden section's, two for the
+    # polish slope, and one each for the polished point and the window
+    # ends; the returned ordinate is a value the oracle gave, not a
+    # second call.
+    base = builtin("parabola").graph
+    scalar_calls = []
+    array_calls = []
+
+    def f(t):
+        value = base.f(t)
+        (array_calls if isinstance(t, np.ndarray) else scalar_calls).append((t, value))
+        return value
+
+    g = FunctionGraph(f=f, derivative=base.derivative, domain=base.domain)
+    p = g.project((0.75, 0.5))
+    assert len(array_calls) == 1
+    assert len(scalar_calls) == 52
+    at_p = [value for t, value in scalar_calls if t == p[0]]
+    assert at_p
+    assert all(np.float64(value).tobytes() == p[1].tobytes() for value in at_p)
