@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FeaskitError, TooShort
+from .errors import TooShort
 from .problems import Problem, nearest_solution
 from .solvers import StopReason, StopRule, Trace, run, trace_errors
 
@@ -180,37 +180,20 @@ def compare(
 ) -> list[ComparisonRow]:
     """Run every method from the same start and tabulate the outcomes.
 
-    Rows come back sorted by method id.  A method that raises a
-    FeaskitError (an unknown method, say) produces a row with ERROR
-    semantics instead of failing the whole comparison; any other
-    exception propagates.
+    Rows come back sorted by method id.  A method that fails while
+    iterating gives an ERROR row; configuration errors raise, as in ``run``.
     """
     methods = sorted(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
     start = problem.default_x0 if x0 is None else x0
-    rows = []
-    for m in methods:
-        try:
-            trace = run(
-                m, problem.a, problem.b, start,
-                stop=stop, tol=tol, root_graph=problem.graph,
-            )
-        except FeaskitError as exc:
-            rows.append(
-                ComparisonRow(
-                    method=m,
-                    iterations=0,
-                    final_residual=math.nan,
-                    rate=None,
-                    wall_time=0.0,
-                    stop=StopReason.ERROR,
-                    note=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        rows.append(ComparisonRow.from_trace(trace, problem))
-    return rows
+    return [
+        ComparisonRow.from_trace(
+            run(m, problem.a, problem.b, start, stop=stop, tol=tol, root_graph=problem.graph),
+            problem,
+        )
+        for m in methods
+    ]
 
 
 def comparison_to_csv(rows) -> str:

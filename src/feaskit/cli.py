@@ -1,8 +1,9 @@
 """Command line front end: run solvers, compare methods, plot traces.
 
-Exit codes: 0 success (run stopped on residual), 1 solver error, 2
-iteration budget exhausted, 3 cycle detected, 64 invalid configuration,
-65 unreadable or empty trace file.
+Exit codes: 0 success (run stopped on residual), 1 a step or
+projection failed, 2 iteration budget exhausted, 3 cycle detected, 64
+invalid configuration (including a wrong-dimension start and sets of
+different dimensions), 65 unreadable or empty trace file.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,12 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ComparisonRow, compare, comparison_to_csv
-from .errors import FeaskitError, UnknownMethod
+from .errors import FeaskitError
 from .geometry import DEFAULT_TOLERANCES
 from .plotting import TraceSeries, render_svg
 from .problems import Problem, builtin, load_problem, problem_names
 from .sets import FunctionGraph, Hyperplane, Sphere
-from .solvers import METHODS, StopReason, StopRule, Trace, check_method, run
+from .solvers import METHODS, StopReason, StopRule, Trace, run
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -92,21 +92,16 @@ def _parse_point(text: str) -> np.ndarray:
         raise _ConfigError(f"cannot parse point {text!r}") from None
     if not vals:
         raise _ConfigError(f"cannot parse point {text!r}")
-    if not all(map(math.isfinite, vals)):
-        raise _ConfigError(f"point {text!r} has non-finite coordinates")
     return np.array(vals)
 
 
 def _resolve_problem(args) -> Problem:
     if args.problem and args.problem_file:
         raise _ConfigError("give either --problem or --problem-file, not both")
-    try:
-        if args.problem_file:
-            return load_problem(args.problem_file)
-        if args.problem:
-            return builtin(args.problem)
-    except FeaskitError as exc:
-        raise _ConfigError(str(exc)) from exc
+    if args.problem_file:
+        return load_problem(args.problem_file)
+    if args.problem:
+        return builtin(args.problem)
     raise _ConfigError("a problem is required (--problem or --problem-file)")
 
 
@@ -125,10 +120,6 @@ def _resolve_run_config(args, problem: Problem):
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     x0 = _parse_point(args.x0) if args.x0 else problem.default_x0
-    if x0.size != problem.a.dimension:
-        raise _ConfigError(
-            f"x0 has dimension {x0.size}, problem needs {problem.a.dimension}"
-        )
     return stop, tol, x0
 
 
@@ -139,16 +130,18 @@ def _fmt17(v: float) -> str:
 def write_trace_csv(path, trace: Trace, problem_name: str) -> None:
     dist = trace.dist_to_solution
     dim = trace.iterates.shape[1]
-    lines = [
-        f"# method={trace.method}",
-        f"# problem={problem_name}",
-        f"# stop={trace.stop.value}",
-        f"# wall_time={trace.wall_time:.6g}",
+    meta = [
+        ("method", trace.method),
+        ("problem", problem_name),
+        ("stop", trace.stop.value),
+        ("wall_time", f"{trace.wall_time:.6g}"),
     ]
     if trace.cycle_period is not None:
-        lines.append(f"# cycle_period={trace.cycle_period}")
+        meta.append(("cycle_period", trace.cycle_period))
     if trace.message:
-        lines.append(f"# message={trace.message}")
+        meta.append(("message", trace.message))
+    # One line per value, split the way read_trace splits the file.
+    lines = [f"# {key}={' '.join(str(value).splitlines())}" for key, value in meta]
     cols = ",".join(f"x{i}" for i in range(dim))
     lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
     for i, p in enumerate(trace.iterates):
@@ -245,17 +238,11 @@ def _trace_from_csv(text: str):
 def cmd_run(args) -> int:
     problem = _resolve_problem(args)
     stop, tol, x0 = _resolve_run_config(args, problem)
-    try:
-        trace = run(
-            args.method, problem.a, problem.b, x0,
-            stop=stop, tol=tol, solution=problem.known_solutions or None,
-            root_graph=problem.graph,
-        )
-    except UnknownMethod:
-        raise
-    except FeaskitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    trace = run(
+        args.method, problem.a, problem.b, x0,
+        stop=stop, tol=tol, solution=problem.known_solutions or None,
+        root_graph=problem.graph,
+    )
     if args.out:
         writer = write_trace_csv if args.format == "csv" else write_trace_json
         writer(args.out, trace, problem.name)
@@ -276,8 +263,6 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise _ConfigError("--methods must name at least one method")
-    for m in methods:  # run's own check: a bad method is a configuration error here
-        check_method(m, problem.a, problem.graph)
     stop, tol, x0 = _resolve_run_config(args, problem)
     rows = compare(problem, methods, stop=stop, tol=tol, x0=x0)
     if args.format == "csv":
@@ -291,6 +276,7 @@ def cmd_compare(args) -> int:
                     "final_residual": r.final_residual,
                     "rate_class": r.rate.kind.value if r.rate else None,
                     "rate_constant": r.rate.constant if r.rate else None,
+                    "rate_count": r.rate.count if r.rate else None,
                     "wall_time_ms": r.wall_time * 1e3,
                     "stop": r.stop.value,
                     "note": r.note,
@@ -356,7 +342,7 @@ def main(argv=None) -> int:
         if args.command == "plot":
             return cmd_plot(args)
         return cmd_list_problems(args)
-    except (_ConfigError, UnknownMethod) as exc:
+    except (_ConfigError, FeaskitError) as exc:
         print(f"feaskit: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _TraceFileError as exc:

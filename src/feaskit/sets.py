@@ -126,14 +126,11 @@ def _eval_curve(f: Callable, ts: np.ndarray) -> np.ndarray:
 
 def _grid(wlo: float, whi: float) -> np.ndarray:
     """``np.linspace(wlo, whi, 2048)``, bit for bit, in a fresh array."""
-    delta = float(whi) - float(wlo)
-    step = delta / (_GRID_POINTS - 1)
+    step = (float(whi) - float(wlo)) / (_GRID_POINTS - 1)
     if step == 0:
-        # linspace's order for a width whose step underflows to zero.
-        ts = _GRID_INDEX / (_GRID_POINTS - 1)
-        ts *= delta
-    else:
-        ts = _GRID_INDEX * step
+        # A step that underflows to zero takes linspace's other order.
+        return np.linspace(wlo, whi, _GRID_POINTS)
+    ts = _GRID_INDEX * step
     ts += wlo
     ts[-1] = whi
     return ts

@@ -256,6 +256,10 @@ def run(
     reason ERROR rather than raised; the trace ends at the last iterate
     whose residual is known, or holds the start with residual NaN.
 
+    Configuration errors raise instead: UnknownMethod for an unknown or
+    inapplicable method, DimensionMismatch for a start or set of another
+    dimension, NonFinitePoint for a non-finite start or solution.
+
     ``solution`` may be one point or a stack of candidate points; the
     recorded distances are to the candidate nearest the final iterate.
     """

@@ -7,6 +7,7 @@ import pytest
 
 from feaskit import (
     FeasibleSet,
+    FunctionGraph,
     Hyperplane,
     Problem,
     RateClass,
@@ -16,6 +17,7 @@ from feaskit import (
     Tolerances,
     TooShort,
     Trace,
+    UnknownMethod,
     builtin,
     classify_rate,
     compare,
@@ -234,12 +236,10 @@ def test_compare_propagates_step_errors_as_rows():
     assert rows[0].rate is None
 
 
-def test_compare_unknown_method_becomes_error_row():
-    rows = compare(builtin("parabola"), ("nope", "dr"), stop=StopRule(max_iter=5))
-    assert rows[1].method == "nope"
-    assert rows[1].stop is StopReason.ERROR
-    assert rows[1].note.startswith("UnknownMethod:")
-    assert math.isnan(rows[1].final_residual)
+def test_compare_raises_unknown_method():
+    # A configuration error raises, as in run; it never becomes a row.
+    with pytest.raises(UnknownMethod, match="'nope'"):
+        compare(builtin("parabola"), ("nope", "dr"), stop=StopRule(max_iter=5))
 
 
 class _BrokenProjection(FeasibleSet):
@@ -280,6 +280,15 @@ def test_comparison_to_csv_finite_and_error_rows():
     p = builtin("sphere-line")
     solved = comparison_to_csv(compare(p, ("crm",), x0=p.known_solutions[0]))
     assert ",finite,0," in solved.split("\n")[1]
-    errored = comparison_to_csv(compare(builtin("parabola"), ("nope",)))
-    row = errored.split("\n")[1]
-    assert row.startswith("nope,0,nan,,,")
+    # The curve has no value at the start's anchor, so the residual of
+    # the start is unknown and the ERROR trace reads NaN.
+    nan_at_start = Problem(
+        name="nan-at-start",
+        a=FunctionGraph(f=lambda t: math.nan if t > 0.5 else t, domain=(-1.0, 1.0)),
+        b=Hyperplane((0.0, 1.0)), known_solutions=(), default_x0=(0.9, 0.2),
+    )
+    (row,) = compare(nan_at_start, ("crm",))
+    assert row.stop is StopReason.ERROR
+    assert row.note.startswith("NonFinitePoint:")
+    errored = comparison_to_csv([row])
+    assert errored.split("\n")[1].startswith("crm,0,nan,,,")

@@ -61,3 +61,29 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(PACKAGE, name)]
     assert missing == []
+
+
+def _handlers_catching(tree, name):
+    """The innermost enclosing function (None at module level) of each
+    ``except`` clause that names exception ``name``."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(c, ast.Name) and c.id == name for c in caught):
+                found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_configuration_errors_are_caught_once_at_the_cli_boundary():
+    # compare lets run's configuration errors raise, and the command
+    # line maps every FeaskitError that escapes to one exit code in main.
+    assert _handlers_catching(_tree(SRC / "analysis.py"), "FeaskitError") == []
+    assert _handlers_catching(_tree(SRC / "cli.py"), "FeaskitError") == ["main"]

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from feaskit import builtin, run, save_problem
-from feaskit.cli import main, read_trace
+from feaskit import StopReason, Trace, builtin, run, save_problem
+from feaskit.cli import main, read_trace, write_trace_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -194,6 +194,17 @@ def test_compare_json_and_output_file(tmp_path, capsys):
     assert rows[0]["rate_class"] == "quadratic"
     assert rows[1]["rate_class"] == "linear"
     assert rows[1]["rate_constant"] == pytest.approx(0.5, abs=0.05)
+    assert rows[1]["rate_count"] is None
+
+    # dr on parabola stalls: a period-1 cycle, which CSV prints as
+    # "cycling,1" and JSON carries as the rate count.
+    rc = main(["compare", "--problem", "parabola", "--format", "json", "--out", str(path)])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    dr = json.loads(path.read_text(encoding="utf-8"))[1]
+    assert (dr["method"], dr["rate_class"]) == ("dr", "cycling")
+    assert dr["rate_constant"] is None
+    assert dr["rate_count"] == 1
 
 
 def test_compare_with_failing_method_exits_error(capsys):
@@ -221,6 +232,19 @@ def test_compare_scalar_method_needs_graph(tmp_path, capsys):
     rc = main(["compare", "--problem-file", str(path), "--methods", "crm,dr"])
     assert rc == EXIT_OK
     capsys.readouterr()
+
+
+def test_csv_trace_with_multi_line_header_values_reads_back(tmp_path):
+    trace = Trace(
+        method="crm", iterates=[[0.5, 0.5]], residuals=[math.nan],
+        stop=StopReason.ERROR, message="a\nb",
+    )
+    path = tmp_path / "error.csv"
+    write_trace_csv(path, trace, "two\r\nlines")
+    meta, series = read_trace(path)
+    assert meta["message"] == "a b"
+    assert meta["problem"] == "two lines"
+    assert series.iterates.tolist() == [[0.5, 0.5]]
 
 
 def test_plot_traces(tmp_path, capsys):
@@ -299,6 +323,33 @@ def test_run_scalar_method_needs_graph_exits_64(tmp_path, capsys):
     rc = main(["run", "--problem-file", str(path), "--method", "subgrad"])
     assert rc == EXIT_CONFIG
     assert "needs a function-graph problem" in capsys.readouterr().err
+
+
+MIXED_DIMENSIONS = {
+    "name": "mixed",
+    "a": {"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+    "b": {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0},
+    "default_x0": [0.5, 0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--problem-file", "mixed.json"],
+        ["compare", "--problem-file", "mixed.json"],
+        ["compare", "--problem", "parabola", "--methods", "crm,bogus"],
+    ],
+)
+def test_config_errors_from_run_exit_64_with_no_table(argv, tmp_path, capsys, monkeypatch):
+    # Sets of different dimensions are a configuration error, not a
+    # solver failure: run raises it before the first step.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mixed.json").write_text(json.dumps(MIXED_DIMENSIONS), encoding="utf-8")
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("feaskit:")
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
