@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TooShort
 from .problems import Problem, nearest_solution
-from .solvers import StopReason, StopRule, Trace, run, trace_errors
+from .solvers import StopReason, StopRule, Trace, check_method, run, trace_errors
 
 _ERROR_FLOOR = 1e-15
 _RATIO_BAND = (1e-3, 1e3)
@@ -88,12 +88,13 @@ def error_ratios(trace: Trace, solution, order: float = 1) -> np.ndarray:
 
 
 def _ratios(e: np.ndarray, order: float) -> np.ndarray:
-    """``error_ratios`` of the error sequence ``e``."""
+    """``error_ratios`` of ``e`` from ``trace_errors``: a finite ``e[n] ** 2`` never overflows."""
     out = []
-    for n in range(e.size - 1):
-        if e[n] <= _ERROR_FLOOR:
+    errs = e.tolist()  # Python floats: same IEEE results, cheaper per step
+    for n in range(len(errs) - 1):
+        if errs[n] <= _ERROR_FLOOR:
             break
-        out.append(e[n + 1] / e[n] ** order)
+        out.append(errs[n + 1] / errs[n] ** order)
     return np.array(out)
 
 
@@ -181,11 +182,13 @@ def compare(
     """Run every method from the same start and tabulate the outcomes.
 
     Rows come back sorted by method id.  A method that fails while
-    iterating gives an ERROR row; configuration errors raise, as in ``run``.
+    iterating gives an ERROR row; configuration errors raise before any run.
     """
     methods = sorted(methods)
     if not methods:
         raise ValueError("methods must be nonempty")
+    for m in methods:
+        check_method(m, problem.a, problem.graph)
     start = problem.default_x0 if x0 is None else x0
     return [
         ComparisonRow.from_trace(

@@ -53,36 +53,32 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="feaskit", description="feasibility solvers for plane problems")
-    sub = p.add_subparsers(dest="command", required=True)
+def _problem_args(sp) -> None:
+    sp.add_argument("--problem", help="catalog problem name")
+    sp.add_argument("--problem-file", help="JSON problem description")
+    sp.add_argument("--x0", help="start point, comma-separated reals")
+    sp.add_argument("--tol", type=float, help="residual stop tolerance")
+    sp.add_argument("--max-iter", type=int, help="iteration budget")
+    sp.add_argument("--eps-colinear", type=float, help="noncolinearity tolerance")
 
-    def add_problem_args(sp):
-        sp.add_argument("--problem", help="catalog problem name")
-        sp.add_argument("--problem-file", help="JSON problem description")
-        sp.add_argument("--x0", help="start point, comma-separated reals")
-        sp.add_argument("--tol", type=float, help="residual stop tolerance")
-        sp.add_argument("--max-iter", type=int, help="iteration budget")
-        sp.add_argument("--eps-colinear", type=float, help="noncolinearity tolerance")
 
-    sp = sub.add_parser("run", help="run one method and write its trace")
-    add_problem_args(sp)
+def _run_args(sp) -> None:
+    _problem_args(sp)
     sp.add_argument("--method", default="crm", help=f"one of {', '.join(METHODS)}")
     sp.add_argument("--out", help="trace output path")
     sp.add_argument("--format", default="csv", help="trace format: csv or json")
 
-    sp = sub.add_parser("compare", help="run several methods and tabulate")
-    add_problem_args(sp)
+
+def _compare_args(sp) -> None:
+    _problem_args(sp)
     sp.add_argument("--methods", default="crm,dr", help="comma-separated method ids")
     sp.add_argument("--out", help="table output path")
     sp.add_argument("--format", default="csv", help="table format: csv or json")
 
-    sp = sub.add_parser("plot", help="render trace files to SVG")
+
+def _plot_args(sp) -> None:
     sp.add_argument("traces", nargs="+", help="trace files from 'run'")
     sp.add_argument("--out", help="SVG output path")
-
-    sub.add_parser("list-problems", help="list catalog problems")
-    return p
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -331,17 +327,39 @@ def cmd_list_problems(_args) -> int:
     return EXIT_OK
 
 
+# name -> (help, argument builder, handler), in the order --help lists them.
+_COMMANDS = {
+    "run": ("run one method and write its trace", _run_args, cmd_run),
+    "compare": ("run several methods and tabulate", _compare_args, cmd_compare),
+    "plot": ("render trace files to SVG", _plot_args, cmd_plot),
+    "list-problems": ("list catalog problems", lambda sp: None, cmd_list_problems),
+}
+
+
+def _full_parser() -> _Parser:
+    p = _Parser(prog="feaskit", description="feasibility solvers for plane problems")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_, add_args, _) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_))
+    return p
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the command it names, built alone, or
+    else by the full parser.  Subparsers parse on their own, so both agree."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _full_parser().parse_args(argv)
+    p = _Parser(prog=f"feaskit {argv[0]}")
+    p.set_defaults(command=argv[0])
+    _COMMANDS[argv[0]][1](p)
+    return p.parse_args(argv[1:])
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "plot":
-            return cmd_plot(args)
-        return cmd_list_problems(args)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command][2](args)
     except (_ConfigError, FeaskitError) as exc:
         print(f"feaskit: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -40,7 +40,7 @@ def _fmt(v: float) -> str:
 
 
 def _polyline(points, color: str, width: float = 1.5, dash: str | None = None) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
@@ -113,7 +113,7 @@ def _semilog_panel(series) -> list[str]:
     out.append('<g clip-path="url(#clipL)">')
     for i, lg in enumerate(logs):
         color = _PALETTE[i % len(_PALETTE)]
-        out.append(_polyline([(px(n), py(v)) for n, v in enumerate(lg)], color))
+        out.append(_polyline([(px(n), py(v)) for n, v in enumerate(lg.tolist())], color))
     out.append("</g>")
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -151,7 +151,7 @@ def _trajectory_panel(series, sets) -> list[str]:
         out.extend(_draw_set(s, to_px, cx, cy, half_w, half_h, color))
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        path = [to_px(p) for p in s.iterates]
+        path = [to_px(p) for p in s.iterates.tolist()]
         out.append(_polyline(path, color, width=1.2))
         for x, y in path:
             out.append(
@@ -168,14 +168,12 @@ def _draw_set(s: FeasibleSet, to_px, cx, cy, half_w, half_h, color) -> list[str]
         if not lo < hi:
             return []
         ts = np.linspace(lo, hi, _CURVE_SAMPLES)
-        pts = [to_px((t, float(s.f(t)))) for t in ts]
+        pts = [to_px((t, float(s.f(t)))) for t in ts.tolist()]
         return [_polyline(pts, color, width=1.8)]
     if isinstance(s, Sphere) and s.dimension == 2:
         ang = np.linspace(0.0, 2.0 * math.pi, _SPHERE_SAMPLES + 1)
-        pts = [
-            to_px((s.center[0] + s.radius * math.cos(a), s.center[1] + s.radius * math.sin(a)))
-            for a in ang
-        ]
+        (c0, c1), r = s.center.tolist(), s.radius
+        pts = [to_px((c0 + r * math.cos(a), c1 + r * math.sin(a))) for a in ang.tolist()]
         return [_polyline(pts, color, width=1.8)]
     if isinstance(s, Hyperplane) and s.dimension == 2:
         center = np.array([cx, cy])

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnknownProblem
+from .errors import DimensionMismatch, UnknownProblem
 from .geometry import _nearest, as_point
 from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere
 
@@ -138,7 +138,7 @@ def make_curve(name: str, **params) -> FunctionGraph:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """A two-set feasibility instance with reference metadata."""
+    """A two-set feasibility instance, all of one dimension, with reference metadata."""
 
     name: str
     a: FeasibleSet
@@ -158,6 +158,9 @@ class Problem:
         x0 = as_point(self.default_x0)
         x0.setflags(write=False)
         object.__setattr__(self, "default_x0", x0)
+        dims = {self.a.dimension, self.b.dimension, x0.size, *(s.size for s in sols)}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"problem {self.name!r} mixes dimensions {sorted(dims)}")
         if self.epsilon_f is not None and not self.epsilon_f > 0.0:
             raise ValueError("epsilon_f must be positive when present")
         if self.multiplicity is not None and self.case_label is not CaseLabel.CONVEX_ZERO_SLOPE:

@@ -1,9 +1,12 @@
 """Rate diagnostics: error sequences, ratio tails, classification."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feaskit import (
     FeasibleSet,
@@ -27,6 +30,8 @@ from feaskit import (
     run,
     trace_errors,
 )
+from feaskit import analysis
+from feaskit.analysis import _ERROR_FLOOR, _ratios
 
 ORIGIN = (0.0, 0.0)
 LINEAR_BAND = (0.45, 0.55)
@@ -98,6 +103,46 @@ def test_error_ratios_truncate_at_error_floor():
     r = error_ratios(tr, ORIGIN)
     assert len(r) == 2
     assert r[0] == pytest.approx(0.1)
+
+
+def _ratios_on_numpy_scalars(e, order):
+    # The loop as it was over numpy scalars, kept to pin its bits.
+    out = []
+    for n in range(e.size - 1):
+        if e[n] <= _ERROR_FLOOR:
+            break
+        out.append(e[n + 1] / e[n] ** order)
+    return np.array(out)
+
+
+# Errors are square roots of finite sums of squares, or inf: a finite
+# one is at most sqrt(max float), and its square is finite.
+_MAX_ERROR = math.sqrt(sys.float_info.max)
+_ERRORS = st.one_of(
+    st.sampled_from((
+        0.0, _ERROR_FLOOR, math.nextafter(_ERROR_FLOOR, 0.0),
+        math.nextafter(_ERROR_FLOOR, 1.0), 5e-324, 2.2250738585072009e-308,
+        _MAX_ERROR, math.inf, math.nan,
+    )),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=0.0, max_value=_MAX_ERROR),
+)
+
+
+@given(e=st.lists(_ERRORS, max_size=12), order=st.sampled_from((1, 2)))
+def test_ratios_match_the_numpy_scalar_loop_bitwise(e, order):
+    e = np.array(e, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf / inf
+        want = _ratios_on_numpy_scalars(e, order)
+    got = _ratios(e, order)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_finite_errors_square_without_overflow():
+    # _ratios squares Python floats, whose ** raises on overflow.
+    with np.errstate(over="ignore"):
+        e = trace_errors(_synth([_MAX_ERROR, 2.0 * _MAX_ERROR]), ORIGIN)
+    assert float(e[0]) ** 2 < math.inf and e[1] == math.inf
 
 
 def test_classify_linear():
@@ -249,6 +294,22 @@ class _BrokenProjection(FeasibleSet):
 
     def project(self, x, tol=None):
         raise RuntimeError("bug in project")
+
+
+def test_compare_checks_every_method_before_the_first_run(monkeypatch):
+    runs = []
+    real_run = analysis.run
+
+    def counting_run(method, *args, **kwargs):
+        runs.append(method)
+        return real_run(method, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", counting_run)
+    with pytest.raises(UnknownMethod, match="'zzz'"):
+        compare(builtin("parabola"), ["crm", "dr", "zzz"])
+    assert runs == []
+    compare(builtin("parabola"), ["dr", "crm"])
+    assert runs == ["crm", "dr"]
 
 
 def test_compare_lets_unexpected_errors_propagate():

@@ -1,5 +1,7 @@
 """Command line behavior: verbs, exit codes, trace files, round trips."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 
 from feaskit import StopReason, Trace, builtin, run, save_problem
-from feaskit.cli import main, read_trace, write_trace_csv
+from feaskit.cli import (
+    _COMMANDS, _ConfigError, _full_parser, _parse_args, main, read_trace, write_trace_csv,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -360,3 +364,57 @@ def test_non_finite_start_is_a_config_error(command, x0, capsys):
     assert captured.out == ""
     assert captured.err.startswith("feaskit:")
     assert "non-finite" in captured.err
+
+
+# Per command: valid, a missing value, an unknown option, an extra
+# positional (plot takes any number) and help; then abbreviations, "="
+# values, a leading "-" in a value and "--".
+PARSER_ARGVS = [
+    ["run", "--problem", "parabola", "--x0", "1,0", "--max-iter", "5", "--format", "json"],
+    ["run", "--prob", "parabola", "--x0=-1,0", "--tol", "-1e-3"],
+    ["run", "--he"],
+    ["run", "--", "extra"],
+    ["plot", "a.csv", "--", "-b"],
+    ["run", "--problem"],
+    ["run", "--max-iter", "x"],
+    ["run", "--bogus"],
+    ["run", "extra"],
+    ["run", "-h"],
+    ["compare", "--problem-file", "p.json", "--methods", "crm,dr", "--tol", "1e-9"],
+    ["compare", "--methods"],
+    ["compare", "--bogus"],
+    ["compare", "extra"],
+    ["compare", "--help"],
+    ["plot", "a.csv", "b.json", "--out", "x.svg"],
+    ["plot", "a.csv", "--out"],
+    ["plot"],
+    ["plot", "a.csv", "--bogus"],
+    ["plot", "-h"],
+    ["list-problems"],
+    ["list-problems", "--bogus"],
+    ["list-problems", "extra"],
+    ["list-problems", "-h"],
+]
+
+
+def _parse(parse):
+    """The namespace, the configuration error, or the help exit and text."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parse())
+    except _ConfigError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_a_named_command_parses_alone_as_in_the_full_parser(argv):
+    assert _parse(lambda: _parse_args(argv)) == _parse(lambda: _full_parser().parse_args(argv))
+
+
+def test_the_full_parser_lists_every_command_in_order():
+    usage = _full_parser().format_usage()
+    assert usage == "usage: feaskit [-h] {run,compare,plot,list-problems} ...\n"
+    assert list(_COMMANDS) == ["run", "compare", "plot", "list-problems"]

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from feaskit import (
+    CURVES,
     CaseLabel,
+    DimensionMismatch,
     FunctionGraph,
     Hyperplane,
     Problem,
@@ -125,6 +127,27 @@ def test_curve_scalar_calls_match_the_array_path_bitwise(curve, params, data, sc
     t = data.draw(_abscissas(g))
     got = g.f(scalar(t))
     assert float(got).hex() == float(g.f(np.asarray(t))).hex()
+
+
+_POSITIVE = st.floats(0.01, 100.0)
+CURVE_PARAMS = {
+    "poly2": st.fixed_dictionaries({k: st.floats(-100.0, 100.0) for k in "abc"}),
+    "signed_sqrt": st.just({}),
+    "kinked_line": st.just({}),
+    "pnorm_branch": st.fixed_dictionaries({
+        "p": st.floats(1.01, 8.0), "a": _POSITIVE, "b": _POSITIVE,
+        "cx": st.floats(-5.0, 5.0), "cy": st.floats(-10.0, 10.0),
+    }),
+}
+
+
+@pytest.mark.parametrize("curve", sorted(CURVES))
+@given(data=st.data())
+def test_curve_values_match_for_float_and_numpy_scalars(curve, data):
+    # plotting samples f on Python floats where it once passed np.float64.
+    g = make_curve(curve, **data.draw(CURVE_PARAMS[curve]))
+    t = data.draw(_abscissas(g))
+    assert float(g.f(float(t))).hex() == float(g.f(np.float64(t))).hex()
 
 
 def test_make_curve_registry():
@@ -249,6 +272,22 @@ def test_problem_from_dict_rejects_bad_sets():
     doc["a"] = {"kind": "blob"}
     with pytest.raises(UnknownProblem):
         problem_from_dict(doc)
+
+
+def test_problem_rejects_sets_starts_and_solutions_of_other_dimensions():
+    doc = {
+        "name": "mixed",
+        "a": {"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        "b": {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0},
+        "default_x0": [0.5, 0.5, 0.5],
+    }
+    with pytest.raises(DimensionMismatch, match="mixes dimensions"):
+        problem_from_dict(doc)
+    axis = Hyperplane((0.0, 1.0), 0.0)
+    g = make_curve("poly2")
+    for sols, x0 in [(((0.0, 0.0),), (1.0, 0.0, 0.0)), (((0.0, 0.0, 0.0),), (1.0, 0.0))]:
+        with pytest.raises(DimensionMismatch):
+            Problem(name="mixed", a=g, b=axis, known_solutions=sols, default_x0=x0)
 
 
 def test_custom_graph_does_not_serialize():
