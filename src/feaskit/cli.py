@@ -21,8 +21,7 @@ from .analysis import ComparisonRow, compare, comparison_to_csv
 from .errors import FeaskitError
 from .geometry import DEFAULT_TOLERANCES
 from .plotting import TraceSeries, render_svg
-from .problems import Problem, builtin, load_problem, problem_names
-from .sets import FunctionGraph, Hyperplane, Sphere
+from .problems import Problem, builtin, load_problem, problem_names, problem_to_dict
 from .solvers import METHODS, StopReason, StopRule, Trace, run
 
 EXIT_OK = 0
@@ -306,24 +305,20 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def _set_brief(s) -> str:
-    if isinstance(s, Hyperplane):
-        return f"hyperplane(normal={s.normal.tolist()}, offset={s.offset:g})"
-    if isinstance(s, Sphere):
-        return f"sphere(center={s.center.tolist()}, radius={s.radius:g})"
-    if isinstance(s, FunctionGraph):
-        return f"graph({s.curve or 'custom'})"
-    return type(s).__name__
+# One line per set descriptor of problem_to_dict; str.format skips unused keys.
+_BRIEF = {
+    "hyperplane": "hyperplane(normal={normal}, offset={offset:g})",
+    "sphere": "sphere(center={center}, radius={radius:g})",
+    "graph": "graph({curve})",
+}
 
 
 def cmd_list_problems(_args) -> int:
     for name in problem_names():
-        p = builtin(name)
-        label = f" case={p.case_label.value}" if p.case_label else ""
-        print(
-            f"{name:<16} A={_set_brief(p.a)} B={_set_brief(p.b)} "
-            f"x0={p.default_x0.tolist()}{label}"
-        )
+        d = problem_to_dict(builtin(name))
+        a, b = (_BRIEF[d[k]["kind"]].format(**d[k]) for k in ("a", "b"))
+        label = f" case={d['case_label']}" if d["case_label"] else ""
+        print(f"{name:<16} A={a} B={b} x0={d['default_x0']}{label}")
     return EXIT_OK
 
 

@@ -188,121 +188,75 @@ def nearest_solution(problem: Problem, x) -> np.ndarray | None:
     return sols[_nearest(np.array(sols), as_point(x, sols[0].size))]
 
 
-_X_AXIS = dict(normal=(0.0, 1.0), offset=0.0)
+# The catalog: problem documents in the schema problem_to_dict writes,
+# so every entry is also a valid problem file.
+
+_X_AXIS = {"kind": "hyperplane", "normal": [0.0, 1.0], "offset": 0.0}
+_ORIGIN = [[0.0, 0.0]]
 
 
-def _builtin_parabola() -> Problem:
-    return Problem(
-        name="parabola",
-        a=_poly2(1.0, 0.0, 0.0),
-        b=Hyperplane(**_X_AXIS),
-        known_solutions=((0.0, 0.0),),
-        default_x0=(0.75, 0.0),
-        case_label=CaseLabel.CONVEX_ZERO_SLOPE,
-        multiplicity=2,
-        epsilon_f=0.5,
-    )
+def _graph(curve: str, **params) -> dict:
+    return {"kind": "graph", "curve": curve, "params": params}
 
 
-def _builtin_shifted_parabola() -> Problem:
+def _pm(root: float) -> list:
+    return [[root, 0.0], [-root, 0.0]]
+
+
+def _psphere(p: float) -> dict:
+    return {
+        "name": f"psphere-{p:g}", "a": _graph("pnorm_branch", p=p, a=1.0, b=1.0, cx=0.0, cy=-0.5),
+        "b": _X_AXIS, "known_solutions": _pm((1.0 - 0.5**p) ** (1.0 / p)), "default_x0": [0.9, 0.0],
+    }
+
+
+_CATALOG = {doc["name"]: doc for doc in [
+    {
+        "name": "parabola", "a": _graph("poly2", a=1.0, b=0.0, c=0.0), "b": _X_AXIS,
+        "known_solutions": _ORIGIN, "default_x0": [0.75, 0.0],
+        "case_label": "convex-zero-slope", "multiplicity": 2, "epsilon_f": 0.5,
+    },
     # t**2 - 1 translated so its simple root sits at the origin.
-    return Problem(
-        name="shifted-parabola",
-        a=_poly2(1.0, 2.0, 0.0),
-        b=Hyperplane(**_X_AXIS),
-        known_solutions=((0.0, 0.0),),
-        default_x0=(0.5, 0.0),
-        case_label=CaseLabel.CONVEX_NONZERO_SLOPE,
-        epsilon_f=0.5,
-    )
-
-
-def _builtin_signed_sqrt() -> Problem:
-    return Problem(
-        name="signed-sqrt",
-        a=_signed_sqrt(),
-        b=Hyperplane(**_X_AXIS),
-        known_solutions=((0.0, 0.0),),
-        default_x0=(0.25, 0.0),
-        case_label=CaseLabel.CONCAVE_INFINITE_SLOPE,
-        epsilon_f=0.5,
-    )
-
-
-def _builtin_pline() -> Problem:
-    return Problem(
-        name="pline",
-        a=_kinked_line(),
-        b=Hyperplane(**_X_AXIS),
-        known_solutions=((0.0, 0.0),),
-        default_x0=(3.0, -5.0),
-    )
-
-
-def _builtin_sphere_line() -> Problem:
-    s = math.sqrt(3.0) / 2.0
-    return Problem(
-        name="sphere-line",
-        a=Sphere(center=(0.0, -0.5), radius=1.0),
-        b=Hyperplane(**_X_AXIS),
-        known_solutions=((s, 0.0), (-s, 0.0)),
-        default_x0=(0.9999, 0.0),
-        root_curve=_pnorm_branch(2.0, 1.0, 1.0, 0.0, -0.5),
-    )
-
-
-def _builtin_ellipse_line() -> Problem:
-    s = math.sqrt(3.0)
-    return Problem(
-        name="ellipse-line",
-        a=_pnorm_branch(2.0, 2.0, 1.0, 0.0, -0.5),
-        b=Hyperplane(**_X_AXIS),
-        known_solutions=((s, 0.0), (-s, 0.0)),
-        default_x0=(1.9, 0.0),
-    )
-
-
-def _builtin_psphere(p: float):
-    def build() -> Problem:
-        root = (1.0 - 0.5**p) ** (1.0 / p)
-        return Problem(
-            name=f"psphere-{p:g}",
-            a=_pnorm_branch(p, 1.0, 1.0, 0.0, -0.5),
-            b=Hyperplane(**_X_AXIS),
-            known_solutions=((root, 0.0), (-root, 0.0)),
-            default_x0=(0.9, 0.0),
-        )
-
-    return build
-
-
-_BUILDERS = {
-    "parabola": _builtin_parabola,
-    "shifted-parabola": _builtin_shifted_parabola,
-    "signed-sqrt": _builtin_signed_sqrt,
-    "pline": _builtin_pline,
-    "sphere-line": _builtin_sphere_line,
-    "ellipse-line": _builtin_ellipse_line,
-    "psphere-1.5": _builtin_psphere(1.5),
-    "psphere-2": _builtin_psphere(2.0),
-    "psphere-3": _builtin_psphere(3.0),
-    "psphere-4": _builtin_psphere(4.0),
-}
+    {
+        "name": "shifted-parabola", "a": _graph("poly2", a=1.0, b=2.0, c=0.0), "b": _X_AXIS,
+        "known_solutions": _ORIGIN, "default_x0": [0.5, 0.0],
+        "case_label": "convex-nonzero-slope", "epsilon_f": 0.5,
+    },
+    {
+        "name": "signed-sqrt", "a": _graph("signed_sqrt"), "b": _X_AXIS,
+        "known_solutions": _ORIGIN, "default_x0": [0.25, 0.0],
+        "case_label": "concave-infinite-slope", "epsilon_f": 0.5,
+    },
+    {
+        "name": "pline", "a": _graph("kinked_line"), "b": _X_AXIS,
+        "known_solutions": _ORIGIN, "default_x0": [3.0, -5.0],
+    },
+    {
+        "name": "sphere-line", "a": {"kind": "sphere", "center": [0.0, -0.5], "radius": 1.0},
+        "b": _X_AXIS, "known_solutions": _pm(math.sqrt(3.0) / 2.0), "default_x0": [0.9999, 0.0],
+        "root_curve": _graph("pnorm_branch", p=2.0, a=1.0, b=1.0, cx=0.0, cy=-0.5),
+    },
+    {
+        "name": "ellipse-line", "a": _graph("pnorm_branch", p=2.0, a=2.0, b=1.0, cx=0.0, cy=-0.5),
+        "b": _X_AXIS, "known_solutions": _pm(math.sqrt(3.0)), "default_x0": [1.9, 0.0],
+    },
+    *map(_psphere, (1.5, 2.0, 3.0, 4.0)),
+]}
 
 
 def problem_names() -> tuple[str, ...]:
-    return tuple(sorted(_BUILDERS))
+    return tuple(sorted(_CATALOG))
 
 
 def builtin(name: str) -> Problem:
     """Catalog problem by name."""
     try:
-        builder = _BUILDERS[name]
+        doc = _CATALOG[name]
     except KeyError:
         raise UnknownProblem(
             f"unknown problem {name!r}; choose from {', '.join(problem_names())}"
         ) from None
-    return builder()
+    return problem_from_dict(doc)
 
 
 def classify_conditions(g: FunctionGraph, window: float) -> CaseReport:

@@ -255,8 +255,6 @@ class FunctionGraph(FeasibleSet):
         r0 = abs(x1 - f_anchor)
         wlo = max(lo, anchor - r0)
         whi = min(hi, anchor + r0)
-        if wlo > whi:
-            raise EmptyDomain("projection window misses the graph domain")
 
         if whi - wlo <= tol.projection_tol:
             y = 0.5 * (wlo + whi)

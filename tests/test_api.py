@@ -63,18 +63,16 @@ def test_every_exported_name_resolves_once():
     assert missing == []
 
 
-def _handlers_catching(tree, name):
+def _enclosing_functions(tree, matches):
     """The innermost enclosing function (None at module level) of each
-    ``except`` clause that names exception ``name``."""
+    node for which ``matches`` holds."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.ExceptHandler) and node.type is not None:
-            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            if any(isinstance(c, ast.Name) and c.id == name for c in caught):
-                found.append(func)
+        if matches(node):
+            found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -82,8 +80,34 @@ def _handlers_catching(tree, name):
     return found
 
 
+def _handlers_catching(tree, name):
+    """Functions holding an ``except`` clause that names exception ``name``."""
+
+    def catches(node):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        return any(isinstance(c, ast.Name) and c.id == name for c in caught)
+
+    return _enclosing_functions(tree, catches)
+
+
 def test_configuration_errors_are_caught_once_at_the_cli_boundary():
     # compare lets run's configuration errors raise, and the command
     # line maps every FeaskitError that escapes to one exit code in main.
     assert _handlers_catching(_tree(SRC / "analysis.py"), "FeaskitError") == []
     assert _handlers_catching(_tree(SRC / "cli.py"), "FeaskitError") == ["main"]
+
+
+def _functions_calling(tree, name):
+    """Functions holding a call of the plain name ``name``."""
+    return _enclosing_functions(
+        tree,
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name,
+    )
+
+
+def test_problems_are_built_in_one_place():
+    # The catalog is a table of problem documents, read like problem files.
+    calls = {path.name: _functions_calling(_tree(path), "Problem") for path in MODULES}
+    assert {k: v for k, v in calls.items() if v} == {"problems.py": ["problem_from_dict"]}

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from feaskit import StopReason, Trace, builtin, run, save_problem
+from feaskit import StopReason, Trace, builtin, problem_names, run, save_problem
 from feaskit.cli import (
     _COMMANDS, _ConfigError, _full_parser, _parse_args, main, read_trace, write_trace_csv,
 )
@@ -123,6 +123,17 @@ def test_run_exit_codes_for_stop_reasons(capsys):
     assert rc == EXIT_ERROR
     assert "stop=error" in out
     assert "DerivativeZero" in out
+
+
+def test_cycle_traces_record_the_period(tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    json_path = tmp_path / "t.json"
+    argv = ["run", "--problem", "signed-sqrt", "--method", "newton", "--out"]
+    assert main([*argv, str(csv_path)]) == EXIT_CYCLE
+    assert main([*argv, str(json_path), "--format", "json"]) == EXIT_CYCLE
+    capsys.readouterr()
+    assert "# cycle_period=2" in csv_path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(json_path.read_text(encoding="utf-8"))["cycle_period"] == 2
 
 
 def test_run_exact_landing_reports_finite_rate(capsys):
@@ -301,6 +312,16 @@ def test_problem_file_round_trip(tmp_path, capsys):
     corrupt.write_text("{]", encoding="utf-8")
     assert main(["run", "--problem-file", str(corrupt)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("feaskit:")
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_saved_catalog_problem_runs_as_the_named_one(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    save_problem(builtin(name), path)
+    rc_named = main(["run", "--problem", name])
+    named = capsys.readouterr().out
+    assert main(["run", "--problem-file", str(path)]) == rc_named
+    assert capsys.readouterr().out == named
 
 
 def test_run_reads_json_traces_back_for_plotting(tmp_path, capsys):

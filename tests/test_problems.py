@@ -1,5 +1,6 @@
 """Problem catalog, curve registry, shape diagnostics, JSON files."""
 
+import dataclasses
 import json
 import math
 
@@ -218,6 +219,23 @@ def test_classify_conditions_slope_limits():
     assert math.isinf(rep.slope_limit)
 
 
+def test_classify_conditions_without_derivative_uses_finite_differences():
+    for name in ("parabola", "shifted-parabola", "signed-sqrt"):
+        g = builtin(name).graph
+        exact = classify_conditions(g, window=0.5)
+        sampled = classify_conditions(dataclasses.replace(g, derivative=None), window=0.5)
+        assert (sampled.verdict, sampled.f_sign, sampled.slope_sign, sampled.curvature_sign) == (
+            exact.verdict, exact.f_sign, exact.slope_sign, exact.curvature_sign
+        )
+
+
+def test_classify_conditions_mixed_sign_values():
+    # t**2 - 0.01 changes sign at t = 0.1, inside the window.
+    rep = classify_conditions(make_curve("poly2", c=-0.01), 0.5)
+    assert rep.f_sign == 0
+    assert rep.verdict is CaseLabel.UNCLASSIFIED
+
+
 def test_classify_conditions_rejects_other_shapes():
     # Negative values on the window, and curves without a root at the
     # left end, must stay unclassified.
@@ -236,7 +254,7 @@ def test_classify_conditions_window_validation():
 
 
 def test_problem_json_round_trip(tmp_path):
-    for name in ("parabola", "sphere-line", "pline"):
+    for name in problem_names():
         p = builtin(name)
         path = tmp_path / f"{name}.json"
         save_problem(p, path)
@@ -271,6 +289,13 @@ def test_problem_from_dict_rejects_bad_sets():
     doc = problem_to_dict(builtin("parabola"))
     doc["a"] = {"kind": "blob"}
     with pytest.raises(UnknownProblem):
+        problem_from_dict(doc)
+
+
+def test_problem_from_dict_rejects_a_sphere_root_curve():
+    doc = problem_to_dict(builtin("sphere-line"))
+    doc["root_curve"] = doc["a"]
+    with pytest.raises(UnknownProblem, match="root_curve must be a graph descriptor"):
         problem_from_dict(doc)
 
 
