@@ -84,48 +84,51 @@ def error_ratios(trace: Trace, solution, order: float = 1) -> np.ndarray:
         raise ValueError("order must be 1 or 2")
     if trace.iterates.shape[0] < 3:
         raise TooShort("need at least 3 iterates to form ratio tails")
-    return _ratios(trace_errors(trace, solution), order)
+    return np.array(_ratios(trace_errors(trace, solution).tolist(), order))
 
 
-def _ratios(e: np.ndarray, order: float) -> np.ndarray:
-    """``error_ratios`` of ``e`` from ``trace_errors``: a finite ``e[n] ** 2`` never overflows."""
+def _ratios(errs: list[float], order: float) -> list[float]:
+    """``error_ratios`` of ``trace_errors`` as Python floats (same IEEE
+    results, cheaper per step): a finite ``errs[n] ** 2`` never overflows."""
     out = []
-    errs = e.tolist()  # Python floats: same IEEE results, cheaper per step
     for n in range(len(errs) - 1):
         if errs[n] <= _ERROR_FLOOR:
             break
         out.append(errs[n + 1] / errs[n] ** order)
-    return np.array(out)
+    return out
 
 
 def classify_rate(trace: Trace, solution) -> RateClass:
     """Diagnose the convergence class of a trace toward ``solution``."""
-    e = trace_errors(trace, solution)
-    exact = np.flatnonzero(e == 0.0)
-    if exact.size:
-        return RateClass(RateKind.FINITE, count=int(exact[0]))
+    errs = trace_errors(trace, solution).tolist()
+    if 0.0 in errs:
+        return RateClass(RateKind.FINITE, count=errs.index(0.0))
     if trace.stop is StopReason.CYCLE:
         return RateClass(RateKind.CYCLING, count=int(trace.cycle_period or 1))
-    if e.size < 4:
+    if len(errs) < 4:
         raise TooShort("need at least 4 iterates to classify a rate")
-    r1 = _ratios(e, 1)
-    r2 = _ratios(e, 2)
-    if r1.size < 2:
+    r1 = _ratios(errs, 1)
+    r2 = _ratios(errs, 2)
+    if len(r1) < 2:
         return RateClass(RateKind.INCONCLUSIVE)
-    tail = max(4, math.ceil(r1.size / 4))
+    # The screens run on Python floats.  The constants stay in numpy, whose
+    # pairwise summation fixes the bits of np.mean.  A NaN ratio fails
+    # ``bounded`` and ``c <= 0.9``, so Python's min and max, which depend
+    # on where a NaN sits, cannot change a verdict.
+    tail = max(4, math.ceil(len(r1) / 4))
     t1 = r1[-tail:]
     t2 = r2[-tail:]
-    decreasing = bool(np.all(np.diff(t1) < 0.0))
+    decreasing = all(b < a for a, b in zip(t1, t1[1:]))
 
     lo, hi = _RATIO_BAND
-    bounded = bool(np.all((t2 >= lo) & (t2 <= hi)))
-    if bounded and float(t2.max()) < 10.0 * float(t2.min()) and decreasing:
+    bounded = all(lo <= r <= hi for r in t2)
+    if bounded and max(t2) < 10.0 * min(t2) and decreasing:
         m_est = float(np.exp(np.mean(np.log(t2))))
         return RateClass(RateKind.QUADRATIC, constant=m_est)
-    if decreasing and float(t1[-1]) < 0.1:
+    if decreasing and t1[-1] < 0.1:
         return RateClass(RateKind.SUPERLINEAR)
-    c = float(t1.mean())
-    if float(t1.min()) > 0.0 and c <= 0.9 and float(t1.max() - t1.min()) < 0.2 * c:
+    c = float(np.mean(t1))
+    if min(t1) > 0.0 and c <= 0.9 and max(t1) - min(t1) < 0.2 * c:
         return RateClass(RateKind.LINEAR, constant=c)
     if float(trace.residuals[-1]) > float(trace.residuals[0]):
         return RateClass(RateKind.DIVERGING)

@@ -67,13 +67,14 @@ class ColinearityCase(Enum):
 def as_point(p, dim: int | None = None) -> np.ndarray:
     """Validate and return ``p`` as a finite 1-D float array."""
     arr = np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
+    coords = arr.tolist()
+    if arr.ndim != 1 or not coords:
         raise DimensionMismatch(f"expected a 1-D point, got shape {arr.shape}")
     # math.isfinite per coordinate: ~7x faster than np.isfinite in 2-D.
-    if not all(map(math.isfinite, arr.tolist())):
+    if not all(map(math.isfinite, coords)):
         raise NonFinitePoint(f"point has non-finite coordinates: {arr!r}")
-    if dim is not None and arr.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {arr.size}")
+    if dim is not None and len(coords) != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {len(coords)}")
     return arr
 
 
@@ -84,9 +85,11 @@ def _nearest(candidates: np.ndarray, x: np.ndarray) -> int:
 
 
 def _norm(v: np.ndarray) -> float:
-    # math.sqrt and np.sqrt are both correctly rounded, so this is
-    # bitwise np.sqrt(v @ v) without a numpy scalar round trip.
-    return math.sqrt(float(np.dot(v, v)))
+    # ndarray.dot is np.dot's C routine without its __array_function__
+    # dispatch, and math.sqrt rounds like np.sqrt, so this is bitwise
+    # np.sqrt(np.dot(v, v)).  A Python sum of squares is not: BLAS ddot
+    # may fuse the multiply-adds.
+    return math.sqrt(v.dot(v))
 
 
 def circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
@@ -123,7 +126,7 @@ def circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
     d2 = c - a
     n1 = _norm(d1)
     q1 = d1 / n1
-    t2 = float(q1 @ d2)
+    t2 = float(q1.dot(d2))
     r = d2 - t2 * q1
     n2 = _norm(r)
     if n2 <= _SINGULAR_RTOL * max(n1, _norm(d2)):
@@ -145,7 +148,7 @@ def _abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
     ``eps``.  Unchecked: callers validate the points."""
     if nu <= eps or nv <= eps:
         return None
-    return min(abs(float(u @ v)) / (nu * nv), 1.0)
+    return min(abs(float(u.dot(v))) / (nu * nv), 1.0)
 
 
 def alignment_ratio(x, rax, rbrax, tol: Tolerances | None = None) -> float | None:
@@ -180,7 +183,6 @@ def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Colinearity
 
     u = x - rbrax
     v = rax - rbrax
-    d_x_ra = _norm(x - rax)
     d_x_rb = _norm(u)
     d_ra_rb = _norm(v)
 
@@ -188,6 +190,7 @@ def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Colinearity
     if ratio is not None and ratio < 1.0 - tol.colinearity_eps:
         return ColinearityCase.NON_COLINEAR
 
+    d_x_ra = _norm(x - rax)
     if d_x_ra <= eps and d_x_rb <= eps and d_ra_rb <= eps:
         return ColinearityCase.ALL_COINCIDE
     if (d_x_ra <= eps and d_ra_rb > eps) or (d_ra_rb <= eps and d_x_ra > eps):

@@ -176,8 +176,7 @@ def _draw_set(s: FeasibleSet, to_px, cx, cy, half_w, half_h, color) -> list[str]
         pts = [to_px((c0 + r * math.cos(a), c1 + r * math.sin(a))) for a in ang.tolist()]
         return [_polyline(pts, color, width=1.8)]
     if isinstance(s, Hyperplane) and s.dimension == 2:
-        center = np.array([cx, cy])
-        base = center - (float(s.normal @ center) - s.offset) * s.normal
+        base = s.project((cx, cy))
         tangent = np.array([-s.normal[1], s.normal[0]])
         reach = 2.0 * (half_w + half_h)
         pts = [to_px(base - reach * tangent), to_px(base + reach * tangent)]

@@ -76,7 +76,9 @@ class Hyperplane(FeasibleSet):
         return self.normal.size
 
     def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
-        x = as_point(x, self.dimension)
+        x = as_point(x, self.normal.size)
+        # @, not .dot: on length-1 vectors matmul adds the product to +0.0,
+        # so .dot would flip the sign of a zero result coordinate in 1-D.
         return x - (float(self.normal @ x) - self.offset) * self.normal
 
 
@@ -101,7 +103,7 @@ class Sphere(FeasibleSet):
 
     def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
         tol = DEFAULT_TOLERANCES if tol is None else tol
-        x = as_point(x, self.dimension)
+        x = as_point(x, self.center.size)
         v = x - self.center
         n = _norm(v)
         if n <= tol.point_eq_eps:

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from feaskit import (
@@ -134,7 +134,7 @@ def test_ratios_match_the_numpy_scalar_loop_bitwise(e, order):
     e = np.array(e, dtype=float)
     with np.errstate(invalid="ignore"):  # inf / inf
         want = _ratios_on_numpy_scalars(e, order)
-    got = _ratios(e, order)
+    got = np.array(_ratios(e.tolist(), order))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -216,6 +216,122 @@ def test_classification_is_scale_invariant():
         # with the reciprocal of the blow-up factor.
         assert r.constant == pytest.approx(2.0 / lam, rel=0.1)
         assert classify_rate(_synth([lam * v for v in sup]), ORIGIN).kind is RateKind.SUPERLINEAR
+
+
+# Verbatim copies (docstrings dropped) of classify_rate and its ratio helper
+# from before the screens ran on Python floats; classify_rate must match
+# them bit for bit.
+def _ref_ratios(e: np.ndarray, order: float) -> np.ndarray:
+    out = []
+    errs = e.tolist()  # Python floats: same IEEE results, cheaper per step
+    for n in range(len(errs) - 1):
+        if errs[n] <= _ERROR_FLOOR:
+            break
+        out.append(errs[n + 1] / errs[n] ** order)
+    return np.array(out)
+
+
+def _ref_classify_rate(trace: Trace, solution) -> RateClass:
+    e = trace_errors(trace, solution)
+    exact = np.flatnonzero(e == 0.0)
+    if exact.size:
+        return RateClass(RateKind.FINITE, count=int(exact[0]))
+    if trace.stop is StopReason.CYCLE:
+        return RateClass(RateKind.CYCLING, count=int(trace.cycle_period or 1))
+    if e.size < 4:
+        raise TooShort("need at least 4 iterates to classify a rate")
+    r1 = _ref_ratios(e, 1)
+    r2 = _ref_ratios(e, 2)
+    if r1.size < 2:
+        return RateClass(RateKind.INCONCLUSIVE)
+    tail = max(4, math.ceil(r1.size / 4))
+    t1 = r1[-tail:]
+    t2 = r2[-tail:]
+    decreasing = bool(np.all(np.diff(t1) < 0.0))
+
+    lo, hi = analysis._RATIO_BAND
+    bounded = bool(np.all((t2 >= lo) & (t2 <= hi)))
+    if bounded and float(t2.max()) < 10.0 * float(t2.min()) and decreasing:
+        m_est = float(np.exp(np.mean(np.log(t2))))
+        return RateClass(RateKind.QUADRATIC, constant=m_est)
+    if decreasing and float(t1[-1]) < 0.1:
+        return RateClass(RateKind.SUPERLINEAR)
+    c = float(t1.mean())
+    if float(t1.min()) > 0.0 and c <= 0.9 and float(t1.max() - t1.min()) < 0.2 * c:
+        return RateClass(RateKind.LINEAR, constant=c)
+    if float(trace.residuals[-1]) > float(trace.residuals[0]):
+        return RateClass(RateKind.DIVERGING)
+    return RateClass(RateKind.INCONCLUSIVE)
+
+
+# Up to 1e300: squares overflow, so errors read inf and ratios inf or NaN.
+_RATE_ERRORS = st.one_of(
+    st.sampled_from((_ERROR_FLOOR, 1e-300, 1e154, 1e300)),
+    st.floats(1e-150, 1.0),
+    st.floats(0.0, 1e300, exclude_min=True),
+)
+
+
+@st.composite
+def _rate_traces(draw):
+    """A trace of 0-40 iterates along the first axis: free errors, errors
+    with ties, or geometric, superlinear or quadratic sequences, maybe with
+    an exact zero and one error scaled, under any stop."""
+    n = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(("free", "ties", "geometric", "superlinear", "quadratic")))
+    if shape == "free":
+        errs = draw(st.lists(_RATE_ERRORS, min_size=n, max_size=n))
+    elif shape == "ties":
+        pool = draw(st.lists(_RATE_ERRORS, min_size=1, max_size=3))
+        errs = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    elif shape == "geometric":
+        first, ratio = draw(_RATE_ERRORS), draw(st.floats(0.0, 1.5, exclude_min=True))
+        errs = [first * ratio**k for k in range(n)]
+    elif shape == "superlinear":
+        first, ratio = draw(_RATE_ERRORS), draw(st.floats(0.5, 1.0))
+        errs = [first * ratio ** (k * k) for k in range(n)]
+    else:
+        errs, m = [draw(st.floats(0.0, 1.0))], draw(st.floats(1e-3, 1e3))
+        while len(errs) < n:
+            errs.append(m * errs[-1] * errs[-1])
+        errs = errs[:n]
+    for factor in (0.0, draw(st.floats(0.0, 1e4))):  # an exact zero, a kink
+        at = draw(st.none() | st.integers(0, 40))
+        if at is not None and at < n:
+            errs[at] *= factor
+    signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    stop = draw(st.sampled_from((StopReason.RESIDUAL_MET, StopReason.MAX_ITER, StopReason.CYCLE)))
+    return _synth(
+        [-e if s else e for e, s in zip(errs, signs)],
+        stop=stop,
+        period=draw(st.sampled_from((None, 1, 2, 3))),
+    )
+
+
+def _rate_outcome(classify, trace):
+    try:
+        with np.errstate(all="ignore"):
+            r = classify(trace, ORIGIN)
+    except TooShort as exc:
+        return TooShort, str(exc)
+    constant = None if r.constant is None else r.constant.hex()
+    return r.kind, constant, r.count
+
+
+def _kicked_quadratic():
+    # Order-2 ratios 1500, 500, 500, 500: only the first leaves the band.
+    errs = [1e-4, 1.5e-5]
+    for _ in range(3):
+        errs.append(500.0 * errs[-1] ** 2)
+    return _synth(errs)
+
+
+@given(_rate_traces())
+@example(_kicked_quadratic())
+def test_classify_rate_matches_the_reference_bitwise(trace):
+    got = _rate_outcome(classify_rate, trace)
+    want = _rate_outcome(_ref_classify_rate, trace)
+    assert got[0] is want[0] and got[1:] == want[1:]
 
 
 def test_classify_real_parabola_run_is_linear_half():

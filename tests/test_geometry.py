@@ -5,20 +5,25 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from feaskit import (
+    DEFAULT_TOLERANCES,
     ColinearityCase,
     DimensionMismatch,
     DistinctColinearInput,
+    FeaskitError,
+    Hyperplane,
     NonFinitePoint,
+    Sphere,
     Tolerances,
     alignment_ratio,
     as_point,
     circumcenter,
     classify_triple,
 )
+from feaskit.geometry import _SINGULAR_RTOL, _abs_cosine, _norm
 
 CENTER_TOL = 1e-12
 EQUIDIST_TOL = 1e-10
@@ -57,6 +62,60 @@ def test_as_point_accepts_exactly_the_all_finite_points(coords):
             with pytest.raises(NonFinitePoint) as info:
                 as_point(coords)
             assert str(info.value) == f"point has non-finite coordinates: {arr!r}"
+
+
+AS_POINT_TABLE = [
+    # (input, dim, exception type or None, message or coordinates)
+    (np.array(1.5), None, DimensionMismatch, "expected a 1-D point, got shape ()"),
+    (None, None, DimensionMismatch, "expected a 1-D point, got shape ()"),
+    (np.array([[1.0, 2.0]]), None, DimensionMismatch, "expected a 1-D point, got shape (1, 2)"),
+    (np.array([]), None, DimensionMismatch, "expected a 1-D point, got shape (0,)"),
+    (np.zeros((0, 2)), None, DimensionMismatch, "expected a 1-D point, got shape (0, 2)"),
+    ([1.0, 2.0], None, None, [1.0, 2.0]),
+    ((1.0, 2.0), 2, None, [1.0, 2.0]),
+    (np.array([1, 2]), 2, None, [1.0, 2.0]),
+    ((1.0, math.nan), None, NonFinitePoint, "point has non-finite coordinates: array([ 1., nan])"),
+    ((math.inf, 0.0), None, NonFinitePoint, "point has non-finite coordinates: array([inf,  0.])"),
+    ([0.0, -math.inf], 2, NonFinitePoint, "point has non-finite coordinates: array([  0., -inf])"),
+    ((1.0, 2.0), 3, DimensionMismatch, "expected dimension 3, got 2"),
+    # The checks run in a fixed order: shape, then finiteness, then dimension.
+    ([math.nan], 3, NonFinitePoint, "point has non-finite coordinates: array([nan])"),
+    ([[math.nan]], None, DimensionMismatch, "expected a 1-D point, got shape (1, 1)"),
+]
+
+
+@pytest.mark.parametrize("p, dim, exc, want", AS_POINT_TABLE)
+def test_as_point_errors_and_messages(p, dim, exc, want):
+    if exc is None:
+        arr = as_point(p, dim)
+        assert arr.dtype == np.float64 and arr.tolist() == want
+    else:
+        with pytest.raises(exc) as info:
+            as_point(p, dim)
+        assert type(info.value) is exc and str(info.value) == want
+
+
+_DOT_COORDS = st.one_of(st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda d: st.tuples(*[st.lists(_DOT_COORDS, min_size=d, max_size=d)] * 2)
+))
+def test_method_dot_is_np_dot_bitwise(vw):
+    # The kernels take their dots as ndarray.dot where they took np.dot
+    # and, in _abs_cosine and circumcenter, @.  ndarray.dot is np.dot bit
+    # for bit, and so is @ from two coordinates on.  On one coordinate @
+    # is 0.0 + v[0] * w[0], which differs only in the sign of a zero:
+    # _abs_cosine takes abs, and a 1-D circumcenter never forms -0.0.
+    # Hyperplane.project keeps @.
+    v, w = (np.array(c, dtype=float) for c in vw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, matmul = v.dot(w), np.float64(v @ w)
+        assert got.tobytes() == np.dot(v, w).tobytes()
+        if v.size > 1:
+            assert got.tobytes() == matmul.tobytes()
+        else:
+            assert (got + 0.0).tobytes() == matmul.tobytes()
 
 
 def test_tolerances_validation():
@@ -223,3 +282,208 @@ def test_circumcenter_matches_classification():
             continue
         c = circumcenter(pts[0], pts[1], pts[2])
         assert np.all(np.isfinite(c))
+
+
+# Verbatim copies (docstrings dropped) of the kernels before they took
+# their dots in method form and skipped the unread distance; the kernels
+# must match them bit for bit.
+def _ref_as_point(p, dim: int | None = None) -> np.ndarray:
+    """Validate and return ``p`` as a finite 1-D float array."""
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise DimensionMismatch(f"expected a 1-D point, got shape {arr.shape}")
+    # math.isfinite per coordinate: ~7x faster than np.isfinite in 2-D.
+    if not all(map(math.isfinite, arr.tolist())):
+        raise NonFinitePoint(f"point has non-finite coordinates: {arr!r}")
+    if dim is not None and arr.size != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {arr.size}")
+    return arr
+
+
+def _ref_norm(v: np.ndarray) -> float:
+    # math.sqrt and np.sqrt are both correctly rounded, so this is
+    # bitwise np.sqrt(v @ v) without a numpy scalar round trip.
+    return math.sqrt(float(np.dot(v, v)))
+
+
+def _ref_circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
+    tol = DEFAULT_TOLERANCES if tol is None else tol
+    u = _ref_as_point(u)
+    v = _ref_as_point(v, u.size)
+    w = _ref_as_point(w, u.size)
+    eps = tol.point_eq_eps
+
+    uv = _ref_norm(u - v) <= eps
+    vw = _ref_norm(v - w) <= eps
+    uw = _ref_norm(u - w) <= eps
+    if uv and vw and uw:
+        return u.copy()
+    if uv:
+        return 0.5 * (u + w)
+    if vw:
+        return 0.5 * (u + v)
+    if uw:
+        return 0.5 * (u + v)
+
+    a, b, c = sorted((u, v, w), key=tuple)
+    d1 = b - a
+    d2 = c - a
+    n1 = _ref_norm(d1)
+    q1 = d1 / n1
+    t2 = float(q1 @ d2)
+    r = d2 - t2 * q1
+    n2 = _ref_norm(r)
+    if n2 <= _SINGULAR_RTOL * max(n1, _ref_norm(d2)):
+        raise DistinctColinearInput(
+            "three distinct colinear points have no circumcenter"
+        )
+    q2 = r / n2
+    # Perpendicular-bisector conditions in the orthonormal frame (q1, q2):
+    # 2 z . a' = |a'|^2 with a' = (n1, 0), and 2 z . b' = |b'|^2 with
+    # b' = (t2, n2).
+    z1 = 0.5 * n1
+    z2 = 0.5 * (t2 * t2 + n2 * n2 - n1 * t2) / n2
+    return a + z1 * q1 + z2 * q2
+
+
+def _ref_abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
+    if nu <= eps or nv <= eps:
+        return None
+    return min(abs(float(u @ v)) / (nu * nv), 1.0)
+
+
+def _ref_alignment_ratio(x, rax, rbrax, tol: Tolerances | None = None) -> float | None:
+    tol = DEFAULT_TOLERANCES if tol is None else tol
+    x = _ref_as_point(x)
+    rax = _ref_as_point(rax, x.size)
+    rbrax = _ref_as_point(rbrax, x.size)
+    u = x - rbrax
+    v = rax - rbrax
+    return _ref_abs_cosine(u, v, _ref_norm(u), _ref_norm(v), tol.point_eq_eps)
+
+
+def _ref_classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> ColinearityCase:
+    tol = DEFAULT_TOLERANCES if tol is None else tol
+    x = _ref_as_point(x)
+    rax = _ref_as_point(rax, x.size)
+    rbrax = _ref_as_point(rbrax, x.size)
+    eps = tol.point_eq_eps
+
+    u = x - rbrax
+    v = rax - rbrax
+    d_x_ra = _ref_norm(x - rax)
+    d_x_rb = _ref_norm(u)
+    d_ra_rb = _ref_norm(v)
+
+    ratio = _ref_abs_cosine(u, v, d_x_rb, d_ra_rb, eps)
+    if ratio is not None and ratio < 1.0 - tol.colinearity_eps:
+        return ColinearityCase.NON_COLINEAR
+
+    if d_x_ra <= eps and d_x_rb <= eps and d_ra_rb <= eps:
+        return ColinearityCase.ALL_COINCIDE
+    if (d_x_ra <= eps and d_ra_rb > eps) or (d_ra_rb <= eps and d_x_ra > eps):
+        return ColinearityCase.TWO_DISTINCT
+    if d_x_rb <= eps and d_x_ra > eps:
+        return ColinearityCase.FIXED_POINT_PAIR
+    return ColinearityCase.DISTINCT_COLINEAR
+
+
+class _ReferenceHyperplane(Hyperplane):
+    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
+        x = _ref_as_point(x, self.dimension)
+        return x - (float(self.normal @ x) - self.offset) * self.normal
+
+
+class _ReferenceSphere(Sphere):
+    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
+        tol = DEFAULT_TOLERANCES if tol is None else tol
+        x = _ref_as_point(x, self.dimension)
+        v = x - self.center
+        n = _ref_norm(v)
+        if n <= tol.point_eq_eps:
+            # The center is equidistant from the whole shell; pick the
+            # point along the first coordinate axis.
+            e1 = np.zeros(self.dimension)
+            e1[0] = 1.0
+            return self.center + self.radius * e1
+        return self.center + (self.radius / n) * v
+
+
+def _outcome(call):
+    """A call's result or exception, in a form compared bit for bit."""
+    try:
+        r = call()
+    except FeaskitError as exc:
+        return type(exc), str(exc)
+    if isinstance(r, np.ndarray):
+        return r.dtype, r.shape, r.tobytes()
+    if isinstance(r, float):
+        return r.hex()
+    return r  # None or a ColinearityCase member
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A triple (generic, colinear or with a pair about point_eq_eps apart)
+    in 1-4 dimensions at magnitudes 1e-6 to 1e6, the tolerances, a sphere
+    radius and a hyperplane offset."""
+    tol = draw(st.one_of(st.none(), st.builds(
+        Tolerances,
+        colinearity_eps=st.floats(1e-14, 1e-2),
+        point_eq_eps=st.floats(1e-15, 1e-3),
+    )))
+    eps = (DEFAULT_TOLERANCES if tol is None else tol).point_eq_eps
+    dim = draw(st.integers(1, 4))
+    scale = draw(st.floats(1e-6, 1e6))
+    point = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(
+        lambda c: scale * np.array(c)
+    )
+    u, v = draw(point), draw(point)
+    kind = draw(st.sampled_from(("generic", "colinear", "near-u", "near-v")))
+    if kind == "generic":
+        w = draw(point)
+    elif kind == "colinear":
+        w = u + draw(st.floats(-3.0, 3.0)) * (v - u)
+    else:
+        # An offset of about point_eq_eps: either side of the threshold.
+        step = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
+        n = float(np.linalg.norm(step))
+        step = step / n if n > 0.0 else np.eye(dim)[0]
+        w = (u if kind == "near-u" else v) + draw(st.floats(0.5, 2.0)) * eps * step
+    order = draw(st.permutations(range(3)))
+    radius = draw(st.floats(0.1, 10.0))
+    offset = draw(st.sampled_from((0.0, -0.0)) | st.floats(-10.0, 10.0))
+    return [(u, v, w)[i] for i in order], tol, radius, offset
+
+
+@given(_kernel_inputs())
+# A 1-D hyperplane through 0 and the point -0.0: the normal's dot with
+# it is -0.0 in method form and 0.0 through @.
+@example(([np.array([-0.0]), np.array([1.0]), np.array([-0.0])], None, 1.0, 0.0))
+def test_kernels_match_the_reference_bitwise(case):
+    (p, q, r), tol, radius, offset = case
+    eps = radius * 1e-6
+    pairs = [
+        (lambda: circumcenter(p, q, r, tol), lambda: _ref_circumcenter(p, q, r, tol)),
+        (lambda: classify_triple(p, q, r, tol), lambda: _ref_classify_triple(p, q, r, tol)),
+        (lambda: alignment_ratio(p, q, r, tol), lambda: _ref_alignment_ratio(p, q, r, tol)),
+        (lambda: _norm(p - q), lambda: _ref_norm(p - q)),
+        (
+            lambda: _abs_cosine(p - r, q - r, _norm(p - r), _norm(q - r), eps),
+            lambda: _ref_abs_cosine(p - r, q - r, _ref_norm(p - r), _ref_norm(q - r), eps),
+        ),
+        (
+            lambda: Hyperplane(q, offset).project(r, tol),
+            lambda: _ReferenceHyperplane(q, offset).project(r, tol),
+        ),
+        (
+            lambda: Sphere(q, radius).project(r, tol),
+            lambda: _ReferenceSphere(q, radius).project(r, tol),
+        ),
+    ]
+    for new, ref in pairs:
+        got, want = _outcome(new), _outcome(ref)
+        if isinstance(want, ColinearityCase):
+            assert got is want
+        else:
+            assert got == want
