@@ -39,8 +39,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _finite(points):
+    """The points whose pixel coordinates are both finite."""
+    return [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
+
+
 def _polyline(points, color: str, width: float = 1.5, dash: str | None = None) -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in _finite(points))
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
@@ -75,8 +80,12 @@ def _semilog_panel(series) -> list[str]:
     x0, y0, x1, y1 = _LEFT
     n_max = max(s.values.size for s in series)
     logs = [np.log10(np.maximum(s.values, _FLOOR)) for s in series]
-    lo = min(float(v.min()) for v in logs)
-    hi = max(float(v.max()) for v in logs)
+    # The range spans the finite values only: an overflowing run records
+    # inf, and _polyline drops the points it cannot place.
+    finite = np.concatenate(logs)
+    finite = finite[np.isfinite(finite)]
+    lo = float(finite.min()) if finite.size else 0.0
+    hi = float(finite.max()) if finite.size else 0.0
     if hi - lo < 1.0:
         hi = lo + 1.0
     span_x = max(n_max - 1, 1)
@@ -129,11 +138,16 @@ def _semilog_panel(series) -> list[str]:
 def _trajectory_panel(series, sets) -> list[str]:
     x0, y0, x1, y1 = _RIGHT
     pts = np.vstack([s.iterates for s in series])
-    cx = (float(pts[:, 0].min()) + float(pts[:, 0].max())) / 2.0
-    cy = (float(pts[:, 1].min()) + float(pts[:, 1].max())) / 2.0
-    bw = max(float(pts[:, 0].max()) - float(pts[:, 0].min()), 1e-6)
-    bh = max(float(pts[:, 1].max()) - float(pts[:, 1].min()), 1e-6)
-    scale = 0.9 * min((x1 - x0) / bw, (y1 - y0) / bh)
+    (xlo, ylo), (xhi, yhi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+    # Centre and half extents from halved bounds, which do not overflow
+    # near the largest double.  Wherever the halves are exact and the
+    # full sums finite, these are the bits of (lo + hi) / 2 and of
+    # 0.9 * min(w / bw, h / bh) over full extents bw and bh.
+    cx = 0.5 * xlo + 0.5 * xhi
+    cy = 0.5 * ylo + 0.5 * yhi
+    half_bw = max(0.5 * xhi - 0.5 * xlo, 5e-7)
+    half_bh = max(0.5 * yhi - 0.5 * ylo, 5e-7)
+    scale = 0.45 * min((x1 - x0) / half_bw, (y1 - y0) / half_bh)
 
     def to_px(p):
         return (
@@ -153,7 +167,7 @@ def _trajectory_panel(series, sets) -> list[str]:
         color = _PALETTE[i % len(_PALETTE)]
         path = [to_px(p) for p in s.iterates.tolist()]
         out.append(_polyline(path, color, width=1.2))
-        for x, y in path:
+        for x, y in _finite(path):
             out.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="{color}"/>'
             )
@@ -176,9 +190,11 @@ def _draw_set(s: FeasibleSet, to_px, cx, cy, half_w, half_h, color) -> list[str]
         pts = [to_px((c0 + r * math.cos(a), c1 + r * math.sin(a))) for a in ang.tolist()]
         return [_polyline(pts, color, width=1.8)]
     if isinstance(s, Hyperplane) and s.dimension == 2:
-        base = s.project((cx, cy))
-        tangent = np.array([-s.normal[1], s.normal[0]])
-        reach = 2.0 * (half_w + half_h)
-        pts = [to_px(base - reach * tangent), to_px(base + reach * tangent)]
+        # Far out these overflow, and _polyline drops what does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = s.project((cx, cy))
+            tangent = np.array([-s.normal[1], s.normal[0]])
+            reach = 2.0 * (half_w + half_h)
+            pts = [to_px(base - reach * tangent), to_px(base + reach * tangent)]
         return [_polyline(pts, color, width=1.8, dash="6,4")]
     return []

@@ -77,9 +77,10 @@ class Hyperplane(FeasibleSet):
 
     def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
         x = as_point(x, self.normal.size)
-        # @, not .dot: on length-1 vectors matmul adds the product to +0.0,
-        # so .dot would flip the sign of a zero result coordinate in 1-D.
-        return x - (float(self.normal @ x) - self.offset) * self.normal
+        # Bitwise self.normal @ x, without matmul's dispatch cost.  From two
+        # coordinates on both run one dot routine, whose sum is never -0.0;
+        # on one, matmul is 0.0 + n[0] * x[0], which + 0.0 reproduces.
+        return x - (float(self.normal.dot(x)) + 0.0 - self.offset) * self.normal
 
 
 @dataclass(frozen=True, eq=False)

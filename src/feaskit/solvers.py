@@ -73,7 +73,13 @@ class StopRule:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One hybrid step: the new iterate plus its reflection substeps."""
+    """One hybrid step: the new iterate plus its reflection substeps.
+
+    ``case`` classifies the triple (x, ``rax``, ``rbrax``).  A DR step of
+    ``run`` never dispatches on it, so it computes ``case`` the first time
+    the field is read, from its pre-step point, ``rax``, ``rbrax`` and
+    the run's tolerances, and keeps the value.
+    """
 
     next: np.ndarray
     case: ColinearityCase
@@ -86,6 +92,25 @@ class StepResult:
         # exist, so that combination can never be reported.
         if self.used_circumcenter and self.case is ColinearityCase.DISTINCT_COLINEAR:
             raise ValueError("circumcenter cannot come from a distinct-colinear triple")
+
+    @classmethod
+    def _averaged(cls, x, rax, rbrax, tol: Tolerances) -> StepResult:
+        """The averaged step from checked points, its case not yet classified."""
+        step = object.__new__(cls)
+        vars(step).update(
+            next=0.5 * (x + rbrax), rax=rax, rbrax=rbrax, used_circumcenter=False, _triple=(x, tol)
+        )
+        return step
+
+    def __getattr__(self, name):
+        # Reached only for an attribute the instance lacks: the case of an
+        # averaged step that nobody has read yet.
+        state = vars(self)
+        if name != "case" or "_triple" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        x, tol = state["_triple"]
+        state["case"] = case = classify_triple(x, self.rax, self.rbrax, tol)
+        return case
 
 
 @dataclass
@@ -124,9 +149,14 @@ def _reflection_step(b, x, pax, tol, circumcenter_cases) -> StepResult:
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
     through B, and classify the triple (x, R_A x, R_B R_A x).  The step
     is its circumcenter when its case is in ``circumcenter_cases``, else
-    the average of x and R_B R_A x.  ``x`` must be a checked point."""
+    the average of x and R_B R_A x.  With no such cases (DR) nothing
+    dispatches on the case, so the step computes it when it is first
+    read; R_B R_A x is still checked finite here, where classifying it
+    would have.  ``x`` must be a checked point."""
     rax = 2.0 * pax - x
     rbrax = 2.0 * b.project(rax, tol) - rax
+    if not circumcenter_cases:
+        return StepResult._averaged(x, rax, as_point(rbrax), tol)
     case = classify_triple(x, rax, rbrax, tol)
     if case in circumcenter_cases:
         return StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
@@ -267,7 +297,9 @@ def run(
     step = _STEPS[method][0]
     stop = StopRule() if stop is None else stop
     tol = DEFAULT_TOLERANCES if tol is None else tol
-    x = as_point(x0)
+    # A copy: a DR step keeps its pre-step point to classify it later, and
+    # the caller may reuse the buffer of x0.
+    x = as_point(x0).copy()
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")
     if not x.size == a.dimension == b.dimension:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +278,36 @@ def test_plot_traces(tmp_path, capsys):
     assert svg.startswith("<svg ")
     # Shared catalog problem: both set outlines join the two traces.
     assert svg.count("<polyline") >= 6
+
+
+def test_an_overflowing_dr_start_stops_with_its_message_and_plots(tmp_path, capsys):
+    # R_B R_A x of this start overflows: the step stops the run there,
+    # and the plot of the one-row trace (residual inf) still renders.
+    path = tmp_path / "t.csv"
+    argv = ["run", "--problem", "sphere-line", "--x0", "1.5e308,1.7e308", "--method", "dr"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(path)]) == EXIT_ERROR
+    # Overflow in the residual's norm, in R_B R_A x, and in the two
+    # distances to the solutions; none in averaging x with R_B R_A x.
+    assert {(str(w.message), os.path.basename(w.filename)) for w in caught} == {
+        ("overflow encountered in dot", "geometry.py"),
+        ("overflow encountered in multiply", "solvers.py"),
+        ("overflow encountered in multiply", "geometry.py"),
+        ("overflow encountered in square", "solvers.py"),
+    }
+    meta, series = read_trace(path)
+    assert meta["message"] == (
+        "NonFinitePoint: point has non-finite coordinates: array([    -inf, 1.7e+308])"
+    )
+    assert series.iterates.tolist() == [[1.5e308, 1.7e308]]
+    assert series.values.tolist() == [math.inf]
+    fig = tmp_path / "t.svg"
+    assert main(["plot", str(path), "--out", str(fig)]) == EXIT_OK
+    capsys.readouterr()
+    svg = fig.read_text(encoding="utf-8")
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<circle") == 1
 
 
 def test_plot_default_output_path(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_method_dot_is_np_dot_bitwise(vw):
     # for bit, and so is @ from two coordinates on.  On one coordinate @
     # is 0.0 + v[0] * w[0], which differs only in the sign of a zero:
     # _abs_cosine takes abs, and a 1-D circumcenter never forms -0.0.
-    # Hyperplane.project keeps @.
+    # Hyperplane.project adds 0.0 to its .dot.
     v, w = (np.array(c, dtype=float) for c in vw)
     with np.errstate(over="ignore", invalid="ignore"):
         got, matmul = v.dot(w), np.float64(v @ w)
@@ -487,3 +487,30 @@ def test_kernels_match_the_reference_bitwise(case):
             assert got is want
         else:
             assert got == want
+
+
+_PLANE_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-320, -1e-320, 5e-324, -5e-324, 1e308, -1e308, 1.0, -1.0]),
+    st.floats(-1e6, 1e6),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(*[st.lists(_PLANE_COORDS, min_size=d, max_size=d)] * 2)
+    ),
+    st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False, allow_infinity=False),
+)
+# 1-D normals with signed-zero and subnormal points: .dot gives -0.0
+# where @ gives 0.0.
+@example(([1.0], [-0.0]), 0.0)
+@example(([-1.0], [0.0]), -0.0)
+@example(([1e-320], [-1e-320]), 0.0)
+@example(([-0.0, 1.0], [-0.0, -0.0]), -0.0)
+def test_hyperplane_project_matches_the_matmul_reference_bitwise(normal_x, offset):
+    normal, x = normal_x
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: Hyperplane(normal, offset).project(x))
+        want = _outcome(lambda: _ReferenceHyperplane(normal, offset).project(x))
+    assert got == want

@@ -81,3 +81,20 @@ def test_render_svg_graph_outline_respects_domain():
     g = make_curve("pnorm_branch", p=2.0, a=1.0, b=1.0, cx=0.0, cy=-0.5)
     svg = render_svg([s], sets=(g, Hyperplane((0.0, 1.0), 0.0)))
     assert svg.count("<polyline") >= 4
+
+
+def test_render_svg_places_only_finite_pixels():
+    # A residual of inf and coordinates near the largest double: the
+    # semilog range comes from the finite values, the view centre and
+    # extent do not overflow, and no point that cannot be placed reaches
+    # the SVG.
+    p = builtin("sphere-line")
+    s = _series("far", [(1e308, 1e308), (1.5e308, 1.7e308)], values=[1.0, np.inf])
+    near = _series("near", [(0.5, 0.5), (0.1, 0.9)], values=[0.5, 0.25])
+    wide = _series("wide", [(-1e308, 0.0), (1e308, 0.0), (0.0, 1.7e308)], values=[1.0, 0.5, 0.2])
+    for series in ([s], [s, near], [wide]):
+        svg = render_svg(series, sets=(p.a, p.b))
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<circle") == sum(x.iterates.shape[0] for x in series)
+    only_inf = _series("top", [(0.0, 0.0)], values=[np.inf])
+    assert "nan" not in render_svg([only_inf]) and "inf" not in render_svg([only_inf])

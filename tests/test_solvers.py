@@ -1,7 +1,10 @@
 """Step operators and the run loop: dispatch, traces, stop reasons."""
 
+import dataclasses
+import json
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +21,23 @@ from feaskit import (
     StepResult,
     StopReason,
     StopRule,
+    Tolerances,
     Trace,
     UnknownMethod,
     ZeroSubgradient,
     builtin,
+    circumcenter,
+    classify_triple,
     ct_step,
     make_curve,
     nearest_solution,
+    problem_names,
     run,
     subgrad_proj_step,
     trace_errors,
 )
+from feaskit import solvers
+from feaskit.cli import main
 from feaskit.solvers import _cycle_lag
 
 X_AXIS = Hyperplane((0.0, 1.0), 0.0)
@@ -462,3 +471,120 @@ def test_screened_cycle_lag_matches_the_unscreened_loop(case):
     iterates, window, eps = case
     firsts = deque((float(p[0]) for p in iterates), maxlen=window + 1)
     assert _cycle_lag(iterates, firsts, window, eps) == _unscreened_cycle_lag(iterates, window, eps)
+
+
+def _eager_reflection_step(b, x, pax, tol, circumcenter_cases) -> StepResult:
+    # Verbatim copy, docstring dropped, of the step that classified every
+    # triple before DR deferred its case: the reference for DR's steps.
+    rax = 2.0 * pax - x
+    rbrax = 2.0 * b.project(rax, tol) - rax
+    case = classify_triple(x, rax, rbrax, tol)
+    if case in circumcenter_cases:
+        return StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
+    return StepResult(0.5 * (x + rbrax), case, rax, rbrax, False)
+
+
+def _eager_dr(a, b, graph, x, pax, tol):
+    result = _eager_reflection_step(b, x, pax, tol, frozenset())
+    return result.next, result
+
+
+_BASIN = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sphere-basin.json"
+# Every start of the sphere-basin pool on sphere-line, then every catalog
+# problem from its default start.
+DR_RUNS = [
+    ("sphere-line", tuple(op["x0"])) for op in json.loads(_BASIN.read_text("utf-8"))["ops"].values()
+] + [(name, None) for name in problem_names()]
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a).tobytes()
+
+
+# A looser colinearity switch classifies many of the same DR steps
+# otherwise, so the deferred case has to use the run's tolerances.
+@pytest.mark.parametrize("tol", [None, Tolerances(colinearity_eps=0.01)])
+def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
+    assert len(DR_RUNS) == 256 + len(problem_names())
+    for name, x0 in DR_RUNS:
+        p = builtin(name)
+        x0 = p.default_x0 if x0 is None else x0
+        new = run("dr", p.a, p.b, x0, solution=p.known_solutions, tol=tol)
+        with monkeypatch.context() as m:
+            m.setitem(solvers._STEPS, "dr", (_eager_dr, False))
+            old = run("dr", p.a, p.b, x0, solution=p.known_solutions, tol=tol)
+        for field in ("stop", "message", "cycle_period"):
+            assert getattr(new, field) == getattr(old, field)
+        for got, want in [
+            (new.iterates, old.iterates),
+            (new.residuals, old.residuals),
+            (new.dist_to_solution, old.dist_to_solution),
+        ]:
+            assert _bits(got) == _bits(want)
+        assert len(new.step_results) == len(old.step_results)
+        for got, want in zip(new.step_results, old.step_results):
+            assert got.case is want.case
+            assert not got.used_circumcenter and not want.used_circumcenter
+            for field in ("next", "rax", "rbrax"):
+                assert _bits(getattr(got, field)) == _bits(getattr(want, field))
+
+
+def _without_wall_time(path) -> str:
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return "".join(line for line in lines if "wall_time" not in line)
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_dr_trace_files_match_the_eager_step_byte_for_byte(name, tmp_path, capsys, monkeypatch):
+    def traces(tag):
+        csv, js = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        argv = ["run", "--problem", name, "--method", "dr"]
+        codes = (
+            main([*argv, "--out", str(csv)]),
+            main([*argv, "--format", "json", "--out", str(js)]),
+        )
+        return codes, capsys.readouterr().out, _without_wall_time(csv), _without_wall_time(js)
+
+    new = traces("new")
+    monkeypatch.setitem(solvers._STEPS, "dr", (_eager_dr, False))
+    assert traces("old") == new
+
+
+def test_a_dr_step_classifies_its_triple_once_when_first_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify_triple(*args)
+
+    monkeypatch.setattr(solvers, "classify_triple", counted)
+    p = builtin("sphere-line")
+    crm = run("crm", p.a, p.b, p.default_x0)
+    assert len(calls) == crm.iterations  # CRM dispatches on every case
+    calls.clear()
+    dr = run("dr", p.a, p.b, p.default_x0)
+    assert dr.iterations >= 2 and calls == []
+    step = dr.step_results[0]
+    case = step.case
+    assert step.case is case and len(calls) == 1
+    assert f"case={case!r}" in repr(step)
+    assert dataclasses.asdict(step)["case"] is case
+    assert [f.name for f in dataclasses.fields(step)] == [
+        "next", "case", "rax", "rbrax", "used_circumcenter",
+    ]
+    assert len(calls) == 1
+    with pytest.raises(AttributeError, match="no attribute 'cas'"):
+        step.cas
+
+
+def test_a_dr_step_classifies_the_start_as_it_was(monkeypatch):
+    # The run copies its start: reusing the caller's buffer afterwards
+    # leaves the deferred case of the first step as it was.
+    p = builtin("sphere-line")
+    x0 = np.array(p.default_x0)
+    tr = run("dr", p.a, p.b, x0)
+    step = tr.step_results[0]
+    want = classify_triple(p.default_x0, step.rax, step.rbrax)
+    x0[:] = step.rbrax
+    assert classify_triple(x0, step.rax, step.rbrax) is not want
+    assert step.case is want
