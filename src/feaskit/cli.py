@@ -3,7 +3,7 @@
 Exit codes: 0 success (run stopped on residual), 1 a step or
 projection failed, 2 iteration budget exhausted, 3 cycle detected, 64
 invalid configuration (including a wrong-dimension start and sets of
-different dimensions), 65 unreadable or empty trace file.
+different dimensions), 65 unreadable, malformed or empty trace file.
 """
 
 from __future__ import annotations
@@ -122,39 +122,10 @@ def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def write_trace_csv(path, trace: Trace, problem_name: str) -> None:
+def _trace_doc(trace: Trace, problem_name: str) -> dict:
+    """The trace record both formats encode, in a JSON trace's key order."""
     dist = trace.dist_to_solution
-    dim = trace.iterates.shape[1]
-    meta = [
-        ("method", trace.method),
-        ("problem", problem_name),
-        ("stop", trace.stop.value),
-        ("wall_time", f"{trace.wall_time:.6g}"),
-    ]
-    if trace.cycle_period is not None:
-        meta.append(("cycle_period", trace.cycle_period))
-    if trace.message:
-        meta.append(("message", trace.message))
-    # One line per value, split the way read_trace splits the file.
-    lines = [f"# {key}={' '.join(str(value).splitlines())}" for key, value in meta]
-    cols = ",".join(f"x{i}" for i in range(dim))
-    lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
-    for i, p in enumerate(trace.iterates):
-        coords = ",".join(_fmt17(v) for v in p)
-        d = _fmt17(dist[i]) if dist is not None else ""
-        if i < len(trace.step_results):
-            case = trace.step_results[i].case.value
-            used = "true" if trace.step_results[i].used_circumcenter else "false"
-        else:
-            case = ""
-            used = ""
-        lines.append(f"{i},{coords},{_fmt17(trace.residuals[i])},{d},{case},{used}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_trace_json(path, trace: Trace, problem_name: str) -> None:
-    dist = trace.dist_to_solution
-    doc = {
+    return {
         "method": trace.method,
         "problem": problem_name,
         "stop": trace.stop.value,
@@ -167,67 +138,82 @@ def write_trace_json(path, trace: Trace, problem_name: str) -> None:
         "case_tags": [r.case.value for r in trace.step_results],
         "used_circumcenter": [r.used_circumcenter for r in trace.step_results],
     }
+
+
+def write_trace_csv(path, trace: Trace, problem_name: str) -> None:
+    doc = _trace_doc(trace, problem_name)
+    meta = {key: doc[key] for key in ("method", "problem", "stop")}
+    meta["wall_time"] = f"{doc['wall_time']:.6g}"
+    optional = ("cycle_period", "message")
+    meta.update((key, doc[key]) for key in optional if doc[key] not in (None, ""))
+    # One line per value, split the way read_trace splits the file.
+    lines = [f"# {key}={' '.join(str(value).splitlines())}" for key, value in meta.items()]
+    cols = ",".join(f"x{i}" for i in range(trace.iterates.shape[1]))
+    lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
+    dist, cases, used = doc["dist_to_solution"], doc["case_tags"], doc["used_circumcenter"]
+    for i, p in enumerate(doc["iterates"]):
+        d = _fmt17(dist[i]) if dist is not None else ""
+        tags = f"{cases[i]},{'true' if used[i] else 'false'}" if i < len(cases) else ","
+        lines.append(f"{i},{','.join(map(_fmt17, p))},{_fmt17(doc['residuals'][i])},{d},{tags}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_trace_json(path, trace: Trace, problem_name: str) -> None:
+    doc = _trace_doc(trace, problem_name)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def read_trace(path):
-    """Parse a trace file (CSV or JSON) into (metadata, TraceSeries)."""
+    """Parse a trace file (CSV or JSON) into (metadata, TraceSeries): the
+    metadata is every ``# key=value`` line of a CSV trace, or the ``method``,
+    ``problem`` and ``stop`` a JSON one sets; the values are the distances
+    to the solution if recorded, else the residuals."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _TraceFileError(f"cannot read {path}: {exc}") from exc
-    stripped = text.lstrip()
     try:
-        if stripped.startswith("{"):
-            return _trace_from_json(json.loads(text))
-        return _trace_from_csv(text)
-    except (KeyError, ValueError, IndexError, json.JSONDecodeError) as exc:
+        if text.lstrip().startswith("{"):
+            doc = json.loads(text)
+            meta = {k: doc[k] for k in ("method", "problem", "stop") if doc.get(k) is not None}
+        else:
+            meta, doc = _csv_record(text)
+        iterates = np.asarray(doc["iterates"], dtype=float)
+        dist = doc.get("dist_to_solution")
+        values = dist if dist is not None and len(dist) else doc.get("residuals", ())
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1:
+            raise ValueError("values are not a 1-D array")
+        if not all(isinstance(meta.get(key, ""), str) for key in ("method", "problem")):
+            raise ValueError("method and problem must be strings")
+    except (KeyError, ValueError, IndexError, TypeError) as exc:
         raise _TraceFileError(f"malformed trace file {path}: {exc}") from exc
-
-
-def _series(meta, iterates, residuals, dist):
-    iterates = np.asarray(iterates, dtype=float)
     if iterates.ndim != 2 or iterates.shape[0] == 0:
         raise _TraceFileError("trace holds no iterates")
-    values = np.asarray(
-        dist if dist is not None and len(dist) else residuals, dtype=float
-    )
-    label = meta.get("method", "trace")
-    return meta, TraceSeries(label=label, iterates=iterates, values=values)
+    return meta, TraceSeries(label=meta.get("method", "trace"), iterates=iterates, values=values)
 
 
-def _trace_from_json(doc):
-    meta = {k: doc.get(k) for k in ("method", "problem", "stop")}
-    return _series(meta, doc["iterates"], doc.get("residuals", ()), doc.get("dist_to_solution"))
-
-
-def _trace_from_csv(text: str):
-    meta = {}
-    rows = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
+def _csv_record(text: str):
+    """The ``# key=value`` fields and the record's columns of a CSV trace."""
+    meta, rows = {}, []
+    for line in filter(str.strip, text.splitlines()):
         if line.startswith("#"):
             key, _, value = line[1:].strip().partition("=")
             meta[key.strip()] = value
-            continue
-        rows.append(line)
+        else:
+            rows.append(line)
     if len(rows) < 2:
         raise _TraceFileError("trace holds no iterates")
     header = rows[0].split(",")
     dim = sum(1 for h in header if h.startswith("x") and h[1:].isdigit())
-    i_res = header.index("residual")
-    i_dist = header.index("dist_to_solution")
-    iterates, residuals, dist = [], [], []
-    has_dist = True
-    for row in csv.reader(rows[1:]):
-        iterates.append([float(v) for v in row[1 : 1 + dim]])
-        residuals.append(float(row[i_res]))
-        if row[i_dist]:
-            dist.append(float(row[i_dist]))
-        else:
-            has_dist = False
-    return _series(meta, iterates, residuals, dist if has_dist else None)
+    i_res, i_dist = header.index("residual"), header.index("dist_to_solution")
+    table = list(csv.reader(rows[1:]))
+    dist = [float(row[i_dist]) for row in table if row[i_dist]]
+    return meta, {
+        "iterates": [[float(v) for v in row[1 : 1 + dim]] for row in table],
+        "residuals": [float(row[i_res]) for row in table],
+        "dist_to_solution": dist if len(dist) == len(table) else None,
+    }
 
 
 def cmd_run(args) -> int:

@@ -39,6 +39,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    # What xml.sax.saxutils.escape does, without the urllib and ssl imports
+    # that module brings into every command line call.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _finite(points):
     """The points whose pixel coordinates are both finite."""
     return [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
@@ -131,7 +137,7 @@ def _semilog_panel(series) -> list[str]:
             f'<line x1="{_fmt(x0 + 8)}" y1="{_fmt(ly - 4)}" x2="{_fmt(x0 + 28)}" '
             f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
         )
-        out.append(f'<text x="{_fmt(x0 + 33)}" y="{_fmt(ly)}">{s.label}</text>')
+        out.append(f'<text x="{_fmt(x0 + 33)}" y="{_fmt(ly)}">{_escape(s.label)}</text>')
     return out
 
 

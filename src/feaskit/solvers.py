@@ -145,33 +145,11 @@ class Trace:
         return self.iterates[-1]
 
 
-def _reflection_step(b, x, pax, tol, circumcenter_cases) -> StepResult:
-    """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
-    through B, and classify the triple (x, R_A x, R_B R_A x).  The step
-    is its circumcenter when its case is in ``circumcenter_cases``, else
-    the average of x and R_B R_A x.  With no such cases (DR) nothing
-    dispatches on the case, so the step computes it when it is first
-    read; R_B R_A x is still checked finite here, where classifying it
-    would have.  ``x`` must be a checked point."""
-    rax = 2.0 * pax - x
-    rbrax = 2.0 * b.project(rax, tol) - rax
-    if not circumcenter_cases:
-        return StepResult._averaged(x, rax, as_point(rbrax), tol)
-    case = classify_triple(x, rax, rbrax, tol)
-    if case in circumcenter_cases:
-        return StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
-    return StepResult(0.5 * (x + rbrax), case, rax, rbrax, False)
-
-
-_NEVER = frozenset()
-_SPANNING = frozenset({ColinearityCase.NON_COLINEAR})
-
-
 def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> StepResult:
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
     x = as_point(x)
-    return _reflection_step(b, x, a.project(x, tol), tol, _SPANNING)
+    return _crm(a, b, None, x, a.project(x, tol), tol)[1]
 
 
 def _derivative(g: FunctionGraph, t: float, tol: Tolerances) -> float:
@@ -208,12 +186,29 @@ def _altproj(a, b, graph, x, pax, tol):
     return b.project(pax, tol), None
 
 
-def _reflections(circumcenter_cases):
-    def step(a, b, graph, x, pax, tol):
-        result = _reflection_step(b, x, pax, tol, circumcenter_cases)
-        return result.next, result
+def _crm(a, b, graph, x, pax, tol):
+    """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
+    through B.  The step is the circumcenter of (x, R_A x, R_B R_A x)
+    when that triple spans a triangle, else the average of x and
+    R_B R_A x.  ``x`` must be a checked point."""
+    rax = 2.0 * pax - x
+    rbrax = 2.0 * b.project(rax, tol) - rax
+    case = classify_triple(x, rax, rbrax, tol)
+    if case is ColinearityCase.NON_COLINEAR:
+        result = StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
+    else:
+        result = StepResult(0.5 * (x + rbrax), case, rax, rbrax, False)
+    return result.next, result
 
-    return step
+
+def _dr(a, b, graph, x, pax, tol):
+    """The average of x and R_B R_A x, reflected as in ``_crm``.  Nothing
+    dispatches on the case, so the step computes it when it is first
+    read; R_B R_A x is still checked finite here, where classifying it
+    would have."""
+    rax = 2.0 * pax - x
+    result = StepResult._averaged(x, rax, as_point(2.0 * b.project(rax, tol) - rax), tol)
+    return result.next, result
 
 
 def _newton(a, b, graph, x, pax, tol):
@@ -232,8 +227,8 @@ def _subgrad(a, b, graph, x, pax, tol):
 # method -> (step, whether it steps a function graph's abscissa)
 _STEPS = {
     "altproj": (_altproj, False),
-    "crm": (_reflections(_SPANNING), False),
-    "dr": (_reflections(_NEVER), False),
+    "crm": (_crm, False),
+    "dr": (_dr, False),
     "newton": (_newton, True),
     "subgrad": (_subgrad, True),
 }

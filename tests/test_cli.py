@@ -1,18 +1,28 @@
 """Command line behavior: verbs, exit codes, trace files, round trips."""
 
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import math
 import os
+import tempfile
 import warnings
+from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from feaskit import StopReason, Trace, builtin, problem_names, run, save_problem
+from feaskit import (
+    METHODS, StopReason, Trace, TraceSeries, builtin, problem_names, run, save_problem,
+)
 from feaskit.cli import (
-    _COMMANDS, _ConfigError, _full_parser, _parse_args, main, read_trace, write_trace_csv,
+    _COMMANDS, _ConfigError, _full_parser, _parse_args, _TraceFileError, main, read_trace,
+    write_trace_csv, write_trace_json,
 )
 
 EXIT_OK = 0
@@ -471,3 +481,293 @@ def test_the_full_parser_lists_every_command_in_order():
     usage = _full_parser().format_usage()
     assert usage == "usage: feaskit [-h] {run,compare,plot,list-problems} ...\n"
     assert list(_COMMANDS) == ["run", "compare", "plot", "list-problems"]
+
+
+# Verbatim copies, renamed, of the trace writers and reader (with their
+# helpers) from before the two formats shared one record: the reference
+# for the bytes of every trace file and for what reading one returns.
+def _fmt17(v: float) -> str:
+    return format(float(v), ".17g")
+
+
+def _ref_write_trace_csv(path, trace: Trace, problem_name: str) -> None:
+    dist = trace.dist_to_solution
+    dim = trace.iterates.shape[1]
+    meta = [
+        ("method", trace.method),
+        ("problem", problem_name),
+        ("stop", trace.stop.value),
+        ("wall_time", f"{trace.wall_time:.6g}"),
+    ]
+    if trace.cycle_period is not None:
+        meta.append(("cycle_period", trace.cycle_period))
+    if trace.message:
+        meta.append(("message", trace.message))
+    # One line per value, split the way read_trace splits the file.
+    lines = [f"# {key}={' '.join(str(value).splitlines())}" for key, value in meta]
+    cols = ",".join(f"x{i}" for i in range(dim))
+    lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
+    for i, p in enumerate(trace.iterates):
+        coords = ",".join(_fmt17(v) for v in p)
+        d = _fmt17(dist[i]) if dist is not None else ""
+        if i < len(trace.step_results):
+            case = trace.step_results[i].case.value
+            used = "true" if trace.step_results[i].used_circumcenter else "false"
+        else:
+            case = ""
+            used = ""
+        lines.append(f"{i},{coords},{_fmt17(trace.residuals[i])},{d},{case},{used}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ref_write_trace_json(path, trace: Trace, problem_name: str) -> None:
+    dist = trace.dist_to_solution
+    doc = {
+        "method": trace.method,
+        "problem": problem_name,
+        "stop": trace.stop.value,
+        "wall_time": trace.wall_time,
+        "cycle_period": trace.cycle_period,
+        "message": trace.message,
+        "iterates": trace.iterates.tolist(),
+        "residuals": trace.residuals.tolist(),
+        "dist_to_solution": None if dist is None else dist.tolist(),
+        "case_tags": [r.case.value for r in trace.step_results],
+        "used_circumcenter": [r.used_circumcenter for r in trace.step_results],
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _ref_read_trace(path):
+    """Parse a trace file (CSV or JSON) into (metadata, TraceSeries)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _TraceFileError(f"cannot read {path}: {exc}") from exc
+    stripped = text.lstrip()
+    try:
+        if stripped.startswith("{"):
+            return _ref_trace_from_json(json.loads(text))
+        return _ref_trace_from_csv(text)
+    except (KeyError, ValueError, IndexError, json.JSONDecodeError) as exc:
+        raise _TraceFileError(f"malformed trace file {path}: {exc}") from exc
+
+
+def _ref_series(meta, iterates, residuals, dist):
+    iterates = np.asarray(iterates, dtype=float)
+    if iterates.ndim != 2 or iterates.shape[0] == 0:
+        raise _TraceFileError("trace holds no iterates")
+    values = np.asarray(
+        dist if dist is not None and len(dist) else residuals, dtype=float
+    )
+    label = meta.get("method", "trace")
+    return meta, TraceSeries(label=label, iterates=iterates, values=values)
+
+
+def _ref_trace_from_json(doc):
+    meta = {k: doc.get(k) for k in ("method", "problem", "stop")}
+    return _ref_series(meta, doc["iterates"], doc.get("residuals", ()), doc.get("dist_to_solution"))
+
+
+def _ref_trace_from_csv(text: str):
+    meta = {}
+    rows = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            meta[key.strip()] = value
+            continue
+        rows.append(line)
+    if len(rows) < 2:
+        raise _TraceFileError("trace holds no iterates")
+    header = rows[0].split(",")
+    dim = sum(1 for h in header if h.startswith("x") and h[1:].isdigit())
+    i_res = header.index("residual")
+    i_dist = header.index("dist_to_solution")
+    iterates, residuals, dist = [], [], []
+    has_dist = True
+    for row in csv.reader(rows[1:]):
+        iterates.append([float(v) for v in row[1 : 1 + dim]])
+        residuals.append(float(row[i_res]))
+        if row[i_dist]:
+            dist.append(float(row[i_dist]))
+        else:
+            has_dist = False
+    return _ref_series(meta, iterates, residuals, dist if has_dist else None)
+
+
+def _read_result(parsed):
+    """What reading a trace returned, with arrays as their dtype, shape and bits."""
+    meta, series = parsed
+    arrays = (series.iterates, series.values)
+    return meta, series.label, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, directory) -> None:
+    for ext, write, ref_write in (
+        ("csv", write_trace_csv, _ref_write_trace_csv),
+        ("json", write_trace_json, _ref_write_trace_json),
+    ):
+        path, ref_path = (Path(directory) / f"{stem}.{ext}" for stem in ("new", "ref"))
+        write(path, trace, problem_name)
+        ref_write(ref_path, trace, problem_name)
+        assert path.read_bytes() == ref_path.read_bytes(), ext
+        assert _read_result(read_trace(path)) == _read_result(_ref_read_trace(ref_path)), ext
+
+
+def _catalog_traces():
+    for name in problem_names():
+        p = builtin(name)
+        for method in METHODS:
+            trace = run(
+                method, p.a, p.b, p.default_x0,
+                solution=p.known_solutions or None, root_graph=p.graph,
+            )
+            yield pytest.param(trace, name, id=f"{name}-{method}")
+    yield pytest.param(
+        Trace(
+            method="crm", iterates=[[0.5, 0.5]], residuals=[math.nan],
+            stop=StopReason.ERROR, message="step failed\r\non two lines", wall_time=0.125,
+        ),
+        "two\r\nlines",
+        id="error-with-line-breaks",
+    )
+    yield pytest.param(
+        Trace(
+            method="newton", iterates=[[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]],
+            residuals=[1.0, 1.0, 1.0], stop=StopReason.CYCLE, cycle_period=2,
+        ),
+        "signed-sqrt",
+        id="cycle",
+    )
+    p = builtin("sphere-line")
+    yield pytest.param(run("dr", p.a, p.b, p.default_x0), "sphere-line", id="no-distances")
+    yield pytest.param(
+        Trace(
+            method="dr", iterates=[[0.0, 1.0], [-0.0, 1e308], [5e-324, -2.5]],
+            residuals=[math.nan, math.inf, 0.0], dist_to_solution=np.array([1.0, math.inf, math.nan]),
+        ),
+        "sphere-line",
+        id="nan-and-inf-residuals",
+    )
+
+
+@pytest.mark.parametrize(("trace", "problem_name"), _catalog_traces())
+def test_trace_files_and_reads_match_the_reference(trace, problem_name, tmp_path):
+    _assert_trace_files_match_the_reference(trace, problem_name, tmp_path)
+
+
+_labels = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+_floats = st.floats(width=64)
+
+
+@st.composite
+def _traces(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    iterates = draw(st.lists(st.lists(_floats, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    nonneg = st.one_of(st.floats(min_value=0.0), st.just(math.nan))
+    residuals = draw(st.lists(nonneg, min_size=n, max_size=n))
+    dist = draw(st.none() | st.lists(nonneg, min_size=n, max_size=n))
+    return Trace(
+        method=draw(_labels), iterates=iterates, residuals=residuals,
+        stop=draw(st.sampled_from(StopReason)), wall_time=draw(st.floats(min_value=0.0)),
+        message=draw(_labels), cycle_period=draw(st.none() | st.integers(0, 8)),
+        dist_to_solution=None if dist is None else np.array(dist),
+    )
+
+
+@given(_traces(), _labels)
+def test_drawn_trace_files_and_reads_match_the_reference(trace, problem_name):
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_trace_files_match_the_reference(trace, problem_name, directory)
+
+
+HEADER = "iter,x0,x1,residual,dist_to_solution,case_tag,used_circumcenter\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# method=crm\n" + HEADER + "0,1,2,0.5,,,\n1,0,0,0.25,0.125,,\n",  # partial distances
+        "\n#method = a=b\n\n" + HEADER + "0,1,2,0.5,0.25,,\n",
+        "# problem=x\n" + HEADER.replace("x1,", "") + "0,1,0.5,,,\n",
+    ],
+    ids=["partial-distances", "spaced-header", "one-dimensional"],
+)
+def test_hand_made_csv_traces_read_as_the_reference(text, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _read_result(read_trace(path)) == _read_result(_ref_read_trace(path))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        {"dist_to_solution": 3},
+        {"residuals": {"a": 1}},
+        {"problem": ["x"]},
+        {"residuals": [[1.0, 0.5]]},
+    ],
+    ids=["dist-a-number", "residuals-an-object", "problem-a-list", "residuals-a-matrix"],
+)
+def test_malformed_json_traces_exit_65(field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"iterates": [[0.5, 0.5]], **field}), encoding="utf-8")
+    assert main(["plot", str(path), "--out", str(tmp_path / "bad.svg")]) == EXIT_BAD_TRACE
+    assert capsys.readouterr().err.startswith(f"feaskit: malformed trace file {path}")
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_a_trace_label_with_markup_plots_as_well_formed_svg(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    doc = {"method": "crm & dr <x>", "iterates": [[0.5, 0.5], [0.0, 0.0]], "residuals": [1.0, 0.0]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["plot", str(path), "--out", str(tmp_path / "t.svg")]) == EXIT_OK
+    capsys.readouterr()
+    root = ElementTree.fromstring((tmp_path / "t.svg").read_text(encoding="utf-8"))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "crm & dr <x>" in texts
+
+
+def test_a_json_trace_without_method_or_problem_plots_as_trace(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"iterates": [[0.5, 0.5]], "method": None}), encoding="utf-8")
+    meta, series = read_trace(path)
+    assert (meta, series.label) == ({}, "trace")
+    assert main(["plot", str(path), "--out", str(tmp_path / "t.svg")]) == EXIT_OK
+    capsys.readouterr()
+    assert ">trace</text>" in (tmp_path / "t.svg").read_text(encoding="utf-8")
+
+
+# sha256 of the SVG that `plot` draws from each catalog problem's CSV and
+# JSON traces of `run` (the benchmark's calls), pinned when the two trace
+# formats came to share one record.
+CATALOG_SVG_SHA256 = {
+    "ellipse-line": "943867aa33d7f6facd9af92bb68cbe1f24aa3dd53094a0a0df040add127c7685",
+    "parabola": "18da7c48e2ad792032f3151a1c7cda183c14597a311d5921ae00fd9f1ba688e4",
+    "pline": "9a46b91e8f2fa048960bbfee90e0a2eb5fe014277ae9a222c65707f7919c40e5",
+    "psphere-1.5": "3b749d0b19c528e165238ea125b85ab9b136f45e595a420b7b8c33f4d378ad18",
+    "psphere-2": "22959b333901030600400b20163a55b35f3d16bc01f6fe5e922f634a04791708",
+    "psphere-3": "2eac265836931f4c0f5a346906e51985584783845c4ba2ef6a2e55602689103e",
+    "psphere-4": "0d8e973a529cfe57e1610dfd7c25e1687243725675ab296fd06ba2c4cb1e99dd",
+    "shifted-parabola": "37ee2a64d36610af802cefce39215abab7f00580913eb0961efd356a75e72397",
+    "signed-sqrt": "4d21076ca4055cdb695d342b0b8834bc8c3749ee963df4213814e98631596a14",
+    "sphere-line": "22632d2c2171902d051fa5fe782e406779745b1f4ceb8b2c519450c6cd256ce6",
+}
+
+
+def test_pinned_svgs_cover_the_catalog():
+    assert sorted(CATALOG_SVG_SHA256) == sorted(problem_names())
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_catalog_plot_matches_its_pinned_svg(name, tmp_path, capsys):
+    csv_path, json_path, svg = (tmp_path / f"{name}.{ext}" for ext in ("csv", "json", "svg"))
+    main(["run", "--problem", name, "--out", str(csv_path)])
+    main(["run", "--problem", name, "--format", "json", "--out", str(json_path)])
+    assert main(["plot", str(csv_path), str(json_path), "--out", str(svg)]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == CATALOG_SVG_SHA256[name]

@@ -1,7 +1,12 @@
 """SVG rendering: determinism, panel structure, set overlays."""
 
+from xml.etree import ElementTree
+from xml.sax import saxutils
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feaskit import (
     Hyperplane,
@@ -11,6 +16,7 @@ from feaskit import (
     make_curve,
     render_svg,
 )
+from feaskit.plotting import _escape
 
 
 def _series(label, points, values=None):
@@ -98,3 +104,18 @@ def test_render_svg_places_only_finite_pixels():
         assert svg.count("<circle") == sum(x.iterates.shape[0] for x in series)
     only_inf = _series("top", [(0.0, 0.0)], values=[np.inf])
     assert "nan" not in render_svg([only_inf]) and "inf" not in render_svg([only_inf])
+
+
+def test_render_svg_escapes_labels():
+    # The legend text is XML character data: the SVG parses, and the
+    # label reads back as given.
+    labels = ["crm & dr <x>", "a > b", "plain"]
+    svg = render_svg([_series(label, [(1.0, 0.0), (0.0, 0.0)]) for label in labels])
+    root = ElementTree.fromstring(svg)
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert [t for t in texts if t in labels] == labels
+
+
+@given(st.text())
+def test_label_escape_is_saxutils_escape(text):
+    assert _escape(text) == saxutils.escape(text)
