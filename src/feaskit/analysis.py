@@ -4,8 +4,9 @@ Rates are diagnosed from the error sequence e_n, the distance of each
 iterate to a known solution.  The classifier looks at the tail of the
 order-1 and order-2 ratio sequences and picks the strongest class whose
 finite-sample screen passes: exact landings are Finite, bounded order-2
-ratios mean Quadratic, strictly decreasing order-1 ratios mean
-Superlinear, and a flat positive ratio below 1 means Linear.
+ratios mean Quadratic once the order-1 ratios have fallen below 0.1,
+strictly decreasing order-1 ratios mean Superlinear, and a flat positive
+ratio below 1 means Linear.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def classify_rate(trace: Trace, solution) -> RateClass:
 
     lo, hi = _RATIO_BAND
     bounded = all(lo <= r <= hi for r in t2)
-    if bounded and max(t2) < 10.0 * min(t2) and decreasing:
+    if bounded and max(t2) < 10.0 * min(t2) and decreasing and t1[-1] < 0.1:
         m_est = float(np.exp(np.mean(np.log(t2))))
         return RateClass(RateKind.QUADRATIC, constant=m_est)
     if decreasing and t1[-1] < 0.1:

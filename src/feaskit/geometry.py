@@ -151,26 +151,12 @@ def _abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
     return min(abs(float(u.dot(v))) / (nu * nv), 1.0)
 
 
-def alignment_ratio(x, rax, rbrax, tol: Tolerances | None = None) -> float | None:
-    """Absolute cosine of the angle at ``rbrax`` in the triple.
-
-    Returns a value in [0, 1], or None when either leg of the angle is
-    shorter than ``point_eq_eps`` (the ratio is undefined there).
-    """
-    tol = DEFAULT_TOLERANCES if tol is None else tol
-    x = as_point(x)
-    rax = as_point(rax, x.size)
-    rbrax = as_point(rbrax, x.size)
-    u = x - rbrax
-    v = rax - rbrax
-    return _abs_cosine(u, v, _norm(u), _norm(v), tol.point_eq_eps)
-
-
 def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> ColinearityCase:
     """Classify the reflection triple (x, Ra x, Rb Ra x).
 
-    The triple is non-colinear exactly when the alignment ratio is
-    defined and falls below 1 - colinearity_eps.  Otherwise the
+    The triple is non-colinear exactly when the absolute cosine of the
+    angle at ``rbrax`` is defined (both legs longer than point_eq_eps)
+    and falls below 1 - colinearity_eps.  Otherwise the
     coincidence pattern decides, checked in a fixed order: all three
     equal; exactly two survive; x equals the double reflection but not
     the single one; three distinct colinear points.

@@ -16,6 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -71,46 +72,34 @@ class StopRule:
             raise ValueError("cycle_window must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepResult:
-    """One hybrid step: the new iterate plus its reflection substeps.
+    """One reflection step: the new iterate ``next``, the reflections
+    ``rax`` and ``rbrax`` of the pre-step point x, and the ``case`` of the
+    triple (x, ``rax``, ``rbrax``), which the constructor takes as checked
+    points.
 
-    ``case`` classifies the triple (x, ``rax``, ``rbrax``).  A DR step of
-    ``run`` never dispatches on it, so it computes ``case`` the first time
-    the field is read, from its pre-step point, ``rax``, ``rbrax`` and
-    the run's tolerances, and keeps the value.
+    ``case`` is classified under ``tol`` when first read, and kept.  A
+    ``hybrid`` step reads it and takes the circumcenter of a non-colinear
+    triple.  Every other step is the average of x and ``rbrax``, and a
+    step that is not ``hybrid`` leaves ``case`` unread.
     """
 
     next: np.ndarray
     case: ColinearityCase
     rax: np.ndarray
     rbrax: np.ndarray
-    used_circumcenter: bool
+    used_circumcenter: bool = False
 
-    def __post_init__(self):
-        # A circumcenter of three distinct colinear points does not
-        # exist, so that combination can never be reported.
-        if self.used_circumcenter and self.case is ColinearityCase.DISTINCT_COLINEAR:
-            raise ValueError("circumcenter cannot come from a distinct-colinear triple")
+    def __init__(self, x, rax, rbrax, tol: Tolerances | None = None, hybrid: bool = True):
+        self.__dict__.update(next=0.5 * (x + rbrax), rax=rax, rbrax=rbrax, _x=x, _tol=tol)
+        if hybrid and self.case is ColinearityCase.NON_COLINEAR:
+            self.__dict__.update(next=circumcenter(x, rax, rbrax, tol), used_circumcenter=True)
 
-    @classmethod
-    def _averaged(cls, x, rax, rbrax, tol: Tolerances) -> StepResult:
-        """The averaged step from checked points, its case not yet classified."""
-        step = object.__new__(cls)
-        vars(step).update(
-            next=0.5 * (x + rbrax), rax=rax, rbrax=rbrax, used_circumcenter=False, _triple=(x, tol)
-        )
-        return step
-
-    def __getattr__(self, name):
-        # Reached only for an attribute the instance lacks: the case of an
-        # averaged step that nobody has read yet.
-        state = vars(self)
-        if name != "case" or "_triple" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        x, tol = state["_triple"]
-        state["case"] = case = classify_triple(x, self.rax, self.rbrax, tol)
-        return case
+    # A descriptor-typed field: the default of ``case`` is this property.
+    @cached_property
+    def case(self) -> ColinearityCase:
+        return classify_triple(self._x, self.rax, self.rbrax, self._tol)
 
 
 @dataclass
@@ -188,26 +177,18 @@ def _altproj(a, b, graph, x, pax, tol):
 
 def _crm(a, b, graph, x, pax, tol):
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
-    through B.  The step is the circumcenter of (x, R_A x, R_B R_A x)
-    when that triple spans a triangle, else the average of x and
-    R_B R_A x.  ``x`` must be a checked point."""
+    through B, and take the hybrid step.  ``x`` must be a checked point."""
     rax = 2.0 * pax - x
-    rbrax = 2.0 * b.project(rax, tol) - rax
-    case = classify_triple(x, rax, rbrax, tol)
-    if case is ColinearityCase.NON_COLINEAR:
-        result = StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
-    else:
-        result = StepResult(0.5 * (x + rbrax), case, rax, rbrax, False)
+    result = StepResult(x, rax, 2.0 * b.project(rax, tol) - rax, tol)
     return result.next, result
 
 
 def _dr(a, b, graph, x, pax, tol):
     """The average of x and R_B R_A x, reflected as in ``_crm``.  Nothing
-    dispatches on the case, so the step computes it when it is first
-    read; R_B R_A x is still checked finite here, where classifying it
-    would have."""
+    reads the case, so R_B R_A x is checked finite here, where
+    classifying it would have."""
     rax = 2.0 * pax - x
-    result = StepResult._averaged(x, rax, as_point(2.0 * b.project(rax, tol) - rax), tol)
+    result = StepResult(x, rax, as_point(2.0 * b.project(rax, tol) - rax), tol, hybrid=False)
     return result.next, result
 
 

@@ -220,7 +220,8 @@ def test_classification_is_scale_invariant():
 
 # Verbatim copies (docstrings dropped) of classify_rate and its ratio helper
 # from before the screens ran on Python floats; classify_rate must match
-# them bit for bit.
+# them bit for bit.  One change since: the Quadratic screen also needs the
+# last order-1 ratio below 0.1, so a stalled tail is not read as Quadratic.
 def _ref_ratios(e: np.ndarray, order: float) -> np.ndarray:
     out = []
     errs = e.tolist()  # Python floats: same IEEE results, cheaper per step
@@ -251,7 +252,7 @@ def _ref_classify_rate(trace: Trace, solution) -> RateClass:
 
     lo, hi = analysis._RATIO_BAND
     bounded = bool(np.all((t2 >= lo) & (t2 <= hi)))
-    if bounded and float(t2.max()) < 10.0 * float(t2.min()) and decreasing:
+    if bounded and float(t2.max()) < 10.0 * float(t2.min()) and decreasing and float(t1[-1]) < 0.1:
         m_est = float(np.exp(np.mean(np.log(t2))))
         return RateClass(RateKind.QUADRATIC, constant=m_est)
     if decreasing and float(t1[-1]) < 0.1:
@@ -358,6 +359,29 @@ def test_classify_real_shifted_parabola_is_quadratic():
     tr = run("crm", p.a, p.b, (0.5, 0.0))
     rate = classify_rate(tr, nearest_solution(p, tr.final))
     assert rate.kind is RateKind.QUADRATIC
+
+
+def _signed_fourth(t):
+    if isinstance(t, float):
+        return math.copysign(abs(t) ** 4, t)
+    return np.sign(t) * np.abs(t) ** 4
+
+
+def test_classify_real_stalled_run_is_not_quadratic():
+    # On sign(t)|t|^4 the hybrid averages from about t = 0.02 on, and CRM's
+    # error stalls near 5e-3.  Its order-2 ratios sit flat near 188 while
+    # its order-1 ratios creep down just below 1: a quadratic tail needs
+    # those to go to 0.
+    g = FunctionGraph(_signed_fourth, derivative=lambda t: 4 * abs(t) ** 3, nonsmooth=(0.0,))
+    axis = Hyperplane((0.0, 1.0), 0.0)
+    tr = run("crm", g, axis, (0.3, 0.0))
+    assert tr.stop is StopReason.MAX_ITER and tr.iterations == 100
+    assert sum(not s.used_circumcenter for s in tr.step_results) == 86
+    assert error_ratios(tr, ORIGIN)[-1] > 0.99
+    assert classify_rate(tr, ORIGIN).kind is RateKind.INCONCLUSIVE
+    newton = classify_rate(run("newton", g, axis, (0.3, 0.0)), ORIGIN)
+    assert newton.kind is RateKind.LINEAR
+    assert newton.constant == pytest.approx(0.75, abs=0.01)
 
 
 def test_classify_real_newton_cycle():

@@ -429,6 +429,21 @@ def test_non_finite_start_is_a_config_error(command, x0, capsys):
     assert "non-finite" in captured.err
 
 
+def test_a_start_without_coordinates_is_a_config_error(capsys):
+    assert main(["run", "--problem", "parabola", "--x0", ","]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot parse point ','" in captured.err
+
+
+def test_a_json_trace_without_iterates_is_a_bad_trace_file(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"iterates": []}), encoding="utf-8")
+    assert main(["plot", str(path), "--out", str(tmp_path / "empty.svg")]) == EXIT_BAD_TRACE
+    assert "trace holds no iterates" in capsys.readouterr().err
+    assert not (tmp_path / "empty.svg").exists()
+
+
 # Per command: valid, a missing value, an unknown option, an extra
 # positional (plot takes any number) and help; then abbreviations, "="
 # values, a leading "-" in a value and "--".

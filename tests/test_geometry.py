@@ -1,4 +1,4 @@
-"""Circumcenter kernel, alignment ratios, and triple classification."""
+"""Circumcenter kernel, alignment cosines, and triple classification."""
 
 import math
 import warnings
@@ -18,7 +18,6 @@ from feaskit import (
     NonFinitePoint,
     Sphere,
     Tolerances,
-    alignment_ratio,
     as_point,
     circumcenter,
     classify_triple,
@@ -217,18 +216,6 @@ def test_circumcenter_is_equidistant_and_ignores_argument_order(pts, order):
     assert max(d) - min(d) <= EQUIDIST_TOL * (1.0 + max(d))
 
 
-def test_alignment_ratio_values():
-    assert alignment_ratio((1.0, 0.0), (0.0, 1.0), (0.0, 0.0)) == 0.0
-    r = alignment_ratio((1.0, 1.0), (1.0, 0.0), (0.0, 0.0))
-    assert abs(r - 1.0 / math.sqrt(2.0)) <= 1e-15
-    assert alignment_ratio((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)) == 1.0
-
-
-def test_alignment_ratio_undefined_on_tiny_leg():
-    assert alignment_ratio((1.0, 0.0), (0.0, 1.0), (1.0, 0.0)) is None
-    assert alignment_ratio((1.0, 0.0), (1.0, 0.0), (0.0, 1.0)) is not None
-
-
 def test_classify_triple_five_cases():
     assert classify_triple((1.0, 1.0), (1.0, 1.0), (1.0, 1.0)) is ColinearityCase.ALL_COINCIDE
     assert classify_triple((0.0, 0.0), (0.0, 0.0), (1.0, 0.0)) is ColinearityCase.TWO_DISTINCT
@@ -352,16 +339,6 @@ def _ref_abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
     return min(abs(float(u @ v)) / (nu * nv), 1.0)
 
 
-def _ref_alignment_ratio(x, rax, rbrax, tol: Tolerances | None = None) -> float | None:
-    tol = DEFAULT_TOLERANCES if tol is None else tol
-    x = _ref_as_point(x)
-    rax = _ref_as_point(rax, x.size)
-    rbrax = _ref_as_point(rbrax, x.size)
-    u = x - rbrax
-    v = rax - rbrax
-    return _ref_abs_cosine(u, v, _ref_norm(u), _ref_norm(v), tol.point_eq_eps)
-
-
 def _ref_classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> ColinearityCase:
     tol = DEFAULT_TOLERANCES if tol is None else tol
     x = _ref_as_point(x)
@@ -466,7 +443,6 @@ def test_kernels_match_the_reference_bitwise(case):
     pairs = [
         (lambda: circumcenter(p, q, r, tol), lambda: _ref_circumcenter(p, q, r, tol)),
         (lambda: classify_triple(p, q, r, tol), lambda: _ref_classify_triple(p, q, r, tol)),
-        (lambda: alignment_ratio(p, q, r, tol), lambda: _ref_alignment_ratio(p, q, r, tol)),
         (lambda: _norm(p - q), lambda: _ref_norm(p - q)),
         (
             lambda: _abs_cosine(p - r, q - r, _norm(p - r), _norm(q - r), eps),

@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from feaskit import (
+    FeasibleSet,
+    FunctionGraph,
     Hyperplane,
     Sphere,
     TraceSeries,
@@ -87,6 +89,19 @@ def test_render_svg_graph_outline_respects_domain():
     g = make_curve("pnorm_branch", p=2.0, a=1.0, b=1.0, cx=0.0, cy=-0.5)
     svg = render_svg([s], sets=(g, Hyperplane((0.0, 1.0), 0.0)))
     assert svg.count("<polyline") >= 4
+
+
+class _Origin(FeasibleSet):
+    dimension = 2
+
+    def project(self, x, tol=None):
+        return np.zeros(2)
+
+
+def test_render_svg_draws_no_outline_off_the_view_or_of_an_unknown_kind():
+    s = _series("path", [(0.5, 0.0), (0.9, 0.0)])
+    off_view = FunctionGraph(f=lambda t: t, domain=(10.0, 11.0))
+    assert render_svg([s], sets=(off_view, _Origin())) == render_svg([s])
 
 
 def test_render_svg_places_only_finite_pixels():

@@ -13,6 +13,7 @@ from feaskit import (
     CURVES,
     CaseLabel,
     DimensionMismatch,
+    FeasibleSet,
     FunctionGraph,
     Hyperplane,
     Problem,
@@ -283,6 +284,21 @@ def test_problem_file_errors(tmp_path):
     incomplete.write_text(json.dumps({"name": "x"}), encoding="utf-8")
     with pytest.raises(UnknownProblem):
         load_problem(incomplete)
+
+
+class _Origin(FeasibleSet):
+    """A set kind the problem format does not know: the origin of R^2."""
+
+    dimension = 2
+
+    def project(self, x, tol=None):
+        return np.zeros(2)
+
+
+def test_problem_to_dict_rejects_a_set_of_an_unknown_kind():
+    p = Problem("origin", _Origin(), Hyperplane((0.0, 1.0), 0.0), ((0.0, 0.0),), (1.0, 1.0))
+    with pytest.raises(UnknownProblem, match="cannot serialize set of type _Origin"):
+        problem_to_dict(p)
 
 
 def test_problem_from_dict_rejects_bad_sets():

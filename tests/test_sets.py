@@ -535,3 +535,14 @@ def test_graph_projection_oracle_calls():
     at_p = [value for t, value in scalar_calls if t == p[0]]
     assert at_p
     assert all(np.float64(value).tobytes() == p[1].tobytes() for value in at_p)
+
+
+def test_a_nan_derivative_skips_the_polish():
+    # The polish slope comes out NaN, so the projection is the golden
+    # section's winner, as for a graph without a derivative oracle.
+    base = builtin("parabola").graph
+    nan_slope = FunctionGraph(f=base.f, derivative=lambda t: math.nan, domain=base.domain)
+    no_slope = FunctionGraph(f=base.f, domain=base.domain)
+    got = nan_slope.project((0.75, 0.5))
+    assert got.tobytes() == no_slope.project((0.75, 0.5)).tobytes()
+    assert got.tobytes() != base.project((0.75, 0.5)).tobytes()

@@ -59,16 +59,38 @@ def test_stop_rule_validation():
     assert StopRule().residual_tol == 1e-10
 
 
-def test_step_result_rejects_impossible_combination():
-    p = np.zeros(2)
-    with pytest.raises(ValueError):
-        StepResult(
-            next=p,
-            case=ColinearityCase.DISTINCT_COLINEAR,
-            rax=p,
-            rbrax=p,
-            used_circumcenter=True,
-        )
+def test_a_hybrid_step_averages_a_distinct_colinear_triple():
+    x, rax, rbrax = np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([2.0, 0.0])
+    step = StepResult(x, rax, rbrax)
+    assert step.case is ColinearityCase.DISTINCT_COLINEAR
+    assert not step.used_circumcenter
+    assert np.array_equal(step.next, np.array([1.0, 0.0]))
+
+
+def test_a_hybrid_step_takes_the_circumcenter_of_a_spanning_triple():
+    x, rax, rbrax = np.array([0.0, 0.0]), np.array([1.0, 0.3]), np.array([0.2, 1.0])
+    step = StepResult(x, rax, rbrax)
+    assert step.case is ColinearityCase.NON_COLINEAR and step.used_circumcenter
+    assert _bits(step.next) == _bits(circumcenter(x, rax, rbrax))
+
+
+def test_an_averaged_step_classifies_only_when_its_case_is_read(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify_triple(*args)
+
+    monkeypatch.setattr(solvers, "classify_triple", counted)
+    x, rax, rbrax = np.array([0.0, 0.0]), np.array([1.0, 0.3]), np.array([0.2, 1.0])
+    # A switch this loose reads the spanning triple as colinear.
+    tol = Tolerances(colinearity_eps=0.6)
+    step = StepResult(x, rax, rbrax, tol, hybrid=False)
+    assert not step.used_circumcenter and calls == []
+    assert _bits(step.next) == _bits(0.5 * (x + rbrax))
+    assert step.case is ColinearityCase.DISTINCT_COLINEAR
+    assert step.case is ColinearityCase.DISTINCT_COLINEAR
+    assert len(calls) == 1 and calls[0][3] is tol
 
 
 def test_trace_validation():
@@ -473,15 +495,26 @@ def test_screened_cycle_lag_matches_the_unscreened_loop(case):
     assert _cycle_lag(iterates, firsts, window, eps) == _unscreened_cycle_lag(iterates, window, eps)
 
 
-def _eager_reflection_step(b, x, pax, tol, circumcenter_cases) -> StepResult:
+@dataclasses.dataclass(frozen=True)
+class _EagerStep:
+    # The step record as it was built field by field, before StepResult
+    # took the triple and computed the rest itself.
+    next: np.ndarray
+    case: ColinearityCase
+    rax: np.ndarray
+    rbrax: np.ndarray
+    used_circumcenter: bool
+
+
+def _eager_reflection_step(b, x, pax, tol, circumcenter_cases) -> _EagerStep:
     # Verbatim copy, docstring dropped, of the step that classified every
     # triple before DR deferred its case: the reference for DR's steps.
     rax = 2.0 * pax - x
     rbrax = 2.0 * b.project(rax, tol) - rax
     case = classify_triple(x, rax, rbrax, tol)
     if case in circumcenter_cases:
-        return StepResult(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
-    return StepResult(0.5 * (x + rbrax), case, rax, rbrax, False)
+        return _EagerStep(circumcenter(x, rax, rbrax, tol), case, rax, rbrax, True)
+    return _EagerStep(0.5 * (x + rbrax), case, rax, rbrax, False)
 
 
 def _eager_dr(a, b, graph, x, pax, tol):
