@@ -175,6 +175,20 @@ class ComparisonRow:
             note=note,
         )
 
+    def record(self) -> dict:
+        """The row as ``compare --format json`` prints it; CSV prints a subset."""
+        return {
+            "method": self.method,
+            "iterations": self.iterations,
+            "final_residual": self.final_residual,
+            "rate_class": self.rate and self.rate.kind.value,
+            "rate_constant": self.rate and self.rate.constant,
+            "rate_count": self.rate and self.rate.count,
+            "wall_time_ms": self.wall_time * 1e3,
+            "stop": self.stop.value,
+            "note": self.note,
+        }
+
 
 def compare(
     problem: Problem,
@@ -204,22 +218,15 @@ def compare(
 
 
 def comparison_to_csv(rows) -> str:
-    """Render comparison rows as a CSV table."""
+    """Render comparison rows as a CSV table of six fields of each row's
+    record; a Finite or Cycling count fills the constant column."""
     lines = ["method,iterations,final_residual,rate_class,rate_constant,wall_time_ms"]
-    for r in rows:
-        if r.rate is None:
-            kind = ""
-            constant = ""
-        else:
-            kind = r.rate.kind.value
-            if r.rate.constant is not None:
-                constant = f"{r.rate.constant:.6g}"
-            elif r.rate.count is not None:
-                constant = str(r.rate.count)
-            else:
-                constant = ""
-        residual = "nan" if math.isnan(r.final_residual) else f"{r.final_residual:.6g}"
+    for rec in (r.record() for r in rows):
+        # A rate carries a constant or a count, never both.
+        constant = rec["rate_constant"]
+        cell = rec["rate_count"] if constant is None else f"{constant:.6g}"
         lines.append(
-            f"{r.method},{r.iterations},{residual},{kind},{constant},{r.wall_time * 1e3:.3f}"
+            f"{rec['method']},{rec['iterations']},{rec['final_residual']:.6g},"
+            f"{rec['rate_class'] or ''},{'' if cell is None else cell},{rec['wall_time_ms']:.3f}"
         )
     return "\n".join(lines) + "\n"

@@ -140,14 +140,25 @@ def _trace_doc(trace: Trace, problem_name: str) -> dict:
     }
 
 
+def _header_lines(doc: dict) -> list:
+    """A record's CSV header, one ``# key=value`` line per set field (line
+    breaks become spaces), with ``wall_time`` to six significant digits."""
+    fields = {key: doc.get(key) for key in ("method", "problem", "stop")}
+    if doc.get("wall_time") is not None:
+        fields["wall_time"] = f"{doc['wall_time']:.6g}"
+    fields.update((key, doc.get(key)) for key in ("cycle_period", "message") if doc.get(key) != "")
+    return [f"# {k}={' '.join(str(v).splitlines())}" for k, v in fields.items() if v is not None]
+
+
+def _header_fields(lines) -> dict:
+    """The fields of ``# key=value`` header lines, every value a string."""
+    pairs = (line[1:].strip().partition("=") for line in lines)
+    return {key.strip(): value for key, _, value in pairs}
+
+
 def write_trace_csv(path, trace: Trace, problem_name: str) -> None:
     doc = _trace_doc(trace, problem_name)
-    meta = {key: doc[key] for key in ("method", "problem", "stop")}
-    meta["wall_time"] = f"{doc['wall_time']:.6g}"
-    optional = ("cycle_period", "message")
-    meta.update((key, doc[key]) for key in optional if doc[key] not in (None, ""))
-    # One line per value, split the way read_trace splits the file.
-    lines = [f"# {key}={' '.join(str(value).splitlines())}" for key, value in meta.items()]
+    lines = _header_lines(doc)
     cols = ",".join(f"x{i}" for i in range(trace.iterates.shape[1]))
     lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
     dist, cases, used = doc["dist_to_solution"], doc["case_tags"], doc["used_circumcenter"]
@@ -165,9 +176,9 @@ def write_trace_json(path, trace: Trace, problem_name: str) -> None:
 
 def read_trace(path):
     """Parse a trace file (CSV or JSON) into (metadata, TraceSeries): the
-    metadata is every ``# key=value`` line of a CSV trace, or the ``method``,
-    ``problem`` and ``stop`` a JSON one sets; the values are the distances
-    to the solution if recorded, else the residuals."""
+    metadata is the record's header fields as its CSV trace reads them, so
+    both encodings of one record give the same strings; the values are the
+    distances to the solution if recorded, else the residuals."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -175,7 +186,9 @@ def read_trace(path):
     try:
         if text.lstrip().startswith("{"):
             doc = json.loads(text)
-            meta = {k: doc[k] for k in ("method", "problem", "stop") if doc.get(k) is not None}
+            if not all(isinstance(doc.get(k), (str, type(None))) for k in ("method", "problem")):
+                raise ValueError("method and problem must be strings")
+            meta = _header_fields(_header_lines(doc))
         else:
             meta, doc = _csv_record(text)
         iterates = np.asarray(doc["iterates"], dtype=float)
@@ -184,8 +197,6 @@ def read_trace(path):
         values = np.asarray(values, dtype=float)
         if values.ndim != 1:
             raise ValueError("values are not a 1-D array")
-        if not all(isinstance(meta.get(key, ""), str) for key in ("method", "problem")):
-            raise ValueError("method and problem must be strings")
     except (KeyError, ValueError, IndexError, TypeError) as exc:
         raise _TraceFileError(f"malformed trace file {path}: {exc}") from exc
     if iterates.ndim != 2 or iterates.shape[0] == 0:
@@ -194,14 +205,10 @@ def read_trace(path):
 
 
 def _csv_record(text: str):
-    """The ``# key=value`` fields and the record's columns of a CSV trace."""
-    meta, rows = {}, []
+    """The header fields and the record's columns of a CSV trace."""
+    comments, rows = [], []
     for line in filter(str.strip, text.splitlines()):
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key.strip()] = value
-        else:
-            rows.append(line)
+        (comments if line.startswith("#") else rows).append(line)
     if len(rows) < 2:
         raise _TraceFileError("trace holds no iterates")
     header = rows[0].split(",")
@@ -209,7 +216,7 @@ def _csv_record(text: str):
     i_res, i_dist = header.index("residual"), header.index("dist_to_solution")
     table = list(csv.reader(rows[1:]))
     dist = [float(row[i_dist]) for row in table if row[i_dist]]
-    return meta, {
+    return _header_fields(comments), {
         "iterates": [[float(v) for v in row[1 : 1 + dim]] for row in table],
         "residuals": [float(row[i_res]) for row in table],
         "dist_to_solution": dist if len(dist) == len(table) else None,
@@ -249,23 +256,7 @@ def cmd_compare(args) -> int:
     if args.format == "csv":
         table = comparison_to_csv(rows)
     else:
-        table = json.dumps(
-            [
-                {
-                    "method": r.method,
-                    "iterations": r.iterations,
-                    "final_residual": r.final_residual,
-                    "rate_class": r.rate.kind.value if r.rate else None,
-                    "rate_constant": r.rate.constant if r.rate else None,
-                    "rate_count": r.rate.count if r.rate else None,
-                    "wall_time_ms": r.wall_time * 1e3,
-                    "stop": r.stop.value,
-                    "note": r.note,
-                }
-                for r in rows
-            ],
-            indent=2,
-        ) + "\n"
+        table = json.dumps([r.record() for r in rows], indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
         print(f"wrote {args.out}")

@@ -143,16 +143,15 @@ def _golden_min(f: Callable, x0: float, x1: float, a: float, b: float, xtol: flo
     """Golden-section minimum on [a, b] of the squared distance from
     (x0, x1) to the curve; returns (t, distance squared, f(t)).
 
-    A NaN distance counts as +inf, so the search moves away from where
-    the curve has no value.  Squares are ``** 2`` (libm ``pow``), whose
-    last bit can differ from ``x * x``'s; projections are pinned bitwise.
+    A NaN ``dc`` fails ``dc < dd`` as +inf would, and a NaN ``dd`` is set
+    to +inf, so the search moves away from where the curve has no value.
+    Squares are ``** 2`` (libm ``pow``), whose last bit can differ from
+    ``x * x``'s; projections are pinned bitwise.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = float(f(c))
     dc = (x0 - c) ** 2 + (x1 - fc) ** 2
-    if dc != dc:
-        dc = math.inf
     fd = float(f(d))
     dd = (x0 - d) ** 2 + (x1 - fd) ** 2
     if dd != dd:
@@ -165,8 +164,6 @@ def _golden_min(f: Callable, x0: float, x1: float, a: float, b: float, xtol: flo
             c = b - _INVPHI * (b - a)
             fc = float(f(c))
             dc = (x0 - c) ** 2 + (x1 - fc) ** 2
-            if dc != dc:
-                dc = math.inf
         else:
             a, c, fc, dc = c, d, fd, dd
             d = a + _INVPHI * (b - a)

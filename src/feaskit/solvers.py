@@ -72,7 +72,7 @@ class StopRule:
             raise ValueError("cycle_window must be nonnegative")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class StepResult:
     """One reflection step: the new iterate ``next``, the reflections
     ``rax`` and ``rbrax`` of the pre-step point x, and the ``case`` of the
@@ -102,9 +102,9 @@ class StepResult:
         return classify_triple(self._x, self.rax, self.rbrax, self._tol)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    """Complete history of one run."""
+    """Complete history of one run.  Traces and steps compare by identity."""
 
     method: str
     iterates: np.ndarray

@@ -1,5 +1,6 @@
 """Rate diagnostics: error sequences, ratio tails, classification."""
 
+import json
 import math
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from feaskit import (
+    ComparisonRow,
     FeasibleSet,
     FunctionGraph,
     Hyperplane,
@@ -475,6 +477,74 @@ def test_comparison_to_csv_layout():
     assert ",quadratic," in lines[1]
     assert lines[2].startswith("dr,31,")
     assert ",linear,0.5," in lines[2]
+
+
+# Verbatim copies, renamed, of the CSV table writer and of the JSON row
+# dict `feaskit compare` built inline, from before both read one record.
+def _ref_comparison_to_csv(rows) -> str:
+    lines = ["method,iterations,final_residual,rate_class,rate_constant,wall_time_ms"]
+    for r in rows:
+        if r.rate is None:
+            kind = ""
+            constant = ""
+        else:
+            kind = r.rate.kind.value
+            if r.rate.constant is not None:
+                constant = f"{r.rate.constant:.6g}"
+            elif r.rate.count is not None:
+                constant = str(r.rate.count)
+            else:
+                constant = ""
+        residual = "nan" if math.isnan(r.final_residual) else f"{r.final_residual:.6g}"
+        lines.append(
+            f"{r.method},{r.iterations},{residual},{kind},{constant},{r.wall_time * 1e3:.3f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _ref_json_row(r) -> dict:
+    return {
+        "method": r.method,
+        "iterations": r.iterations,
+        "final_residual": r.final_residual,
+        "rate_class": r.rate.kind.value if r.rate else None,
+        "rate_constant": r.rate.constant if r.rate else None,
+        "rate_count": r.rate.count if r.rate else None,
+        "wall_time_ms": r.wall_time * 1e3,
+        "stop": r.stop.value,
+        "note": r.note,
+    }
+
+
+_rates = st.one_of(
+    st.none(),
+    st.sampled_from([RateKind.SUPERLINEAR, RateKind.DIVERGING, RateKind.INCONCLUSIVE]).map(
+        RateClass
+    ),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(
+        lambda c: RateClass(RateKind.LINEAR, constant=c)
+    ),
+    st.floats(0.0, exclude_min=True).map(lambda c: RateClass(RateKind.QUADRATIC, constant=c)),
+    st.integers(0, 10**6).map(lambda n: RateClass(RateKind.FINITE, count=n)),
+    st.integers(1, 10**6).map(lambda n: RateClass(RateKind.CYCLING, count=n)),
+)
+_rows = st.builds(
+    ComparisonRow,
+    method=st.text(max_size=8),
+    iterations=st.integers(0, 10**6),
+    final_residual=st.floats(min_value=0.0) | st.just(math.nan),
+    rate=_rates,
+    wall_time=st.floats(min_value=0.0) | st.just(math.nan),
+    stop=st.sampled_from(StopReason),
+    note=st.text(max_size=8),
+)
+
+
+@given(st.lists(_rows, max_size=4))
+def test_comparison_rows_render_as_the_reference(rows):
+    assert comparison_to_csv(rows) == _ref_comparison_to_csv(rows)
+    records = [r.record() for r in rows]
+    assert json.dumps(records) == json.dumps([_ref_json_row(r) for r in rows])
 
 
 def test_comparison_to_csv_finite_and_error_rows():

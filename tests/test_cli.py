@@ -621,6 +621,10 @@ def _read_result(parsed):
 
 
 def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, directory) -> None:
+    """Both trace files are the reference's bytes.  Reading either gives the
+    reference reader's arrays, and the metadata and label the reference
+    reads from the CSV trace: a JSON trace reads as its CSV trace does."""
+    csv_meta_and_label = None
     for ext, write, ref_write in (
         ("csv", write_trace_csv, _ref_write_trace_csv),
         ("json", write_trace_json, _ref_write_trace_json),
@@ -629,7 +633,9 @@ def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, dir
         write(path, trace, problem_name)
         ref_write(ref_path, trace, problem_name)
         assert path.read_bytes() == ref_path.read_bytes(), ext
-        assert _read_result(read_trace(path)) == _read_result(_ref_read_trace(ref_path)), ext
+        meta, label, arrays = _read_result(_ref_read_trace(ref_path))
+        csv_meta_and_label = csv_meta_and_label or (meta, label)
+        assert _read_result(read_trace(path)) == (*csv_meta_and_label, arrays), ext
 
 
 def _catalog_traces():
@@ -725,8 +731,12 @@ def test_hand_made_csv_traces_read_as_the_reference(text, tmp_path):
         {"residuals": {"a": 1}},
         {"problem": ["x"]},
         {"residuals": [[1.0, 0.5]]},
+        {"wall_time": "soon"},
     ],
-    ids=["dist-a-number", "residuals-an-object", "problem-a-list", "residuals-a-matrix"],
+    ids=[
+        "dist-a-number", "residuals-an-object", "problem-a-list", "residuals-a-matrix",
+        "wall-time-a-string",
+    ],
 )
 def test_malformed_json_traces_exit_65(field, tmp_path, capsys):
     path = tmp_path / "bad.json"

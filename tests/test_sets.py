@@ -23,6 +23,7 @@ from feaskit import (
     make_curve,
     problem_names,
 )
+from feaskit.sets import _golden_min as _sets_golden_min
 from feaskit.sets import _grid
 
 EXACT = 0.0
@@ -546,3 +547,68 @@ def test_a_nan_derivative_skips_the_polish():
     got = nan_slope.project((0.75, 0.5))
     assert got.tobytes() == no_slope.project((0.75, 0.5)).tobytes()
     assert got.tobytes() != base.project((0.75, 0.5)).tobytes()
+
+
+# Verbatim copy, renamed, of sets._golden_min from before it stopped
+# mapping a NaN ``dc`` to +inf: the reference for its bits.
+def _golden_min_dc_as_inf(f, x0: float, x1: float, a: float, b: float, xtol: float):
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = float(f(c))
+    dc = (x0 - c) ** 2 + (x1 - fc) ** 2
+    if dc != dc:
+        dc = math.inf
+    fd = float(f(d))
+    dd = (x0 - d) ** 2 + (x1 - fd) ** 2
+    if dd != dd:
+        dd = math.inf
+    for _ in range(256):
+        if b - a <= xtol:
+            break
+        if dc < dd:
+            b, d, fd, dd = d, c, fc, dc
+            c = b - _INVPHI * (b - a)
+            fc = float(f(c))
+            dc = (x0 - c) ** 2 + (x1 - fc) ** 2
+            if dc != dc:
+                dc = math.inf
+        else:
+            a, c, fc, dc = c, d, fd, dd
+            d = a + _INVPHI * (b - a)
+            fd = float(f(d))
+            dd = (x0 - d) ** 2 + (x1 - fd) ** 2
+            if dd != dd:
+                dd = math.inf
+    return (c, dc, fc) if dc < dd else (d, dd, fd)
+
+
+_CUT_CURVES = {
+    "sqrt": lambda t: math.sqrt(abs(t)),
+    "square": lambda t: t * t,
+    "sin": math.sin,
+    "line": lambda t: 0.5 - t,
+}
+
+
+@given(
+    st.sampled_from(sorted(_CUT_CURVES)),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 3.0),
+    st.sampled_from([1e-12, 1e-6, 1e-2]),
+)
+# sqrt, NaN below 0, from (0, -0.5): the search closes in on t = 0 from
+# the right, so a point it draws inside the loop has a NaN distance.
+@example("sqrt", 0.0, True, 0.0, -0.5, -0.0005, 0.001, 1e-12)
+def test_golden_min_with_a_nan_side_matches_the_reference_bitwise(
+    name, cut, nan_below, x0, x1, a, width, xtol
+):
+    def f(t):
+        return math.nan if (t < cut) == nan_below else _CUT_CURVES[name](t)
+
+    got = _sets_golden_min(f, x0, x1, a, a + width, xtol)
+    want = _golden_min_dc_as_inf(f, x0, x1, a, a + width, xtol)
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -104,6 +104,20 @@ def test_trace_validation():
     assert np.array_equal(tr.final, pts[-1])
 
 
+@pytest.mark.parametrize("method", ["crm", "dr"])
+def test_steps_and_traces_compare_and_hash_by_identity(method):
+    # Their fields are arrays, so field-wise == would raise ValueError and
+    # hash would raise TypeError.
+    p = builtin("sphere-line")
+    one, two = (run(method, p.a, p.b, p.default_x0) for _ in range(2))
+    assert one.iterates.tobytes() == two.iterates.tobytes()
+    step = one.step_results[0]
+    assert step == step and step != two.step_results[0]
+    assert one == one and one != two
+    assert hash(step) == hash(step) and hash(one) == hash(one)
+    assert {step, one} == {step, one}
+
+
 def _first_step(method, a, b, x0) -> Trace:
     return run(method, a, b, x0, StopRule(max_iter=1))
 
