@@ -151,8 +151,9 @@ def _header_lines(doc: dict) -> list:
 
 
 def _header_fields(lines) -> dict:
-    """The fields of ``# key=value`` header lines, every value a string."""
-    pairs = (line[1:].strip().partition("=") for line in lines)
+    """The fields of ``# key=value`` header lines, every value a string
+    kept exactly as written after the ``=``."""
+    pairs = (line[1:].partition("=") for line in lines)
     return {key.strip(): value for key, _, value in pairs}
 
 

@@ -21,28 +21,25 @@ from .errors import DimensionMismatch, DistinctColinearInput, NonFinitePoint
 # a solver classifies as non-colinear still get a (possibly distant)
 # circumcenter instead of an error.
 _SINGULAR_RTOL = 1e-13
+# Two points closer than this coincide.
+_POINT_EQ_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances shared by the geometry kernel and the solvers.
+    """The slack of the triple alignment test (dimensionless), which
+    decides when a hybrid step averages instead of taking the
+    circumcenter.
 
-    colinearity_eps   slack in the triple alignment test (dimensionless)
-    point_eq_eps      two points closer than this coincide
-    projection_tol    target bracket width for graph projections
-
-    The solver's stopping residual is ``StopRule.residual_tol``.
+    Points within 1e-12 of each other coincide; the solver's stopping
+    residual is ``StopRule.residual_tol``.
     """
 
     colinearity_eps: float = 1e-9
-    point_eq_eps: float = 1e-12
-    projection_tol: float = 1e-13
 
     def __post_init__(self):
-        for name in ("colinearity_eps", "point_eq_eps", "projection_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        if not self.colinearity_eps > 0.0:
+            raise ValueError(f"colinearity_eps must be strictly positive, got {self.colinearity_eps!r}")
         if not self.colinearity_eps < 1.0:
             raise ValueError("colinearity_eps must be below 1")
 
@@ -92,7 +89,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
+def circumcenter(u, v, w) -> np.ndarray:
     """Circumcenter of the triple {u, v, w} in the triple's affine hull.
 
     Degenerate inputs follow the cardinality conventions: a single
@@ -103,11 +100,10 @@ def circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
     The non-degenerate solve orders the points canonically first, so any
     permutation of the arguments produces the same output.
     """
-    tol = DEFAULT_TOLERANCES if tol is None else tol
     u = as_point(u)
     v = as_point(v, u.size)
     w = as_point(w, u.size)
-    eps = tol.point_eq_eps
+    eps = _POINT_EQ_EPS
 
     uv = _norm(u - v) <= eps
     vw = _norm(v - w) <= eps
@@ -142,11 +138,11 @@ def circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
     return a + z1 * q1 + z2 * q2
 
 
-def _abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
+def _abs_cosine(u, v, nu: float, nv: float) -> float | None:
     """|cos| of the angle between legs ``u`` and ``v`` of norms ``nu`` and
     ``nv``, clamped to [0, 1]; None when either leg is no longer than
-    ``eps``.  Unchecked: callers validate the points."""
-    if nu <= eps or nv <= eps:
+    ``_POINT_EQ_EPS``.  Unchecked: callers validate the points."""
+    if nu <= _POINT_EQ_EPS or nv <= _POINT_EQ_EPS:
         return None
     return min(abs(float(u.dot(v))) / (nu * nv), 1.0)
 
@@ -155,7 +151,7 @@ def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Colinearity
     """Classify the reflection triple (x, Ra x, Rb Ra x).
 
     The triple is non-colinear exactly when the absolute cosine of the
-    angle at ``rbrax`` is defined (both legs longer than point_eq_eps)
+    angle at ``rbrax`` is defined (both legs longer than 1e-12)
     and falls below 1 - colinearity_eps.  Otherwise the
     coincidence pattern decides, checked in a fixed order: all three
     equal; exactly two survive; x equals the double reflection but not
@@ -165,14 +161,14 @@ def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Colinearity
     x = as_point(x)
     rax = as_point(rax, x.size)
     rbrax = as_point(rbrax, x.size)
-    eps = tol.point_eq_eps
+    eps = _POINT_EQ_EPS
 
     u = x - rbrax
     v = rax - rbrax
     d_x_rb = _norm(u)
     d_ra_rb = _norm(v)
 
-    ratio = _abs_cosine(u, v, d_x_rb, d_ra_rb, eps)
+    ratio = _abs_cosine(u, v, d_x_rb, d_ra_rb)
     if ratio is not None and ratio < 1.0 - tol.colinearity_eps:
         return ColinearityCase.NON_COLINEAR
 

@@ -167,7 +167,7 @@ class Problem:
             raise ValueError("multiplicity applies only to convex-zero-slope problems")
         for s in sols:
             r = max(self.a.distance(s), self.b.distance(s))
-            if r > _SOLUTION_RESIDUAL_TOL:
+            if not r <= _SOLUTION_RESIDUAL_TOL:
                 raise ValueError(
                     f"known solution {s.tolist()} of {self.name!r} has residual {r:.3e}"
                 )

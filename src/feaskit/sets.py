@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
-from .geometry import DEFAULT_TOLERANCES, Tolerances, _norm, as_point
+from .geometry import _POINT_EQ_EPS, _norm, as_point
 
 _GRID_POINTS = 2048
 # The ramp np.linspace scales and shifts into each 2048-point grid.
@@ -26,6 +26,8 @@ _GRID_INDEX = np.arange(float(_GRID_POINTS))
 _GRID_INDEX.setflags(write=False)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
+# Target bracket width of a graph projection's abscissa search.
+_PROJECTION_TOL = 1e-13
 
 
 class FeasibleSet(ABC):
@@ -37,22 +39,22 @@ class FeasibleSet(ABC):
         """Ambient dimension of the set."""
 
     @abstractmethod
-    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
+    def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x`` (deterministic on ties)."""
 
-    def reflect(self, x, tol: Tolerances | None = None) -> np.ndarray:
+    def reflect(self, x) -> np.ndarray:
         """Reflection of ``x`` through the set: 2 P(x) - x."""
         x = as_point(x, self.dimension)
-        return 2.0 * self.project(x, tol) - x
+        return 2.0 * self.project(x) - x
 
-    def distance(self, x, tol: Tolerances | None = None) -> float:
+    def distance(self, x) -> float:
         x = as_point(x, self.dimension)
-        return _norm(x - self.project(x, tol))
+        return _norm(x - self.project(x))
 
 
 @dataclass(frozen=True, eq=False)
 class Hyperplane(FeasibleSet):
-    """Hyperplane {p : <normal, p> = offset}.
+    """Hyperplane {p : <normal, p> = offset}, for a finite offset.
 
     The normal is rescaled to unit length on construction (the offset is
     rescaled with it, so the point set is unchanged).
@@ -66,6 +68,8 @@ class Hyperplane(FeasibleSet):
         scale = _norm(n)
         if scale <= 0.0:
             raise DimensionMismatch("hyperplane normal must be nonzero")
+        if not math.isfinite(float(self.offset)):
+            raise ValueError(f"hyperplane offset must be finite, got {self.offset!r}")
         n = n / scale
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
@@ -75,7 +79,7 @@ class Hyperplane(FeasibleSet):
     def dimension(self) -> int:
         return self.normal.size
 
-    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
+    def project(self, x) -> np.ndarray:
         x = as_point(x, self.normal.size)
         # Bitwise self.normal @ x, without matmul's dispatch cost.  From two
         # coordinates on both run one dot routine, whose sum is never -0.0;
@@ -85,7 +89,7 @@ class Hyperplane(FeasibleSet):
 
 @dataclass(frozen=True, eq=False)
 class Sphere(FeasibleSet):
-    """Sphere (shell) of given center and radius."""
+    """Sphere (shell) of given center and finite positive radius."""
 
     center: np.ndarray
     radius: float
@@ -94,20 +98,19 @@ class Sphere(FeasibleSet):
         c = as_point(self.center).copy()
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
-        if not float(self.radius) > 0.0:
-            raise ValueError("sphere radius must be positive")
+        if not 0.0 < float(self.radius) < math.inf:
+            raise ValueError(f"sphere radius must be positive and finite, got {self.radius!r}")
         object.__setattr__(self, "radius", float(self.radius))
 
     @property
     def dimension(self) -> int:
         return self.center.size
 
-    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
-        tol = DEFAULT_TOLERANCES if tol is None else tol
+    def project(self, x) -> np.ndarray:
         x = as_point(x, self.center.size)
         v = x - self.center
         n = _norm(v)
-        if n <= tol.point_eq_eps:
+        if n <= _POINT_EQ_EPS:
             # The center is equidistant from the whole shell; pick the
             # point along the first coordinate axis.
             e1 = np.zeros(self.dimension)
@@ -129,10 +132,9 @@ def _eval_curve(f: Callable, ts: np.ndarray) -> np.ndarray:
 
 def _grid(wlo: float, whi: float) -> np.ndarray:
     """``np.linspace(wlo, whi, 2048)``, bit for bit, in a fresh array."""
+    # ``project`` grids only windows wider than _PROJECTION_TOL, so the
+    # step is nonzero and linspace scales the ramp, as here.
     step = (float(whi) - float(wlo)) / (_GRID_POINTS - 1)
-    if step == 0:
-        # A step that underflows to zero takes linspace's other order.
-        return np.linspace(wlo, whi, _GRID_POINTS)
     ts = _GRID_INDEX * step
     ts += wlo
     ts[-1] = whi
@@ -214,16 +216,15 @@ class FunctionGraph(FeasibleSet):
     def dimension(self) -> int:
         return 2
 
-    def derivative_defined_at(self, t: float, eps: float | None = None) -> bool:
+    def derivative_defined_at(self, t: float) -> bool:
         if self.derivative is None:
             return False
-        eps = DEFAULT_TOLERANCES.point_eq_eps if eps is None else eps
         lo, hi = self.domain
         if not (lo <= t <= hi):
             return False
-        return all(abs(t - s) > eps for s in self.nonsmooth)
+        return all(abs(t - s) > _POINT_EQ_EPS for s in self.nonsmooth)
 
-    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
+    def project(self, x) -> np.ndarray:
         """Nearest graph point to ``x``.
 
         The search window [anchor - r0, anchor + r0] around the
@@ -231,7 +232,7 @@ class FunctionGraph(FeasibleSet):
         |x1 - f(anchor)|, no graph point outside it can be nearer than
         (anchor, f(anchor)) itself.  A uniform grid (bitwise
         ``np.linspace``) locates the basin, a golden-section pass
-        narrows it to ``projection_tol``, and one Newton step on the
+        narrows it to 1e-13, and one Newton step on the
         stationarity equation polishes the result where the derivative
         oracle applies.  Declared nonsmooth abscissas inside the window
         always compete as candidates, which keeps projections landing on
@@ -240,7 +241,6 @@ class FunctionGraph(FeasibleSet):
         the kink candidates then beat the golden point and the window
         ends, and remaining ties go to the smallest abscissa.
         """
-        tol = DEFAULT_TOLERANCES if tol is None else tol
         x = as_point(x, 2)
         lo, hi = self.domain
         if lo > hi:
@@ -256,7 +256,7 @@ class FunctionGraph(FeasibleSet):
         wlo = max(lo, anchor - r0)
         whi = min(hi, anchor + r0)
 
-        if whi - wlo <= tol.projection_tol:
+        if whi - wlo <= _PROJECTION_TOL:
             y = 0.5 * (wlo + whi)
             fy = float(f(y))
             if not math.isfinite(fy):
@@ -278,7 +278,7 @@ class FunctionGraph(FeasibleSet):
             i = int(np.nanargmin(d2))
         a = float(ts[max(i - 1, 0)])
         b = float(ts[min(i + 1, _GRID_POINTS - 1)])
-        y_best, d_best, f_best = _golden_min(f, x0, x1, a, b, tol.projection_tol)
+        y_best, d_best, f_best = _golden_min(f, x0, x1, a, b, _PROJECTION_TOL)
 
         # Squared-distance values carry a few ulps of relative rounding
         # noise, so near a flat basin bottom the bitwise-smallest value
@@ -290,7 +290,7 @@ class FunctionGraph(FeasibleSet):
         # (distance squared, rank, t, f(t)) keeps its curve value, which
         # the winner returns.
         candidates = [(d_best, 1, y_best, f_best)]
-        y_pol = self._polish(x0, x1, y_best, f_best, wlo, whi, tol)
+        y_pol = self._polish(x0, x1, y_best, f_best, wlo, whi)
         ranked = [] if y_pol is None else [(0, y_pol)]
         ranked += [(0, s) for s in self.nonsmooth if wlo <= s <= whi]
         ranked += [(2, wlo), (2, whi)]
@@ -306,15 +306,15 @@ class FunctionGraph(FeasibleSet):
         _, _, y, fy = min(tied, key=lambda c: (c[1], c[2]))
         return np.array([y, fy])
 
-    def _polish(self, x0, x1, y, fy, wlo, whi, tol):
+    def _polish(self, x0, x1, y, fy, wlo, whi):
         """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0 from y,
         where the curve value is fy; None when it does not apply."""
         f, df = self.f, self.derivative
-        eps = tol.point_eq_eps
+        eps = _POINT_EQ_EPS
         h = 1e-6 * (1.0 + abs(y))
         y_lo = y - h
         y_hi = y + h
-        # derivative_defined_at(t, eps) for t = y_lo, y, y_hi; y lies
+        # derivative_defined_at(t) for t = y_lo, y, y_hi; y lies
         # between the other two, so their domain test covers it.
         lo, hi = self.domain
         if df is None or not (lo <= y_lo and y_hi <= hi):
@@ -333,21 +333,18 @@ class FunctionGraph(FeasibleSet):
         return y_new
 
 
-def graph_normal_coefficient(
-    g: FunctionGraph, x, p, tol: Tolerances | None = None
-) -> float | None:
+def graph_normal_coefficient(g: FunctionGraph, x, p) -> float | None:
     """Scalar c with x = p + (f(y) - x1) * (c, -1)-style normal data.
 
     For a graph point p = (y, f(y)) and an off-graph point x = (x0, x1),
     returns (x0 - y) / (f(y) - x1), the coefficient that reconstructs
     the outward normal direction at p from the projection geometry.
     Returns None when x lies at the graph's height (denominator below
-    ``point_eq_eps``), where the coefficient is undefined.
+    1e-12), where the coefficient is undefined.
     """
-    tol = DEFAULT_TOLERANCES if tol is None else tol
     x = as_point(x, 2)
     p = as_point(p, 2)
     denom = float(p[1] - x[1])
-    if abs(denom) <= tol.point_eq_eps:
+    if abs(denom) <= _POINT_EQ_EPS:
         return None
     return float(x[0] - p[0]) / denom

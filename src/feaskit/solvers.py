@@ -29,6 +29,7 @@ from .errors import (
     ZeroSubgradient,
 )
 from .geometry import (
+    _POINT_EQ_EPS,
     DEFAULT_TOLERANCES,
     ColinearityCase,
     Tolerances,
@@ -39,6 +40,10 @@ from .geometry import (
     classify_triple,
 )
 from .sets import FeasibleSet, FunctionGraph
+
+# How many of the latest iterates the cycle test compares the newest with.
+_CYCLE_WINDOW = 8
+
 
 class StopReason(Enum):
     """Why a run loop ended."""
@@ -53,23 +58,19 @@ class StopReason(Enum):
 class StopRule:
     """Termination policy for ``run``.
 
-    A cycle is a revisit of one of the last ``cycle_window`` iterates
-    within ``point_eq_eps``; the lag of the revisit is the reported
-    period, so a stalled sequence registers as a period-1 cycle.
-    Setting ``cycle_window`` to 0 disables the detector.
+    A cycle is a revisit, within 1e-12, of one of the last 8 iterates;
+    the lag of the revisit is the reported period, so a stalled sequence
+    registers as a period-1 cycle.
     """
 
     residual_tol: float = 1e-10
     max_iter: int = 100
-    cycle_window: int = 8
 
     def __post_init__(self):
         if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.cycle_window < 0:
-            raise ValueError("cycle_window must be nonnegative")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -94,7 +95,7 @@ class StepResult:
     def __init__(self, x, rax, rbrax, tol: Tolerances | None = None, hybrid: bool = True):
         self.__dict__.update(next=0.5 * (x + rbrax), rax=rax, rbrax=rbrax, _x=x, _tol=tol)
         if hybrid and self.case is ColinearityCase.NON_COLINEAR:
-            self.__dict__.update(next=circumcenter(x, rax, rbrax, tol), used_circumcenter=True)
+            self.__dict__.update(next=circumcenter(x, rax, rbrax), used_circumcenter=True)
 
     # A descriptor-typed field: the default of ``case`` is this property.
     @cached_property
@@ -138,48 +139,48 @@ def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) ->
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
     x = as_point(x)
-    return _crm(a, b, None, x, a.project(x, tol), tol)[1]
+    return _crm(a, b, None, x, a.project(x), tol)[1]
 
 
-def _derivative(g: FunctionGraph, t: float, tol: Tolerances) -> float:
+def _derivative(g: FunctionGraph, t: float) -> float:
     """f'(t), or DerivativeUndefined where the oracle has no value."""
-    if not g.derivative_defined_at(t, tol.point_eq_eps):
+    if not g.derivative_defined_at(t):
         raise DerivativeUndefined(f"derivative oracle undefined at t={t!r}")
     return float(g.derivative(t))
 
 
-def subgrad_proj_step(g, y: float, ystar: float, tol: Tolerances | None = None) -> float:
+def subgrad_proj_step(g, y: float, ystar: float) -> float:
     """Subgradient projection update y - (f(y) / ystar^2) ystar on a scalar y.
 
     ``g`` is a FunctionGraph or a bare callable giving f.  The step is
     scalar-only: ``y`` and the subgradient ``ystar`` are reals.
     """
-    tol = DEFAULT_TOLERANCES if tol is None else tol
     f = g.f if isinstance(g, FunctionGraph) else g
     y, ystar = float(y), float(ystar)
     nsq = ystar * ystar
-    if math.sqrt(nsq) <= tol.point_eq_eps:
+    if math.sqrt(nsq) <= _POINT_EQ_EPS:
         raise ZeroSubgradient("ystar is numerically zero")
     return y - (float(f(y)) / nsq) * ystar
 
 
-def _residual(a: FeasibleSet, b: FeasibleSet, x, tol) -> tuple[float, np.ndarray]:
+def _residual(a: FeasibleSet, b: FeasibleSet, x) -> tuple[float, np.ndarray]:
     """max(d_A(x), d_B(x)) and P_A x, which the next step reuses."""
-    pax = a.project(x, tol)
-    return max(_norm(x - pax), _norm(x - b.project(x, tol))), pax
+    pax = a.project(x)
+    return max(_norm(x - pax), _norm(x - b.project(x))), pax
 
 
 # Run-loop steps, each (a, b, graph, x, P_A x, tol) -> (next iterate,
-# StepResult or None).  Scalar steps move the abscissa t of x = (t, 0).
+# StepResult or None); only a reflection step's case reads tol.  Scalar
+# steps move the abscissa t of x = (t, 0).
 def _altproj(a, b, graph, x, pax, tol):
-    return b.project(pax, tol), None
+    return b.project(pax), None
 
 
 def _crm(a, b, graph, x, pax, tol):
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
     through B, and take the hybrid step.  ``x`` must be a checked point."""
     rax = 2.0 * pax - x
-    result = StepResult(x, rax, 2.0 * b.project(rax, tol) - rax, tol)
+    result = StepResult(x, rax, 2.0 * b.project(rax) - rax, tol)
     return result.next, result
 
 
@@ -188,21 +189,21 @@ def _dr(a, b, graph, x, pax, tol):
     reads the case, so R_B R_A x is checked finite here, where
     classifying it would have."""
     rax = 2.0 * pax - x
-    result = StepResult(x, rax, as_point(2.0 * b.project(rax, tol) - rax), tol, hybrid=False)
+    result = StepResult(x, rax, as_point(2.0 * b.project(rax) - rax), tol, hybrid=False)
     return result.next, result
 
 
 def _newton(a, b, graph, x, pax, tol):
     t = float(x[0])
-    d = _derivative(graph, t, tol)
-    if abs(d) <= tol.point_eq_eps:
+    d = _derivative(graph, t)
+    if abs(d) <= _POINT_EQ_EPS:
         raise DerivativeZero(f"derivative vanishes at t={t!r}")
     return np.array([t - float(graph.f(t)) / d, 0.0]), None
 
 
 def _subgrad(a, b, graph, x, pax, tol):
     t = float(x[0])
-    return np.array([subgrad_proj_step(graph, t, _derivative(graph, t, tol), tol), 0.0]), None
+    return np.array([subgrad_proj_step(graph, t, _derivative(graph, t)), 0.0]), None
 
 
 # method -> (step, whether it steps a function graph's abscissa)
@@ -284,7 +285,7 @@ def run(
     t_start = time.perf_counter()
     iterates = [x]
     # First coordinates of the iterates the cycle test can still reach.
-    firsts = deque([float(x[0])], maxlen=stop.cycle_window + 1)
+    firsts = deque([float(x[0])], maxlen=_CYCLE_WINDOW + 1)
     residuals = [math.nan]
     steps: list[StepResult] = []
     reason = StopReason.MAX_ITER
@@ -292,13 +293,13 @@ def run(
     cycle_period = None
 
     try:
-        residuals[0], pax = _residual(a, b, x, tol)
+        residuals[0], pax = _residual(a, b, x)
         if residuals[0] <= stop.residual_tol:
             reason = StopReason.RESIDUAL_MET
         else:
             for _ in range(stop.max_iter):
                 nxt, result = step(a, b, graph, x, pax, tol)
-                residual, pax = _residual(a, b, nxt, tol)
+                residual, pax = _residual(a, b, nxt)
                 if result is not None:
                     steps.append(result)
                 iterates.append(nxt)
@@ -307,7 +308,7 @@ def run(
                 if residuals[-1] <= stop.residual_tol:
                     reason = StopReason.RESIDUAL_MET
                     break
-                lag = _cycle_lag(iterates, firsts, stop.cycle_window, tol.point_eq_eps)
+                lag = _cycle_lag(iterates, firsts)
                 if lag is not None:
                     reason = StopReason.CYCLE
                     cycle_period = lag
@@ -333,25 +334,22 @@ def run(
     return trace
 
 
-# From this point_eq_eps on, (2 eps)**2 is a normal double, which the
-# first-coordinate screen of _cycle_lag needs to be exact.
-_SCREEN_MIN_EPS = 1e-154
+def _cycle_lag(iterates, firsts) -> int | None:
+    """Lag of a revisit, within ``_POINT_EQ_EPS``, of one of the last
+    ``_CYCLE_WINDOW`` iterates by the newest one, if any.
 
-
-def _cycle_lag(iterates, firsts, window: int, eps: float) -> int | None:
-    """Lag of a revisit of a recent iterate by the newest one, if any.
-
-    ``firsts`` holds at least the last ``window + 1`` first coordinates
-    of ``iterates`` as floats.  A lag whose first coordinates differ by
-    more than 2 ``eps`` is skipped without the vector test: the computed
-    squared norm is then at least (2 eps)**2 (1 - O(u)) whatever the
-    summation order, so its correctly rounded square root exceeds eps.
+    ``firsts`` holds at least the last ``_CYCLE_WINDOW + 1`` first
+    coordinates of ``iterates`` as floats.  A lag whose first
+    coordinates differ by more than 2 eps is skipped without the vector
+    test: (2 eps)**2 is a normal double, so the computed squared norm is
+    then at least (2 eps)**2 (1 - O(u)) whatever the summation order,
+    and its correctly rounded square root exceeds eps.
     """
     new = iterates[-1]
     new0 = firsts[-1]
-    screen = 2.0 * eps if eps >= _SCREEN_MIN_EPS else math.inf
-    for lag in range(1, min(window, len(iterates) - 1) + 1):
-        if abs(new0 - firsts[-1 - lag]) > screen:
+    eps = _POINT_EQ_EPS
+    for lag in range(1, min(_CYCLE_WINDOW, len(iterates) - 1) + 1):
+        if abs(new0 - firsts[-1 - lag]) > 2.0 * eps:
             continue
         if _norm(new - iterates[-1 - lag]) <= eps:
             return lag

@@ -18,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from feaskit import (
-    METHODS, StopReason, Trace, TraceSeries, builtin, problem_names, run, save_problem,
+    METHODS, StopReason, Trace, TraceSeries, builtin, problem_names, problem_to_dict, run,
+    save_problem,
 )
 from feaskit.cli import (
     _COMMANDS, _ConfigError, _full_parser, _parse_args, _TraceFileError, main, read_trace,
@@ -272,6 +273,52 @@ def test_csv_trace_with_multi_line_header_values_reads_back(tmp_path):
     assert meta["message"] == "a b"
     assert meta["problem"] == "two lines"
     assert series.iterates.tolist() == [[0.5, 0.5]]
+
+
+def _trailing_whitespace_trace():
+    p = builtin("sphere-line")
+    trace = run("crm", p.a, p.b, p.default_x0)
+    trace.message = "ends with a tab\t"
+    return trace
+
+
+@pytest.mark.parametrize("write", [write_trace_csv, write_trace_json])
+def test_header_values_keep_their_trailing_whitespace(write, tmp_path):
+    path = tmp_path / "t.trace"
+    write(path, _trailing_whitespace_trace(), "sphere-line ")
+    meta, _ = read_trace(path)
+    assert meta["problem"] == "sphere-line "
+    assert meta["message"] == "ends with a tab\t"
+
+
+def test_a_problem_name_with_trailing_space_plots_no_catalog_sets(tmp_path, capsys):
+    # Set outlines are the only polylines drawn 1.8 wide.
+    trace = _trailing_whitespace_trace()
+    for name, drawn in [("sphere-line", True), ("sphere-line ", False)]:
+        path, fig = tmp_path / "t.csv", tmp_path / "t.svg"
+        write_trace_csv(path, trace, name)
+        assert main(["plot", str(path), "--out", str(fig)]) == EXIT_OK
+        assert ('stroke-width="1.8"' in fig.read_text(encoding="utf-8")) is drawn
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize(
+    ("kind", "key", "value"),
+    [("hyperplane", "offset", math.nan), ("hyperplane", "offset", math.inf),
+     ("sphere", "radius", math.inf), ("sphere", "radius", math.nan)],
+)
+def test_a_problem_file_with_a_non_finite_set_parameter_is_a_config_error(
+    command, kind, key, value, tmp_path, capsys
+):
+    doc = problem_to_dict(builtin("sphere-line"))
+    for side in ("a", "b"):
+        if doc[side]["kind"] == kind:
+            doc[side][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--problem-file", str(path)]) == EXIT_CONFIG
+    assert f"{kind} {key} must be" in capsys.readouterr().err
 
 
 def test_plot_traces(tmp_path, capsys):
@@ -591,7 +638,8 @@ def _ref_trace_from_csv(text: str):
         if not line.strip():
             continue
         if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
+            # The one change since: a value keeps its trailing whitespace.
+            key, _, value = line[1:].lstrip().partition("=")
             meta[key.strip()] = value
             continue
         rows.append(line)

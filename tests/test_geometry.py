@@ -121,12 +121,9 @@ def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(colinearity_eps=0.0)
     with pytest.raises(ValueError):
-        Tolerances(point_eq_eps=-1e-9)
-    with pytest.raises(ValueError):
         Tolerances(colinearity_eps=1.5)
     tight = Tolerances(colinearity_eps=1e-12)
     assert tight.colinearity_eps == 1e-12
-    assert tight.projection_tol == 1e-13
 
 
 def test_circumcenter_plane_instance():
@@ -293,12 +290,15 @@ def _ref_norm(v: np.ndarray) -> float:
     return math.sqrt(float(np.dot(v, v)))
 
 
-def _ref_circumcenter(u, v, w, tol: Tolerances | None = None) -> np.ndarray:
-    tol = DEFAULT_TOLERANCES if tol is None else tol
+# Two points closer than this coincide.
+_REF_POINT_EQ_EPS = 1e-12
+
+
+def _ref_circumcenter(u, v, w) -> np.ndarray:
     u = _ref_as_point(u)
     v = _ref_as_point(v, u.size)
     w = _ref_as_point(w, u.size)
-    eps = tol.point_eq_eps
+    eps = _REF_POINT_EQ_EPS
 
     uv = _ref_norm(u - v) <= eps
     vw = _ref_norm(v - w) <= eps
@@ -344,7 +344,7 @@ def _ref_classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Coline
     x = _ref_as_point(x)
     rax = _ref_as_point(rax, x.size)
     rbrax = _ref_as_point(rbrax, x.size)
-    eps = tol.point_eq_eps
+    eps = _REF_POINT_EQ_EPS
 
     u = x - rbrax
     v = rax - rbrax
@@ -366,18 +366,17 @@ def _ref_classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Coline
 
 
 class _ReferenceHyperplane(Hyperplane):
-    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
+    def project(self, x) -> np.ndarray:
         x = _ref_as_point(x, self.dimension)
         return x - (float(self.normal @ x) - self.offset) * self.normal
 
 
 class _ReferenceSphere(Sphere):
-    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
-        tol = DEFAULT_TOLERANCES if tol is None else tol
+    def project(self, x) -> np.ndarray:
         x = _ref_as_point(x, self.dimension)
         v = x - self.center
         n = _ref_norm(v)
-        if n <= tol.point_eq_eps:
+        if n <= _REF_POINT_EQ_EPS:
             # The center is equidistant from the whole shell; pick the
             # point along the first coordinate axis.
             e1 = np.zeros(self.dimension)
@@ -401,15 +400,13 @@ def _outcome(call):
 
 @st.composite
 def _kernel_inputs(draw):
-    """A triple (generic, colinear or with a pair about point_eq_eps apart)
-    in 1-4 dimensions at magnitudes 1e-6 to 1e6, the tolerances, a sphere
+    """A triple (generic, colinear or with a pair about 1e-12 apart) in
+    1-4 dimensions at magnitudes 1e-6 to 1e6, the tolerances, a sphere
     radius and a hyperplane offset."""
     tol = draw(st.one_of(st.none(), st.builds(
-        Tolerances,
-        colinearity_eps=st.floats(1e-14, 1e-2),
-        point_eq_eps=st.floats(1e-15, 1e-3),
+        Tolerances, colinearity_eps=st.floats(1e-14, 1e-2)
     )))
-    eps = (DEFAULT_TOLERANCES if tol is None else tol).point_eq_eps
+    eps = _REF_POINT_EQ_EPS
     dim = draw(st.integers(1, 4))
     scale = draw(st.floats(1e-6, 1e6))
     point = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(
@@ -422,7 +419,7 @@ def _kernel_inputs(draw):
     elif kind == "colinear":
         w = u + draw(st.floats(-3.0, 3.0)) * (v - u)
     else:
-        # An offset of about point_eq_eps: either side of the threshold.
+        # An offset of about 1e-12: either side of the threshold.
         step = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)))
         n = float(np.linalg.norm(step))
         step = step / n if n > 0.0 else np.eye(dim)[0]
@@ -439,22 +436,21 @@ def _kernel_inputs(draw):
 @example(([np.array([-0.0]), np.array([1.0]), np.array([-0.0])], None, 1.0, 0.0))
 def test_kernels_match_the_reference_bitwise(case):
     (p, q, r), tol, radius, offset = case
-    eps = radius * 1e-6
     pairs = [
-        (lambda: circumcenter(p, q, r, tol), lambda: _ref_circumcenter(p, q, r, tol)),
+        (lambda: circumcenter(p, q, r), lambda: _ref_circumcenter(p, q, r)),
         (lambda: classify_triple(p, q, r, tol), lambda: _ref_classify_triple(p, q, r, tol)),
         (lambda: _norm(p - q), lambda: _ref_norm(p - q)),
         (
-            lambda: _abs_cosine(p - r, q - r, _norm(p - r), _norm(q - r), eps),
-            lambda: _ref_abs_cosine(p - r, q - r, _ref_norm(p - r), _ref_norm(q - r), eps),
+            lambda: _abs_cosine(p - r, q - r, _norm(p - r), _norm(q - r)),
+            lambda: _ref_abs_cosine(p - r, q - r, _ref_norm(p - r), _ref_norm(q - r), _REF_POINT_EQ_EPS),
         ),
         (
-            lambda: Hyperplane(q, offset).project(r, tol),
-            lambda: _ReferenceHyperplane(q, offset).project(r, tol),
+            lambda: Hyperplane(q, offset).project(r),
+            lambda: _ReferenceHyperplane(q, offset).project(r),
         ),
         (
-            lambda: Sphere(q, radius).project(r, tol),
-            lambda: _ReferenceSphere(q, radius).project(r, tol),
+            lambda: Sphere(q, radius).project(r),
+            lambda: _ReferenceSphere(q, radius).project(r),
         ),
     ]
     for new, ref in pairs:

@@ -295,6 +295,20 @@ class _Origin(FeasibleSet):
         return np.zeros(2)
 
 
+class _Unmeasurable(FeasibleSet):
+    """A set whose projection is NaN, so no distance to it is known."""
+
+    dimension = 2
+
+    def project(self, x):
+        return np.full(2, np.nan)
+
+
+def test_a_known_solution_of_unknown_residual_is_rejected():
+    with pytest.raises(ValueError, match="has residual nan"):
+        Problem("nan", _Unmeasurable(), Hyperplane((0.0, 1.0), 0.0), ((0.0, 0.0),), (1.0, 1.0))
+
+
 def test_problem_to_dict_rejects_a_set_of_an_unknown_kind():
     p = Problem("origin", _Origin(), Hyperplane((0.0, 1.0), 0.0), ((0.0, 0.0),), (1.0, 1.0))
     with pytest.raises(UnknownProblem, match="cannot serialize set of type _Origin"):

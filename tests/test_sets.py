@@ -8,7 +8,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from feaskit import (
-    DEFAULT_TOLERANCES,
     DimensionMismatch,
     EmptyDomain,
     FeaskitError,
@@ -16,15 +15,14 @@ from feaskit import (
     NonFinitePoint,
     Hyperplane,
     Sphere,
-    Tolerances,
     as_point,
     builtin,
     graph_normal_coefficient,
     make_curve,
     problem_names,
 )
+from feaskit.sets import _PROJECTION_TOL, _grid
 from feaskit.sets import _golden_min as _sets_golden_min
-from feaskit.sets import _grid
 
 EXACT = 0.0
 PROJ_TOL = 1e-12
@@ -40,6 +38,18 @@ def test_hyperplane_normalizes_normal_and_offset():
 def test_hyperplane_zero_normal_rejected():
     with pytest.raises(DimensionMismatch):
         Hyperplane((0.0, 0.0))
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+def test_hyperplane_non_finite_offset_rejected(offset):
+    with pytest.raises(ValueError, match="offset must be finite"):
+        Hyperplane((0.0, 1.0), offset)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_sphere_non_finite_radius_rejected(radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        Sphere((0.0, 0.0), radius)
 
 
 def test_hyperplane_project_reflect_distance():
@@ -200,7 +210,7 @@ def test_graph_projection_rejects_non_finite_curve_values():
     g = FunctionGraph(f=lambda t: t if t == 0.3 else math.nan, domain=(-1.0, 1.0))
     with pytest.raises(NonFinitePoint, match="no finite value"):
         g.project((0.3, 0.9))
-    # A window narrower than projection_tol whose midpoint has no value.
+    # A window narrower than 1e-13 whose midpoint has no value.
     g = FunctionGraph(f=lambda t: 0.0 if t == 0.3 else math.nan, domain=(0.3, 1.0))
     with pytest.raises(NonFinitePoint, match=r"t=0\.300000000000025"):
         g.project((0.3, 5e-14))
@@ -303,13 +313,17 @@ def test_projection_is_no_farther_than_a_dense_scan(name, x0, x1):
     d_scan = float(np.min(np.hypot(x0 - ts, x1 - g.f(ts))))
     p = g.project((x0, x1))
     d = math.hypot(x0 - p[0], x1 - p[1])
-    assert d <= d_scan + DEFAULT_TOLERANCES.projection_tol * (1.0 + d_scan)
+    assert d <= d_scan + _PROJECTION_TOL * (1.0 + d_scan)
 
 
 # Reference graph projection: np.linspace grid, golden section through a
 # distance closure, and a fresh oracle call for the returned ordinate and
 # the polish residual.  FunctionGraph.project must return its bits.
 _GRID_POINTS = 2048
+# Two points closer than this coincide.
+_REF_POINT_EQ_EPS = 1e-12
+# Target bracket width of the abscissa search.
+_REF_PROJECTION_TOL = 1e-13
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = float(np.finfo(float).eps)
 
@@ -346,8 +360,7 @@ def _golden_min(fun, a: float, b: float, xtol: float):
 
 
 class _ReferenceGraph(FunctionGraph):
-    def project(self, x, tol: Tolerances | None = None) -> np.ndarray:
-        tol = DEFAULT_TOLERANCES if tol is None else tol
+    def project(self, x) -> np.ndarray:
         x = as_point(x, 2)
         lo, hi = self.domain
         if lo > hi:
@@ -372,7 +385,7 @@ class _ReferenceGraph(FunctionGraph):
             # move away from where the curve has no value.
             return d if d <= math.inf else math.inf
 
-        if whi - wlo <= tol.projection_tol:
+        if whi - wlo <= _REF_PROJECTION_TOL:
             y = 0.5 * (wlo + whi)
             return np.array([y, float(f(y))])
 
@@ -385,7 +398,7 @@ class _ReferenceGraph(FunctionGraph):
             i = int(np.nanargmin(d2))
         a = float(ts[max(i - 1, 0)])
         b = float(ts[min(i + 1, _GRID_POINTS - 1)])
-        y_best, d_best = _golden_min(dist2, a, b, tol.projection_tol)
+        y_best, d_best = _golden_min(dist2, a, b, _REF_PROJECTION_TOL)
 
         # Squared-distance values carry a few ulps of relative rounding
         # noise, so near a flat basin bottom the bitwise-smallest value
@@ -395,7 +408,7 @@ class _ReferenceGraph(FunctionGraph):
         # outrank the golden point, which outranks the window ends, and
         # remaining ties go to the smallest abscissa.
         candidates = [(d_best, 1, y_best)]
-        y_pol = self._polish(x0, x1, y_best, wlo, whi, tol)
+        y_pol = self._polish(x0, x1, y_best, wlo, whi)
         if y_pol is not None:
             candidates.append((dist2(y_pol), 0, y_pol))
         for s in self.nonsmooth:
@@ -410,12 +423,12 @@ class _ReferenceGraph(FunctionGraph):
         _, y = min((pri, y) for d, pri, y in candidates if d <= d_min + band)
         return np.array([y, float(f(y))])
 
-    def _polish(self, x0, x1, y, wlo, whi, tol):
+    def _polish(self, x0, x1, y, wlo, whi):
         """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0, or None."""
-        eps = tol.point_eq_eps
+        eps = _REF_POINT_EQ_EPS
         h = 1e-6 * (1.0 + abs(y))
         pts = (y - h, y, y + h)
-        if any(not self.derivative_defined_at(t, eps) for t in pts):
+        if any(not self.derivative_defined_at(t) for t in pts):
             return None
 
         def stat(t: float) -> float:
@@ -456,19 +469,11 @@ REFERENCE_GRAPHS = {
     name: _ReferenceGraph(f=g.f, derivative=g.derivative, domain=g.domain, nonsmooth=g.nonsmooth)
     for name, g in PARITY_GRAPHS.items()
 }
-TOLERANCES = st.one_of(
-    st.none(),
-    st.builds(
-        Tolerances,
-        point_eq_eps=st.floats(1e-15, 1e-4),
-        projection_tol=st.floats(1e-16, 1e-4),
-    ),
-)
 
 
-def _projection_outcome(g, x, tol):
+def _projection_outcome(g, x):
     try:
-        return g.project(x, tol)
+        return g.project(x)
     except FeaskitError as exc:
         return type(exc), str(exc)
 
@@ -477,21 +482,20 @@ def _projection_outcome(g, x, tol):
     st.sampled_from(sorted(PARITY_GRAPHS)),
     st.floats(-4.0, 4.0),
     st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12)),
-    TOLERANCES,
 )
 # The nearest point sits in the grid's last cell, and the window width
 # times 2047/2047 rounds away from itself, so the grid's last sample
 # differs from the window end unless it is set to it.
-@example("scalar-only", 1.9974937343358394, -1.9994453647553176, None)
-def test_graph_projection_matches_the_reference_bitwise(name, x0, gap, tol):
+@example("scalar-only", 1.9974937343358394, -1.9994453647553176)
+def test_graph_projection_matches_the_reference_bitwise(name, x0, gap):
     # Points at gap above or below the curve value at the clamped
     # abscissa, so small gaps take the narrow-window branch.
     g = PARITY_GRAPHS[name]
     lo, hi = g.domain
     level = float(g.f(min(max(x0, lo), hi)))
     x = (x0, level + gap if math.isfinite(level) else gap)
-    got = _projection_outcome(g, x, tol)
-    want = _projection_outcome(REFERENCE_GRAPHS[name], x, tol)
+    got = _projection_outcome(g, x)
+    want = _projection_outcome(REFERENCE_GRAPHS[name], x)
     if isinstance(want, np.ndarray) and not np.isfinite(want).all():
         # The reference returned an unchecked midpoint value.
         assert got[0] is NonFinitePoint and "t=" in got[1]
@@ -504,14 +508,16 @@ def test_graph_projection_matches_the_reference_bitwise(name, x0, gap, tol):
 
 @given(
     st.floats(-1e300, 1e300),
-    st.one_of(st.floats(0.0, 1e3), st.floats(0.0, 1e300), st.floats(0.0, 1e-300)),
+    st.one_of(
+        st.floats(1e-13, 1e3, exclude_min=True), st.floats(1e-13, 1e300, exclude_min=True)
+    ),
 )
-@example(0.0, 1e-321)  # the step underflows to zero
-@example(-3e-322, 2e-321)
-@example(0.0, 1e-318)  # a nonzero subnormal step
-@example(0.25, 0.0)
+@example(0.0, 1.0000000000000002e-13)  # the narrowest window project grids
+@example(0.25, 1e-12)
 def test_projection_grid_is_linspace_bitwise(wlo, width):
+    # FunctionGraph.project grids only windows wider than 1e-13.
     whi = wlo + width
+    assume(whi - wlo > 1e-13)
     assert _grid(wlo, whi).tobytes() == np.linspace(wlo, whi, 2048).tobytes()
 
 
