@@ -128,7 +128,7 @@ def classify_rate(trace: Trace, solution) -> RateClass:
         return RateClass(RateKind.QUADRATIC, constant=m_est)
     if decreasing and t1[-1] < 0.1:
         return RateClass(RateKind.SUPERLINEAR)
-    c = float(np.mean(t1))
+    c = float(np.add.reduce(t1) / len(t1))
     if min(t1) > 0.0 and c <= 0.9 and max(t1) - min(t1) < 0.2 * c:
         return RateClass(RateKind.LINEAR, constant=c)
     if float(trace.residuals[-1]) > float(trace.residuals[0]):

@@ -117,7 +117,7 @@ def circumcenter(u, v, w) -> np.ndarray:
     if uw:
         return 0.5 * (u + v)
 
-    a, b, c = sorted((u, v, w), key=tuple)
+    a, b, c = sorted((u, v, w), key=np.ndarray.tolist)
     d1 = b - a
     d2 = c - a
     n1 = _norm(d1)

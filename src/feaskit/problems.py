@@ -95,19 +95,20 @@ def _pnorm_branch(p: float, a: float = 1.0, b: float = 1.0, cx: float = 0.0, cy:
     p, a, b, cx, cy = float(p), float(a), float(b), float(cx), float(cy)
     if p <= 1.0 or a <= 0.0 or b <= 0.0:
         raise UnknownProblem("pnorm_branch needs p > 1 and positive semi-axes")
+    inv_p, inv_p_1 = 1.0 / p, 1.0 / p - 1.0
 
     def f(t):
         if isinstance(t, float):
-            inner = max(1.0 - abs((t - cx) / a) ** p, 0.0)
-            return cy + b * inner ** (1.0 / p)
+            inner = 1.0 - abs((t - cx) / a) ** p
+            return cy + b * (0.0 if inner < 0.0 else inner) ** inv_p
         u = (np.asarray(t, dtype=float) - cx) / a
         inner = np.maximum(1.0 - np.abs(u) ** p, 0.0)
-        return cy + b * inner ** (1.0 / p)
+        return cy + b * inner ** inv_p
 
     def d(t):
         u = (t - cx) / a
         inner = 1.0 - abs(u) ** p
-        return -(b / a) * math.copysign(abs(u) ** (p - 1.0), u) * inner ** (1.0 / p - 1.0)
+        return -(b / a) * math.copysign(abs(u) ** (p - 1.0), u) * inner ** inv_p_1
 
     return FunctionGraph(
         f=f,

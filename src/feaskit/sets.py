@@ -25,7 +25,7 @@ _GRID_POINTS = 2048
 _GRID_INDEX = np.arange(float(_GRID_POINTS))
 _GRID_INDEX.setflags(write=False)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_EPS = float(np.finfo(float).eps)
+_TIE_BAND = 16.0 * float(np.finfo(float).eps)
 # Target bracket width of a graph projection's abscissa search.
 _PROJECTION_TOL = 1e-13
 
@@ -57,7 +57,9 @@ class Hyperplane(FeasibleSet):
     """Hyperplane {p : <normal, p> = offset}, for a finite offset.
 
     The normal is rescaled to unit length on construction (the offset is
-    rescaled with it, so the point set is unchanged).
+    rescaled with it, so the point set is unchanged).  A normal whose
+    largest coordinate lies outside [1e-150, 1e150] is first divided by
+    that coordinate, so its squared norm neither overflows nor underflows.
     """
 
     normal: np.ndarray
@@ -65,15 +67,21 @@ class Hyperplane(FeasibleSet):
 
     def __post_init__(self):
         n = as_point(self.normal)
-        scale = _norm(n)
-        if scale <= 0.0:
+        big = max(map(abs, n.tolist()))
+        if big == 0.0:
             raise DimensionMismatch("hyperplane normal must be nonzero")
-        if not math.isfinite(float(self.offset)):
+        offset = float(self.offset)
+        if not math.isfinite(offset):
             raise ValueError(f"hyperplane offset must be finite, got {self.offset!r}")
-        n = n / scale
+        if not 1e-150 <= big <= 1e150:
+            n, offset = n / big, offset / big
+        scale = _norm(n)
+        n, offset = n / scale, offset / scale
+        if not math.isfinite(offset):
+            raise ValueError(f"hyperplane offset {self.offset!r} overflows at a unit normal")
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset) / scale)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def dimension(self) -> int:
@@ -150,8 +158,9 @@ def _golden_min(f: Callable, x0: float, x1: float, a: float, b: float, xtol: flo
     Squares are ``** 2`` (libm ``pow``), whose last bit can differ from
     ``x * x``'s; projections are pinned bitwise.
     """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    invphi = _INVPHI
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
     fc = float(f(c))
     dc = (x0 - c) ** 2 + (x1 - fc) ** 2
     fd = float(f(d))
@@ -162,13 +171,15 @@ def _golden_min(f: Callable, x0: float, x1: float, a: float, b: float, xtol: flo
         if b - a <= xtol:
             break
         if dc < dd:
-            b, d, fd, dd = d, c, fc, dc
-            c = b - _INVPHI * (b - a)
+            b, d = d, c
+            fd, dd = fc, dc
+            c = b - invphi * (b - a)
             fc = float(f(c))
             dc = (x0 - c) ** 2 + (x1 - fc) ** 2
         else:
-            a, c, fc, dc = c, d, fd, dd
-            d = a + _INVPHI * (b - a)
+            a, c = c, d
+            fc, dc = fd, dd
+            d = a + invphi * (b - a)
             fd = float(f(d))
             dd = (x0 - d) ** 2 + (x1 - fd) ** 2
             if dd != dd:
@@ -189,10 +200,12 @@ class FunctionGraph(FeasibleSet):
         on a 2048-point numpy array, the values ``np.linspace`` gives
         over the search window (one call per point when that fails), and
         otherwise on Python floats, about 37 times per projection over
-        the built-in problems.  A branch for ``float`` input that
-        returns exactly what the array path returns makes those calls
-        cheap.  The returned ordinate is the value the oracle gave for
-        the returned abscissa, not a second call.
+        the built-in problems.  A branch for ``float`` input with the
+        array path's formula makes those calls cheap.  Its last bit may
+        differ (numpy can take an array's ``**`` through its own SIMD
+        pow), which moves only the bracket the grid picks: the returned
+        ordinate is the value the oracle gave on a float for the
+        returned abscissa, not a second call.
     derivative : callable, optional
         Derivative oracle, valid away from the declared ``nonsmooth``
         abscissas.
@@ -241,13 +254,11 @@ class FunctionGraph(FeasibleSet):
         the kink candidates then beat the golden point and the window
         ends, and remaining ties go to the smallest abscissa.
         """
-        x = as_point(x, 2)
+        x0, x1 = as_point(x, 2).tolist()
         lo, hi = self.domain
         if lo > hi:
             raise EmptyDomain(f"graph domain {self.domain} is empty")
         f = self.f
-        x0 = float(x[0])
-        x1 = float(x[1])
         anchor = min(max(x0, lo), hi)
         f_anchor = float(f(anchor))
         if not math.isfinite(f_anchor):
@@ -276,8 +287,8 @@ class FunctionGraph(FeasibleSet):
         if math.isnan(d2[i]) and not np.isnan(d2).all():
             # argmin stops at the first NaN; bracket the nearest finite sample.
             i = int(np.nanargmin(d2))
-        a = float(ts[max(i - 1, 0)])
-        b = float(ts[min(i + 1, _GRID_POINTS - 1)])
+        a = float(ts[i - 1 if i else 0])
+        b = float(ts[i + 1 if i < _GRID_POINTS - 1 else i])
         y_best, d_best, f_best = _golden_min(f, x0, x1, a, b, _PROJECTION_TOL)
 
         # Squared-distance values carry a few ulps of relative rounding
@@ -286,10 +297,11 @@ class FunctionGraph(FeasibleSet):
         # minimizer.  Candidates within that noise of the best value
         # count as tied; the stationarity root and declared kinks then
         # outrank the golden point, which outranks the window ends, and
-        # remaining ties go to the smallest abscissa.  Each candidate
-        # (distance squared, rank, t, f(t)) keeps its curve value, which
-        # the winner returns.
+        # remaining ties go to the smallest abscissa, then to the first
+        # candidate.  Each candidate (distance squared, rank, t, f(t))
+        # keeps its curve value, which the winner returns.
         candidates = [(d_best, 1, y_best, f_best)]
+        d_min = d_best
         y_pol = self._polish(x0, x1, y_best, f_best, wlo, whi)
         ranked = [] if y_pol is None else [(0, y_pol)]
         ranked += [(0, s) for s in self.nonsmooth if wlo <= s <= whi]
@@ -297,13 +309,18 @@ class FunctionGraph(FeasibleSet):
         for pri, t in ranked:
             ft = float(f(t))
             d = (x0 - t) ** 2 + (x1 - ft) ** 2
-            candidates.append((d if d == d else math.inf, pri, t, ft))
-        d_min = min(c[0] for c in candidates)
+            if d != d:
+                d = math.inf
+            elif d < d_min:
+                d_min = d
+            candidates.append((d, pri, t, ft))
         if not math.isfinite(d_min):
             raise NonFinitePoint(f"curve has no finite value near t in [{wlo!r}, {whi!r}]")
-        band = 16.0 * _EPS * d_min
-        tied = (c for c in candidates if c[0] <= d_min + band)
-        _, _, y, fy = min(tied, key=lambda c: (c[1], c[2]))
+        top = d_min + _TIE_BAND * d_min
+        y = None
+        for d, pri, t, ft in candidates:
+            if d <= top and (y is None or pri < best or pri == best and t < y):
+                best, y, fy = pri, t, ft
         return np.array([y, fy])
 
     def _polish(self, x0, x1, y, fy, wlo, whi):
@@ -319,8 +336,9 @@ class FunctionGraph(FeasibleSet):
         lo, hi = self.domain
         if df is None or not (lo <= y_lo and y_hi <= hi):
             return None
-        if any(not abs(t - s) > eps for s in self.nonsmooth for t in (y_lo, y, y_hi)):
-            return None
+        for s in self.nonsmooth:
+            if not (abs(y_lo - s) > eps and abs(y - s) > eps and abs(y_hi - s) > eps):
+                return None
         g0 = (y - x0) + (fy - x1) * float(df(y))
         g_hi = (y_hi - x0) + (float(f(y_hi)) - x1) * float(df(y_hi))
         g_lo = (y_lo - x0) + (float(f(y_lo)) - x1) * float(df(y_lo))

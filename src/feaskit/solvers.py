@@ -320,7 +320,7 @@ def run(
 
     trace = Trace(
         method=method,
-        iterates=np.vstack(iterates),
+        iterates=np.array(iterates),
         residuals=np.array(residuals),
         step_results=tuple(steps),
         stop=reason,
@@ -338,18 +338,19 @@ def _cycle_lag(iterates, firsts) -> int | None:
     """Lag of a revisit, within ``_POINT_EQ_EPS``, of one of the last
     ``_CYCLE_WINDOW`` iterates by the newest one, if any.
 
-    ``firsts`` holds at least the last ``_CYCLE_WINDOW + 1`` first
-    coordinates of ``iterates`` as floats.  A lag whose first
+    ``firsts`` holds, as floats, the first coordinates of the last
+    ``_CYCLE_WINDOW + 1`` iterates (all, while fewer).  A lag whose first
     coordinates differ by more than 2 eps is skipped without the vector
     test: (2 eps)**2 is a normal double, so the computed squared norm is
     then at least (2 eps)**2 (1 - O(u)) whatever the summation order,
     and its correctly rounded square root exceeds eps.
     """
     new = iterates[-1]
-    new0 = firsts[-1]
+    back = reversed(firsts)
+    new0 = next(back)
     eps = _POINT_EQ_EPS
-    for lag in range(1, min(_CYCLE_WINDOW, len(iterates) - 1) + 1):
-        if abs(new0 - firsts[-1 - lag]) > 2.0 * eps:
+    for lag, first in enumerate(back, 1):
+        if abs(new0 - first) > 2.0 * eps:
             continue
         if _norm(new - iterates[-1 - lag]) <= eps:
             return lag

@@ -337,6 +337,55 @@ def test_classify_rate_matches_the_reference_bitwise(trace):
     assert got[0] is want[0] and got[1:] == want[1:]
 
 
+def _np_mean_classify_rate(trace: Trace, solution) -> RateClass:
+    # Verbatim copy, renamed and comments dropped, of classify_rate from
+    # before it took the linear mean as np.add.reduce(t1) / len(t1): the
+    # reference for that mean's bits.
+    errs = trace_errors(trace, solution).tolist()
+    if 0.0 in errs:
+        return RateClass(RateKind.FINITE, count=errs.index(0.0))
+    if trace.stop is StopReason.CYCLE:
+        return RateClass(RateKind.CYCLING, count=int(trace.cycle_period or 1))
+    if len(errs) < 4:
+        raise TooShort("need at least 4 iterates to classify a rate")
+    r1 = _ratios(errs, 1)
+    r2 = _ratios(errs, 2)
+    if len(r1) < 2:
+        return RateClass(RateKind.INCONCLUSIVE)
+    tail = max(4, math.ceil(len(r1) / 4))
+    t1 = r1[-tail:]
+    t2 = r2[-tail:]
+    decreasing = all(b < a for a, b in zip(t1, t1[1:]))
+
+    lo, hi = analysis._RATIO_BAND
+    bounded = all(lo <= r <= hi for r in t2)
+    if bounded and max(t2) < 10.0 * min(t2) and decreasing and t1[-1] < 0.1:
+        m_est = float(np.exp(np.mean(np.log(t2))))
+        return RateClass(RateKind.QUADRATIC, constant=m_est)
+    if decreasing and t1[-1] < 0.1:
+        return RateClass(RateKind.SUPERLINEAR)
+    c = float(np.mean(t1))
+    if min(t1) > 0.0 and c <= 0.9 and max(t1) - min(t1) < 0.2 * c:
+        return RateClass(RateKind.LINEAR, constant=c)
+    if float(trace.residuals[-1]) > float(trace.residuals[0]):
+        return RateClass(RateKind.DIVERGING)
+    return RateClass(RateKind.INCONCLUSIVE)
+
+
+@given(_rate_traces())
+# Linear tails of 4, 8 and 10 ratios, past numpy's 8-wide pairwise
+# blocks, and a tail whose ratios read inf and NaN (an iterate at 1e300
+# has error inf).
+@example(_synth(_geometric(0.5, 0.3, 6)))
+@example(_synth([1.0 + 0.01 * k for k in range(3)] + _geometric(0.9, 0.5, 30)))
+@example(_synth(_geometric(0.7, 0.6, 41)))
+@example(_synth([1.0, 0.5, 1e300, 1e300, 0.25, 0.125, 0.0625]))
+def test_classify_rate_matches_the_np_mean_copy_bitwise(trace):
+    got = _rate_outcome(classify_rate, trace)
+    want = _rate_outcome(_np_mean_classify_rate, trace)
+    assert got[0] is want[0] and got[1:] == want[1:]
+
+
 def test_classify_real_parabola_run_is_linear_half():
     p = builtin("parabola")
     tr = run(

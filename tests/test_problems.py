@@ -152,6 +152,42 @@ def test_curve_values_match_for_float_and_numpy_scalars(curve, data):
     assert float(g.f(float(t))).hex() == float(g.f(np.float64(t))).hex()
 
 
+def _pnorm_branch_max_form(p, a, b, cx, cy):
+    # Verbatim copy of the float branch of pnorm_branch's f and of its
+    # derivative from before they took 1/p and 1/p - 1 once and clamped
+    # with a conditional: the reference for their bits.
+    def f(t):
+        inner = max(1.0 - abs((t - cx) / a) ** p, 0.0)
+        return cy + b * inner ** (1.0 / p)
+
+    def d(t):
+        u = (t - cx) / a
+        inner = 1.0 - abs(u) ** p
+        return -(b / a) * math.copysign(abs(u) ** (p - 1.0), u) * inner ** (1.0 / p - 1.0)
+
+    return f, d
+
+
+def _call_outcome(fn, t):
+    # repr tells every float apart but NaNs; a complex value (a negative
+    # base to a fractional power) and an exception compare as they are.
+    try:
+        return repr(fn(t))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(data=st.data())
+def test_pnorm_branch_float_calls_match_the_max_form_bitwise(data):
+    catalog = [p for c, p in CATALOG_CURVES if c == "pnorm_branch"]
+    params = data.draw(CURVE_PARAMS["pnorm_branch"] | st.sampled_from(catalog))
+    g = make_curve("pnorm_branch", **params)
+    f, d = _pnorm_branch_max_form(**{k: float(v) for k, v in params.items()})
+    t = data.draw(_abscissas(g) | st.sampled_from((math.nan, math.inf, -math.inf)))
+    assert _call_outcome(g.f, float(t)) == _call_outcome(f, float(t))
+    assert _call_outcome(g.derivative, float(t)) == _call_outcome(d, float(t))
+
+
 def test_make_curve_registry():
     g = make_curve("poly2", a=2.0, b=1.0, c=-3.0)
     assert float(g.f(2.0)) == 2.0 * 4.0 + 1.0 * 2.0 - 3.0

@@ -1,6 +1,7 @@
 """Projections, reflections, and distances for the three set kinds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from feaskit import (
     graph_normal_coefficient,
     make_curve,
     problem_names,
+    run,
 )
 from feaskit.sets import _PROJECTION_TOL, _grid
 from feaskit.sets import _golden_min as _sets_golden_min
@@ -44,6 +46,46 @@ def test_hyperplane_zero_normal_rejected():
 def test_hyperplane_non_finite_offset_rejected(offset):
     with pytest.raises(ValueError, match="offset must be finite"):
         Hyperplane((0.0, 1.0), offset)
+
+
+def test_hyperplane_with_a_normal_whose_square_overflows():
+    # |(1e200, 1e200)|**2 overflows; the normal is first divided by its
+    # largest coordinate, with no numpy warning, and keeps its direction.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = Hyperplane((1e200, 1e200))
+        trace = run("crm", Sphere((0.0, -0.5), 1.0), h, (0.3, 0.7))
+    assert h.normal.tobytes() == Hyperplane((1.0, 1.0)).normal.tobytes()
+    assert h.offset == 0.0
+    assert trace.stop.value == "residual-met"
+    assert abs(trace.final[0] + trace.final[1]) <= 1e-12
+
+
+def test_hyperplane_offset_that_overflows_at_a_unit_normal_rejected():
+    # The plane y = 1e200 / 1e-150 lies beyond the largest double.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows at a unit normal"):
+            Hyperplane((0.0, 1e-150), 1e200)
+
+
+def test_hyperplane_with_a_normal_whose_square_underflows():
+    # |(0, 1e-300)|**2 underflows to 0, yet the normal is not zero.
+    h = Hyperplane((0.0, 1e-300), 1e-300)
+    assert h.normal.tolist() == [0.0, 1.0]
+    assert h.offset == 1.0
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4), st.floats(-1e6, 1e6))
+def test_hyperplane_keeps_the_bits_of_an_ordinary_normal(normal, offset):
+    # Largest coordinate in [1e-150, 1e150]: the normal and offset are
+    # divided by the norm alone, as before the pre-scaling.
+    n = np.array(normal)
+    assume(1e-150 <= np.abs(n).max())
+    h = Hyperplane(normal, offset)
+    scale = math.sqrt(float(np.dot(n, n)))
+    assert h.normal.tobytes() == (n / scale).tobytes()
+    assert h.offset.hex() == (offset / scale).hex()
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
@@ -521,6 +563,28 @@ def test_projection_grid_is_linspace_bitwise(wlo, width):
     assert _grid(wlo, whi).tobytes() == np.linspace(wlo, whi, 2048).tobytes()
 
 
+def _ulp_up_grid(g):
+    # g with its array path moved one ulp up; Python floats get g's values.
+    def f(t):
+        return g.f(t) if isinstance(t, float) else np.nextafter(g.f(t), np.inf)
+
+    return FunctionGraph(f=f, derivative=g.derivative, domain=g.domain, nonsmooth=g.nonsmooth)
+
+
+@given(st.sampled_from(sorted(CATALOG_GRAPHS)), st.floats(-4.0, 4.0), st.floats(-3.0, 3.0))
+def test_projection_ordinate_is_the_float_oracle_value(name, x0, x1):
+    # numpy may take an array's ** through its own SIMD pow, which rounds
+    # apart from libm's where Python's float ** goes, so a curve's array
+    # path and float branch can differ in the last bit (psphere-1.5 does).
+    # The grid only chooses the bracket: the returned ordinate is the
+    # float branch's value at the returned abscissa, also when every grid
+    # value is an ulp off.
+    g = CATALOG_GRAPHS[name]
+    for h in (g, _ulp_up_grid(g)):
+        y, fy = h.project((x0, x1)).tolist()
+        assert fy.hex() == float(g.f(y)).hex()
+
+
 def test_graph_projection_oracle_calls():
     # One scalar call at the anchor, the golden section's, two for the
     # polish slope, and one each for the polished point and the window
@@ -618,3 +682,154 @@ def test_golden_min_with_a_nan_side_matches_the_reference_bitwise(
     got = _sets_golden_min(f, x0, x1, a, a + width, xtol)
     want = _golden_min_dc_as_inf(f, x0, x1, a, a + width, xtol)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+    want = _golden_min_tuple_swaps(f, x0, x1, a, a + width, xtol)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# Verbatim copies, renamed and with comments and docstrings dropped, of
+# sets._golden_min and of FunctionGraph.project and _polish from before
+# golden section swapped its state in pairs, the candidates were ranked in
+# one pass and the polish tested the kinks in a loop (the polish reads the
+# 1e-12 threshold from this file): the references for their bits.
+def _golden_min_tuple_swaps(f, x0: float, x1: float, a: float, b: float, xtol: float):
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = float(f(c))
+    dc = (x0 - c) ** 2 + (x1 - fc) ** 2
+    fd = float(f(d))
+    dd = (x0 - d) ** 2 + (x1 - fd) ** 2
+    if dd != dd:
+        dd = math.inf
+    for _ in range(256):
+        if b - a <= xtol:
+            break
+        if dc < dd:
+            b, d, fd, dd = d, c, fc, dc
+            c = b - _INVPHI * (b - a)
+            fc = float(f(c))
+            dc = (x0 - c) ** 2 + (x1 - fc) ** 2
+        else:
+            a, c, fc, dc = c, d, fd, dd
+            d = a + _INVPHI * (b - a)
+            fd = float(f(d))
+            dd = (x0 - d) ** 2 + (x1 - fd) ** 2
+            if dd != dd:
+                dd = math.inf
+    return (c, dc, fc) if dc < dd else (d, dd, fd)
+
+
+class _TupleRankedGraph(FunctionGraph):
+    def project(self, x) -> np.ndarray:
+        x = as_point(x, 2)
+        lo, hi = self.domain
+        if lo > hi:
+            raise EmptyDomain(f"graph domain {self.domain} is empty")
+        f = self.f
+        x0 = float(x[0])
+        x1 = float(x[1])
+        anchor = min(max(x0, lo), hi)
+        f_anchor = float(f(anchor))
+        if not math.isfinite(f_anchor):
+            raise NonFinitePoint(f"curve value at t={anchor!r} is not finite")
+        r0 = abs(x1 - f_anchor)
+        wlo = max(lo, anchor - r0)
+        whi = min(hi, anchor + r0)
+
+        if whi - wlo <= _PROJECTION_TOL:
+            y = 0.5 * (wlo + whi)
+            fy = float(f(y))
+            if not math.isfinite(fy):
+                raise NonFinitePoint(f"curve value at t={y!r} is not finite")
+            return np.array([y, fy])
+
+        ts = _grid(wlo, whi)
+        fs = _eval_curve(f, ts)
+        d2 = x0 - ts
+        d2 *= d2
+        dy = x1 - fs
+        dy *= dy
+        d2 += dy
+        i = int(d2.argmin())
+        if math.isnan(d2[i]) and not np.isnan(d2).all():
+            i = int(np.nanargmin(d2))
+        a = float(ts[max(i - 1, 0)])
+        b = float(ts[min(i + 1, _GRID_POINTS - 1)])
+        y_best, d_best, f_best = _golden_min_tuple_swaps(f, x0, x1, a, b, _PROJECTION_TOL)
+
+        candidates = [(d_best, 1, y_best, f_best)]
+        y_pol = self._polish(x0, x1, y_best, f_best, wlo, whi)
+        ranked = [] if y_pol is None else [(0, y_pol)]
+        ranked += [(0, s) for s in self.nonsmooth if wlo <= s <= whi]
+        ranked += [(2, wlo), (2, whi)]
+        for pri, t in ranked:
+            ft = float(f(t))
+            d = (x0 - t) ** 2 + (x1 - ft) ** 2
+            candidates.append((d if d == d else math.inf, pri, t, ft))
+        d_min = min(c[0] for c in candidates)
+        if not math.isfinite(d_min):
+            raise NonFinitePoint(f"curve has no finite value near t in [{wlo!r}, {whi!r}]")
+        band = 16.0 * _EPS * d_min
+        tied = (c for c in candidates if c[0] <= d_min + band)
+        _, _, y, fy = min(tied, key=lambda c: (c[1], c[2]))
+        return np.array([y, fy])
+
+    def _polish(self, x0, x1, y, fy, wlo, whi):
+        f, df = self.f, self.derivative
+        eps = _REF_POINT_EQ_EPS
+        h = 1e-6 * (1.0 + abs(y))
+        y_lo = y - h
+        y_hi = y + h
+        lo, hi = self.domain
+        if df is None or not (lo <= y_lo and y_hi <= hi):
+            return None
+        if any(not abs(t - s) > eps for s in self.nonsmooth for t in (y_lo, y, y_hi)):
+            return None
+        g0 = (y - x0) + (fy - x1) * float(df(y))
+        g_hi = (y_hi - x0) + (float(f(y_hi)) - x1) * float(df(y_hi))
+        g_lo = (y_lo - x0) + (float(f(y_lo)) - x1) * float(df(y_lo))
+        slope = (g_hi - g_lo) / (2.0 * h)
+        if not math.isfinite(slope) or abs(slope) <= eps:
+            return None
+        y_new = y - g0 / slope
+        if not (wlo <= y_new <= whi) or not math.isfinite(y_new):
+            return None
+        return y_new
+
+
+TUPLE_RANKED_GRAPHS = {
+    name: _TupleRankedGraph(f=g.f, derivative=g.derivative, domain=g.domain, nonsmooth=g.nonsmooth)
+    for name, g in PARITY_GRAPHS.items()
+}
+
+
+def _bits(outcome):
+    return outcome.tobytes() if isinstance(outcome, np.ndarray) else outcome
+
+
+@given(
+    st.sampled_from(sorted(PARITY_GRAPHS)),
+    st.floats(-4.0, 4.0),
+    st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-12, 1e-12)),
+    st.one_of(st.none(), st.sampled_from((0.0, 1e-13, -1e-13, 1e-9, -1e-6, 1e-3))),
+)
+# Near the kink of "kinked" and the domain ends of the p-spheres, where
+# the polish is skipped and the kink candidates tie.
+@example("kinked", 0.25, 0.5, 0.0)
+@example("psphere-1.5", 1.0, 0.3, -1e-13)
+def test_graph_projection_matches_the_tuple_ranked_copy_bitwise(name, t, gap, at_kink):
+    # A point ``gap`` above or below the curve at the clamped abscissa t,
+    # or at a declared kink shifted by ``at_kink``.
+    g = PARITY_GRAPHS[name]
+    lo, hi = g.domain
+    if at_kink is not None and g.nonsmooth:
+        t = g.nonsmooth[0] + at_kink
+    level = float(g.f(min(max(t, lo), hi)))
+    x = (t, level + gap if math.isfinite(level) else gap)
+    got = _bits(_projection_outcome(g, x))
+    assert got == _bits(_projection_outcome(TUPLE_RANKED_GRAPHS[name], x))
+    y = min(max(t, lo), hi)
+    if math.isfinite(level):
+        for wlo, whi in ((y - 1.0, y + 1.0), (lo, hi)):
+            got = g._polish(t, level + gap, y, level, wlo, whi)
+            want = TUPLE_RANKED_GRAPHS[name]._polish(t, level + gap, y, level, wlo, whi)
+            assert repr(got) == repr(want)

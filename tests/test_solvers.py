@@ -524,6 +524,21 @@ def _unscreened_cycle_lag(iterates, window, eps):
     return None
 
 
+def _indexed_cycle_lag(iterates, firsts):
+    # Verbatim copy, renamed and docstring dropped, of solvers._cycle_lag
+    # from before it walked the deque once, with the window and threshold
+    # read from this file: the reference for its lags.
+    new = iterates[-1]
+    new0 = firsts[-1]
+    eps = _EPS
+    for lag in range(1, min(_WINDOW, len(iterates) - 1) + 1):
+        if abs(new0 - firsts[-1 - lag]) > 2.0 * eps:
+            continue
+        if solvers._norm(new - iterates[-1 - lag]) <= eps:
+            return lag
+    return None
+
+
 def _around(v):
     return [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
 
@@ -557,6 +572,7 @@ def _cycle_inputs(draw):
 def test_screened_cycle_lag_matches_the_unscreened_loop(iterates):
     firsts = deque((float(p[0]) for p in iterates), maxlen=_WINDOW + 1)
     assert _cycle_lag(iterates, firsts) == _unscreened_cycle_lag(iterates, _WINDOW, _EPS)
+    assert _cycle_lag(iterates, firsts) == _indexed_cycle_lag(iterates, firsts)
 
 
 @dataclasses.dataclass(frozen=True)
