@@ -21,8 +21,10 @@ from .analysis import ComparisonRow, compare, comparison_to_csv
 from .errors import FeaskitError
 from .geometry import DEFAULT_TOLERANCES
 from .plotting import TraceSeries, render_svg
-from .problems import Problem, builtin, load_problem, problem_names, problem_to_dict
-from .solvers import METHODS, StopReason, StopRule, Trace, run
+from .problems import (
+    Problem, builtin, load_problem, nearest_solution, problem_names, problem_to_dict,
+)
+from .solvers import METHODS, StopReason, StopRule, Trace, run, trace_errors
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -122,9 +124,9 @@ def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _trace_doc(trace: Trace, problem_name: str) -> dict:
-    """The trace record both formats encode, in a JSON trace's key order."""
-    dist = trace.dist_to_solution
+def _trace_doc(trace: Trace, problem_name: str, dist) -> dict:
+    """The trace record both formats encode, in a JSON trace's key order;
+    ``dist`` is the iterates' distances to a solution, or None."""
     return {
         "method": trace.method,
         "problem": problem_name,
@@ -157,8 +159,8 @@ def _header_fields(lines) -> dict:
     return {key.strip(): value for key, _, value in pairs}
 
 
-def write_trace_csv(path, trace: Trace, problem_name: str) -> None:
-    doc = _trace_doc(trace, problem_name)
+def write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
+    doc = _trace_doc(trace, problem_name, dist)
     lines = _header_lines(doc)
     cols = ",".join(f"x{i}" for i in range(trace.iterates.shape[1]))
     lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
@@ -170,8 +172,8 @@ def write_trace_csv(path, trace: Trace, problem_name: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_trace_json(path, trace: Trace, problem_name: str) -> None:
-    doc = _trace_doc(trace, problem_name)
+def write_trace_json(path, trace: Trace, problem_name: str, dist) -> None:
+    doc = _trace_doc(trace, problem_name, dist)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
@@ -227,14 +229,12 @@ def _csv_record(text: str):
 def cmd_run(args) -> int:
     problem = _resolve_problem(args)
     stop, tol, x0 = _resolve_run_config(args, problem)
-    trace = run(
-        args.method, problem.a, problem.b, x0,
-        stop=stop, tol=tol, solution=problem.known_solutions or None,
-        root_graph=problem.graph,
-    )
+    trace = run(args.method, problem.a, problem.b, x0, stop=stop, tol=tol, root_graph=problem.graph)
     if args.out:
+        s = nearest_solution(problem, trace.final)
+        dist = None if s is None else trace_errors(trace, s)
         writer = write_trace_csv if args.format == "csv" else write_trace_json
-        writer(args.out, trace, problem.name)
+        writer(args.out, trace, problem.name, dist)
     rate = ComparisonRow.from_trace(trace, problem).rate
     summary = (
         f"method={args.method} problem={problem.name} stop={trace.stop.value} "

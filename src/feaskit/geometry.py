@@ -75,12 +75,6 @@ def as_point(p, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _nearest(candidates: np.ndarray, x: np.ndarray) -> int:
-    """Index of the row of ``candidates`` nearest ``x``; the first wins ties."""
-    d = candidates - x
-    return int(np.argmin((d * d).sum(axis=1)))
-
-
 def _norm(v: np.ndarray) -> float:
     # ndarray.dot is np.dot's C routine without its __array_function__
     # dispatch, and math.sqrt rounds like np.sqrt, so this is bitwise

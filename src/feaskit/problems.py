@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnknownProblem
-from .geometry import _nearest, as_point
+from .errors import DerivativeUndefined, DimensionMismatch, UnknownProblem
+from .geometry import as_point
 from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere
 
 _SOLUTION_RESIDUAL_TOL = 1e-10
@@ -107,6 +107,9 @@ def _pnorm_branch(p: float, a: float = 1.0, b: float = 1.0, cx: float = 0.0, cy:
 
     def d(t):
         u = (t - cx) / a
+        # Only the open domain has a derivative; NaN fails this test too.
+        if not abs(u) < 1.0:
+            raise DerivativeUndefined(f"pnorm_branch has no derivative at t={t!r}")
         inner = 1.0 - abs(u) ** p
         return -(b / a) * math.copysign(abs(u) ** (p - 1.0), u) * inner ** inv_p_1
 
@@ -182,11 +185,13 @@ class Problem:
 
 
 def nearest_solution(problem: Problem, x) -> np.ndarray | None:
-    """Known solution closest to ``x``, or None when none are stored."""
+    """Known solution closest to ``x`` (the first of equally close ones),
+    or None when none are stored."""
     sols = problem.known_solutions
     if not sols:
         return None
-    return sols[_nearest(np.array(sols), as_point(x, sols[0].size))]
+    d = np.array(sols) - as_point(x, sols[0].size)
+    return sols[int(np.argmin((d * d).sum(axis=1)))]
 
 
 # The catalog: problem documents in the schema problem_to_dict writes,

@@ -33,7 +33,6 @@ from .geometry import (
     DEFAULT_TOLERANCES,
     ColinearityCase,
     Tolerances,
-    _nearest,
     _norm,
     as_point,
     circumcenter,
@@ -115,7 +114,6 @@ class Trace:
     wall_time: float = 0.0
     message: str = ""
     cycle_period: int | None = None
-    dist_to_solution: np.ndarray | None = None
 
     def __post_init__(self):
         self.iterates = np.atleast_2d(np.asarray(self.iterates, dtype=float))
@@ -235,7 +233,8 @@ def check_method(method: str, a: FeasibleSet, root_graph: FunctionGraph | None =
 
 
 def trace_errors(trace: Trace, solution) -> np.ndarray:
-    """Distance of every iterate to the solution."""
+    """Distance of every iterate to ``solution``.  For a problem, that is
+    ``problems.nearest_solution(problem, trace.final)``."""
     s = as_point(solution, trace.iterates.shape[1])
     return np.sqrt(((trace.iterates - s) ** 2).sum(axis=1))
 
@@ -247,7 +246,6 @@ def run(
     x0,
     stop: StopRule | None = None,
     tol: Tolerances | None = None,
-    solution=None,
     root_graph: FunctionGraph | None = None,
 ) -> Trace:
     """Iterate ``method`` from ``x0`` until the stop rule fires.
@@ -265,10 +263,7 @@ def run(
 
     Configuration errors raise instead: UnknownMethod for an unknown or
     inapplicable method, DimensionMismatch for a start or set of another
-    dimension, NonFinitePoint for a non-finite start or solution.
-
-    ``solution`` may be one point or a stack of candidate points; the
-    recorded distances are to the candidate nearest the final iterate.
+    dimension, NonFinitePoint for a non-finite start.
     """
     graph = check_method(method, a, root_graph)
     step = _STEPS[method][0]
@@ -318,7 +313,7 @@ def run(
         reason = StopReason.ERROR
         message = f"{type(exc).__name__}: {exc}"
 
-    trace = Trace(
+    return Trace(
         method=method,
         iterates=np.array(iterates),
         residuals=np.array(residuals),
@@ -328,10 +323,6 @@ def run(
         message=message,
         cycle_period=cycle_period,
     )
-    if solution is not None:
-        cand = np.array([as_point(s, x.size) for s in np.atleast_2d(np.asarray(solution, float))])
-        trace.dist_to_solution = trace_errors(trace, cand[_nearest(cand, trace.final)])
-    return trace
 
 
 def _cycle_lag(iterates, firsts) -> int | None:

@@ -69,14 +69,13 @@ def test_hybrid_beats_averaged_reflections_on_circle_and_line():
     # method, and the scalar Newton reduction must converge too.
     p = builtin("sphere-line")
     stop = StopRule(residual_tol=1e-12, max_iter=200)
-    hybrid = run("crm", p.a, p.b, (0.9999, 0.0), stop, solution=p.known_solutions)
-    averaged = run("dr", p.a, p.b, (0.9999, 0.0), stop, solution=p.known_solutions)
-    k_hybrid = _first_at_or_below(hybrid.dist_to_solution, DIST_TOL)
-    k_averaged = _first_at_or_below(averaged.dist_to_solution, DIST_TOL)
-    newton = run(
-        "newton", p.a, p.b, (0.9999, 0.0), stop,
-        solution=p.known_solutions, root_graph=p.graph,
+    hybrid = run("crm", p.a, p.b, (0.9999, 0.0), stop)
+    averaged = run("dr", p.a, p.b, (0.9999, 0.0), stop)
+    k_hybrid = _first_at_or_below(trace_errors(hybrid, nearest_solution(p, hybrid.final)), DIST_TOL)
+    k_averaged = _first_at_or_below(
+        trace_errors(averaged, nearest_solution(p, averaged.final)), DIST_TOL
     )
+    newton = run("newton", p.a, p.b, (0.9999, 0.0), stop, root_graph=p.graph)
     root = math.sqrt(3.0) / 2.0
     newton_err = abs(float(newton.final[0]) - root)
     ok = (

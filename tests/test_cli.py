@@ -18,8 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from feaskit import (
-    METHODS, StopReason, Trace, TraceSeries, builtin, problem_names, problem_to_dict, run,
-    save_problem,
+    METHODS, StopReason, Trace, TraceSeries, builtin, nearest_solution, problem_names,
+    problem_to_dict, run, save_problem, trace_errors,
 )
 from feaskit.cli import (
     _COMMANDS, _ConfigError, _full_parser, _parse_args, _TraceFileError, main, read_trace,
@@ -268,7 +268,7 @@ def test_csv_trace_with_multi_line_header_values_reads_back(tmp_path):
         stop=StopReason.ERROR, message="a\nb",
     )
     path = tmp_path / "error.csv"
-    write_trace_csv(path, trace, "two\r\nlines")
+    write_trace_csv(path, trace, "two\r\nlines", None)
     meta, series = read_trace(path)
     assert meta["message"] == "a b"
     assert meta["problem"] == "two lines"
@@ -285,7 +285,7 @@ def _trailing_whitespace_trace():
 @pytest.mark.parametrize("write", [write_trace_csv, write_trace_json])
 def test_header_values_keep_their_trailing_whitespace(write, tmp_path):
     path = tmp_path / "t.trace"
-    write(path, _trailing_whitespace_trace(), "sphere-line ")
+    write(path, _trailing_whitespace_trace(), "sphere-line ", None)
     meta, _ = read_trace(path)
     assert meta["problem"] == "sphere-line "
     assert meta["message"] == "ends with a tab\t"
@@ -296,7 +296,7 @@ def test_a_problem_name_with_trailing_space_plots_no_catalog_sets(tmp_path, caps
     trace = _trailing_whitespace_trace()
     for name, drawn in [("sphere-line", True), ("sphere-line ", False)]:
         path, fig = tmp_path / "t.csv", tmp_path / "t.svg"
-        write_trace_csv(path, trace, name)
+        write_trace_csv(path, trace, name, None)
         assert main(["plot", str(path), "--out", str(fig)]) == EXIT_OK
         assert ('stroke-width="1.8"' in fig.read_text(encoding="utf-8")) is drawn
     capsys.readouterr()
@@ -345,12 +345,13 @@ def test_an_overflowing_dr_start_stops_with_its_message_and_plots(tmp_path, caps
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*argv, "--out", str(path)]) == EXIT_ERROR
-    # Overflow in the residual's norm, in R_B R_A x, and in the two
-    # distances to the solutions; none in averaging x with R_B R_A x.
+    # Overflow in the residual's norm, in R_B R_A x, in choosing the
+    # nearest solution and in the distances to it; none in averaging x
+    # with R_B R_A x.
     assert {(str(w.message), os.path.basename(w.filename)) for w in caught} == {
         ("overflow encountered in dot", "geometry.py"),
         ("overflow encountered in multiply", "solvers.py"),
-        ("overflow encountered in multiply", "geometry.py"),
+        ("overflow encountered in multiply", "problems.py"),
         ("overflow encountered in square", "solvers.py"),
     }
     meta, series = read_trace(path)
@@ -552,8 +553,7 @@ def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _ref_write_trace_csv(path, trace: Trace, problem_name: str) -> None:
-    dist = trace.dist_to_solution
+def _ref_write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
     dim = trace.iterates.shape[1]
     meta = [
         ("method", trace.method),
@@ -582,8 +582,7 @@ def _ref_write_trace_csv(path, trace: Trace, problem_name: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _ref_write_trace_json(path, trace: Trace, problem_name: str) -> None:
-    dist = trace.dist_to_solution
+def _ref_write_trace_json(path, trace: Trace, problem_name: str, dist) -> None:
     doc = {
         "method": trace.method,
         "problem": problem_name,
@@ -668,7 +667,7 @@ def _read_result(parsed):
     return meta, series.label, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, directory) -> None:
+def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, dist, directory):
     """Both trace files are the reference's bytes.  Reading either gives the
     reference reader's arrays, and the metadata and label the reference
     reads from the CSV trace: a JSON trace reads as its CSV trace does."""
@@ -678,8 +677,8 @@ def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, dir
         ("json", write_trace_json, _ref_write_trace_json),
     ):
         path, ref_path = (Path(directory) / f"{stem}.{ext}" for stem in ("new", "ref"))
-        write(path, trace, problem_name)
-        ref_write(ref_path, trace, problem_name)
+        write(path, trace, problem_name, dist)
+        ref_write(ref_path, trace, problem_name, dist)
         assert path.read_bytes() == ref_path.read_bytes(), ext
         meta, label, arrays = _read_result(_ref_read_trace(ref_path))
         csv_meta_and_label = csv_meta_and_label or (meta, label)
@@ -690,17 +689,16 @@ def _catalog_traces():
     for name in problem_names():
         p = builtin(name)
         for method in METHODS:
-            trace = run(
-                method, p.a, p.b, p.default_x0,
-                solution=p.known_solutions or None, root_graph=p.graph,
-            )
-            yield pytest.param(trace, name, id=f"{name}-{method}")
+            trace = run(method, p.a, p.b, p.default_x0, root_graph=p.graph)
+            dist = trace_errors(trace, nearest_solution(p, trace.final))
+            yield pytest.param(trace, name, dist, id=f"{name}-{method}")
     yield pytest.param(
         Trace(
             method="crm", iterates=[[0.5, 0.5]], residuals=[math.nan],
             stop=StopReason.ERROR, message="step failed\r\non two lines", wall_time=0.125,
         ),
         "two\r\nlines",
+        None,
         id="error-with-line-breaks",
     )
     yield pytest.param(
@@ -709,23 +707,25 @@ def _catalog_traces():
             residuals=[1.0, 1.0, 1.0], stop=StopReason.CYCLE, cycle_period=2,
         ),
         "signed-sqrt",
+        None,
         id="cycle",
     )
     p = builtin("sphere-line")
-    yield pytest.param(run("dr", p.a, p.b, p.default_x0), "sphere-line", id="no-distances")
+    yield pytest.param(run("dr", p.a, p.b, p.default_x0), "sphere-line", None, id="no-distances")
     yield pytest.param(
         Trace(
             method="dr", iterates=[[0.0, 1.0], [-0.0, 1e308], [5e-324, -2.5]],
-            residuals=[math.nan, math.inf, 0.0], dist_to_solution=np.array([1.0, math.inf, math.nan]),
+            residuals=[math.nan, math.inf, 0.0],
         ),
         "sphere-line",
+        np.array([1.0, math.inf, math.nan]),
         id="nan-and-inf-residuals",
     )
 
 
-@pytest.mark.parametrize(("trace", "problem_name"), _catalog_traces())
-def test_trace_files_and_reads_match_the_reference(trace, problem_name, tmp_path):
-    _assert_trace_files_match_the_reference(trace, problem_name, tmp_path)
+@pytest.mark.parametrize(("trace", "problem_name", "dist"), _catalog_traces())
+def test_trace_files_and_reads_match_the_reference(trace, problem_name, dist, tmp_path):
+    _assert_trace_files_match_the_reference(trace, problem_name, dist, tmp_path)
 
 
 _labels = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -740,18 +740,19 @@ def _traces(draw):
     nonneg = st.one_of(st.floats(min_value=0.0), st.just(math.nan))
     residuals = draw(st.lists(nonneg, min_size=n, max_size=n))
     dist = draw(st.none() | st.lists(nonneg, min_size=n, max_size=n))
-    return Trace(
+    trace = Trace(
         method=draw(_labels), iterates=iterates, residuals=residuals,
         stop=draw(st.sampled_from(StopReason)), wall_time=draw(st.floats(min_value=0.0)),
         message=draw(_labels), cycle_period=draw(st.none() | st.integers(0, 8)),
-        dist_to_solution=None if dist is None else np.array(dist),
     )
+    return trace, None if dist is None else np.array(dist)
 
 
 @given(_traces(), _labels)
-def test_drawn_trace_files_and_reads_match_the_reference(trace, problem_name):
+def test_drawn_trace_files_and_reads_match_the_reference(trace_and_dist, problem_name):
+    trace, dist = trace_and_dist
     with tempfile.TemporaryDirectory() as directory:
-        _assert_trace_files_match_the_reference(trace, problem_name, directory)
+        _assert_trace_files_match_the_reference(trace, problem_name, dist, directory)
 
 
 HEADER = "iter,x0,x1,residual,dist_to_solution,case_tag,used_circumcenter\n"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from feaskit import (
     CURVES,
     CaseLabel,
+    DerivativeUndefined,
     DimensionMismatch,
     FeasibleSet,
     FunctionGraph,
@@ -185,7 +186,21 @@ def test_pnorm_branch_float_calls_match_the_max_form_bitwise(data):
     f, d = _pnorm_branch_max_form(**{k: float(v) for k, v in params.items()})
     t = data.draw(_abscissas(g) | st.sampled_from((math.nan, math.inf, -math.inf)))
     assert _call_outcome(g.f, float(t)) == _call_outcome(f, float(t))
-    assert _call_outcome(g.derivative, float(t)) == _call_outcome(d, float(t))
+    # The derivative has the copy's bits on the open domain and no value
+    # elsewhere, NaN included.
+    if abs((float(t) - float(params["cx"])) / float(params["a"])) < 1.0:
+        assert _call_outcome(g.derivative, float(t)) == _call_outcome(d, float(t))
+    else:
+        with pytest.raises(DerivativeUndefined):
+            g.derivative(float(t))
+
+
+@pytest.mark.parametrize("t", [2.0, 1.0, -1.0, -3.0, math.nan, math.inf])
+def test_pnorm_branch_has_no_derivative_off_its_open_domain(t):
+    g = make_curve("pnorm_branch", p=1.5)
+    with pytest.raises(DerivativeUndefined):
+        g.derivative(t)
+    assert not g.derivative_defined_at(t)
 
 
 def test_make_curve_registry():

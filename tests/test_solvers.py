@@ -27,6 +27,7 @@ from feaskit import (
     Trace,
     UnknownMethod,
     ZeroSubgradient,
+    as_point,
     builtin,
     circumcenter,
     classify_triple,
@@ -304,20 +305,6 @@ def test_run_subgrad_checks_derivative_oracle():
     assert tr0.message.startswith("DerivativeUndefined:")
 
 
-def test_run_solution_distances_single_and_stack():
-    p = builtin("sphere-line")
-    root = math.sqrt(3.0) / 2.0
-    single = run("crm", p.a, p.b, (0.9999, 0.0), solution=(root, 0.0))
-    stacked = run("crm", p.a, p.b, (0.9999, 0.0), solution=p.known_solutions)
-    assert np.array_equal(single.dist_to_solution, stacked.dist_to_solution)
-    assert stacked.dist_to_solution[0] == pytest.approx(
-        float(np.linalg.norm(np.array([0.9999, 0.0]) - np.array([root, 0.0])))
-    )
-    assert stacked.dist_to_solution[-1] <= 1e-10
-    plain = run("crm", p.a, p.b, (0.9999, 0.0))
-    assert plain.dist_to_solution is None
-
-
 def test_run_reports_a_non_finite_curve_value_as_an_error_trace():
     # At the start the residual is unknown and reads NaN; later, the
     # iterate whose residual test fails is left out of the trace.
@@ -342,12 +329,6 @@ def test_run_rejects_a_start_or_set_of_another_dimension():
         run("crm", p.a, p.b, (0.5, 0.0, 0.0))
     with pytest.raises(DimensionMismatch):
         run("crm", p.a, Hyperplane((0.0, 0.0, 1.0)), (0.5, 0.0))
-
-
-def test_run_solution_validation():
-    p = builtin("sphere-line")
-    with pytest.raises(DimensionMismatch):
-        run("crm", p.a, p.b, (0.9999, 0.0), solution=(1.0, 0.0, 0.0))
 
 
 def test_run_records_steps_only_for_reflection_methods():
@@ -404,15 +385,49 @@ def test_run_crm_flags_match_cases():
         assert s.used_circumcenter == (s.case is ColinearityCase.NON_COLINEAR)
 
 
+def _copied_nearest(candidates: np.ndarray, x: np.ndarray) -> int:
+    # Verbatim copy of geometry._nearest, which run's distances used.
+    d = candidates - x
+    return int(np.argmin((d * d).sum(axis=1)))
+
+
+def _copied_run_distances(trace, solution):
+    # The block that ended run while it took a solution, verbatim but for
+    # returning what it stored and taking x, the start, from the trace: the
+    # reference for the distances trace_errors gives toward nearest_solution.
+    x = trace.iterates[0]
+    if solution is not None:
+        cand = np.array([as_point(s, x.size) for s in np.atleast_2d(np.asarray(solution, float))])
+        return trace_errors(trace, cand[_copied_nearest(cand, trace.final)])
+    return None
+
+
+def _distances(trace, problem):
+    s = nearest_solution(problem, trace.final)
+    return None if s is None else trace_errors(trace, s)
+
+
+def test_distances_to_the_nearest_solution_match_the_copied_run_block():
+    runs = [(name, None, method) for name in problem_names() for method in METHODS] + [
+        ("sphere-line", x0, method) for _, x0 in DR_RUNS[:256] for method in ("crm", "dr")
+    ]
+    assert len(runs) == len(problem_names()) * len(METHODS) + 512
+    for name, x0, method in runs:
+        p = builtin(name)
+        tr = run(method, p.a, p.b, p.default_x0 if x0 is None else x0, root_graph=p.graph)
+        want = _copied_run_distances(tr, p.known_solutions or None)
+        assert _bits(_distances(tr, p)) == _bits(want), (name, x0, method)
+
+
 @pytest.mark.parametrize("x0", [(0.0, 0.3), (1e-16, 0.0), (-1e-16, 0.0), (5e-17, 0.0)])
 def test_run_and_nearest_solution_pick_the_same_root_on_a_near_tie(x0):
     # The two roots of sphere-line are mirror images, so starts on or next
     # to the mirror axis are (near-)ties; an exact tie goes to the first.
     p = builtin("sphere-line")
-    tr = run("crm", p.a, p.b, x0, StopRule(residual_tol=10.0), solution=p.known_solutions)
+    tr = run("crm", p.a, p.b, x0, StopRule(residual_tol=10.0))
     assert tr.iterations == 0
     nearest = nearest_solution(p, tr.final)
-    assert np.array_equal(tr.dist_to_solution, trace_errors(tr, nearest))
+    assert _bits(trace_errors(tr, nearest)) == _bits(_copied_run_distances(tr, p.known_solutions))
     if x0[0] == 0.0:
         assert nearest is p.known_solutions[0]
     else:
@@ -468,12 +483,12 @@ class _SetWithTolParameter(FeasibleSet):
         return self.inner.project(x)
 
 
-def _trace_bits(trace):
+def _trace_bits(trace, problem):
     steps = [
         (r.case, r.used_circumcenter, *(_bits(getattr(r, f)) for f in ("next", "rax", "rbrax")))
         for r in trace.step_results
     ]
-    arrays = (trace.iterates, trace.residuals, trace.dist_to_solution)
+    arrays = (trace.iterates, trace.residuals, _distances(trace, problem))
     return trace.stop, trace.message, trace.cycle_period, [_bits(a) for a in arrays], steps
 
 
@@ -486,10 +501,8 @@ def test_a_set_whose_project_takes_tol_runs_as_the_set_it_wraps(name, tol):
     )
     x0 = p.default_x0
     for method in ("altproj", "crm", "dr"):
-        traces = [
-            run(method, q.a, q.b, x0, tol=tol, solution=q.known_solutions) for q in (p, wrapped)
-        ]
-        assert _trace_bits(traces[0]) == _trace_bits(traces[1])
+        got, want = (_trace_bits(run(method, q.a, q.b, x0, tol=tol), q) for q in (wrapped, p))
+        assert got == want
     got, want = (ct_step(q.a, q.b, x0, tol) for q in (wrapped, p))
     assert (got.case, got.used_circumcenter, _bits(got.next)) == (
         want.case, want.used_circumcenter, _bits(want.next)
@@ -622,16 +635,16 @@ def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
     for name, x0 in DR_RUNS:
         p = builtin(name)
         x0 = p.default_x0 if x0 is None else x0
-        new = run("dr", p.a, p.b, x0, solution=p.known_solutions, tol=tol)
+        new = run("dr", p.a, p.b, x0, tol=tol)
         with monkeypatch.context() as m:
             m.setitem(solvers._STEPS, "dr", (_eager_dr, False))
-            old = run("dr", p.a, p.b, x0, solution=p.known_solutions, tol=tol)
+            old = run("dr", p.a, p.b, x0, tol=tol)
         for field in ("stop", "message", "cycle_period"):
             assert getattr(new, field) == getattr(old, field)
         for got, want in [
             (new.iterates, old.iterates),
             (new.residuals, old.residuals),
-            (new.dist_to_solution, old.dist_to_solution),
+            (_distances(new, p), _distances(old, p)),
         ]:
             assert _bits(got) == _bits(want)
         assert len(new.step_results) == len(old.step_results)
