@@ -18,7 +18,7 @@ class DistinctColinearInput(FeaskitError):
 
 
 class EmptyDomain(FeaskitError):
-    """A projection search window misses the set's domain."""
+    """A graph's domain interval is empty (or has a NaN end)."""
 
 
 class DerivativeZero(FeaskitError):

@@ -56,10 +56,6 @@ class ColinearityCase(Enum):
     DISTINCT_COLINEAR = "distinct-colinear"
     NON_COLINEAR = "non-colinear"
 
-    @property
-    def is_colinear(self) -> bool:
-        return self is not ColinearityCase.NON_COLINEAR
-
 
 def as_point(p, dim: int | None = None) -> np.ndarray:
     """Validate and return ``p`` as a finite 1-D float array."""

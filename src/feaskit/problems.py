@@ -222,10 +222,11 @@ _CATALOG = {doc["name"]: doc for doc in [
         "known_solutions": _ORIGIN, "default_x0": [0.75, 0.0],
         "case_label": "convex-zero-slope", "multiplicity": 2, "epsilon_f": 0.5,
     },
-    # t**2 - 1 translated so its simple root sits at the origin.
+    # t**2 - 1 translated so one simple root sits at the origin; the
+    # other is at -2.
     {
         "name": "shifted-parabola", "a": _graph("poly2", a=1.0, b=2.0, c=0.0), "b": _X_AXIS,
-        "known_solutions": _ORIGIN, "default_x0": [0.5, 0.0],
+        "known_solutions": [[0.0, 0.0], [-2.0, 0.0]], "default_x0": [0.5, 0.0],
         "case_label": "convex-nonzero-slope", "epsilon_f": 0.5,
     },
     {

@@ -210,7 +210,8 @@ class FunctionGraph(FeasibleSet):
         Derivative oracle, valid away from the declared ``nonsmooth``
         abscissas.
     domain : (float, float)
-        Closed interval, endpoints may be infinite.
+        Closed interval, endpoints may be infinite; an empty one, or
+        one with a NaN end, raises EmptyDomain.
     nonsmooth : tuple of float
         Abscissas where the derivative oracle must not be trusted
         (kinks, infinite slopes).
@@ -224,6 +225,12 @@ class FunctionGraph(FeasibleSet):
     nonsmooth: tuple[float, ...] = ()
     curve: str | None = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        lo, hi = self.domain
+        # Also false when an end is NaN.
+        if not lo <= hi:
+            raise EmptyDomain(f"graph domain {self.domain} is empty")
 
     @property
     def dimension(self) -> int:
@@ -256,8 +263,6 @@ class FunctionGraph(FeasibleSet):
         """
         x0, x1 = as_point(x, 2).tolist()
         lo, hi = self.domain
-        if lo > hi:
-            raise EmptyDomain(f"graph domain {self.domain} is empty")
         f = self.f
         anchor = min(max(x0, lo), hi)
         f_anchor = float(f(anchor))
@@ -349,20 +354,3 @@ class FunctionGraph(FeasibleSet):
         if not (wlo <= y_new <= whi) or not math.isfinite(y_new):
             return None
         return y_new
-
-
-def graph_normal_coefficient(g: FunctionGraph, x, p) -> float | None:
-    """Scalar c with x = p + (f(y) - x1) * (c, -1)-style normal data.
-
-    For a graph point p = (y, f(y)) and an off-graph point x = (x0, x1),
-    returns (x0 - y) / (f(y) - x1), the coefficient that reconstructs
-    the outward normal direction at p from the projection geometry.
-    Returns None when x lies at the graph's height (denominator below
-    1e-12), where the coefficient is undefined.
-    """
-    x = as_point(x, 2)
-    p = as_point(p, 2)
-    denom = float(p[1] - x[1])
-    if abs(denom) <= _POINT_EQ_EPS:
-        return None
-    return float(x[0] - p[0]) / denom

@@ -30,7 +30,6 @@ from feaskit import (
     subgrad_proj_step,
     trace_errors,
 )
-from feaskit.sets import graph_normal_coefficient
 
 X_AXIS = Hyperplane((0.0, 1.0), 0.0)
 
@@ -224,9 +223,9 @@ def test_circumcenter_steps_land_on_the_line():
 
 
 def test_circumcenter_step_matches_projected_root_update():
-    # On smooth curves the spanning-triple step equals the scalar
-    # update y - f(y)/y* applied after projecting onto the curve,
-    # embedded back on the axis.
+    # On smooth curves the spanning-triple step from (u, 0) equals the
+    # subgradient projection step y - f(y)/f'(y) from the abscissa y of
+    # the projection onto the curve, embedded back on the axis.
     curves = (
         ("t^2", make_curve("poly2", a=1.0, b=0.0, c=0.0), 0.05, 2.0, True),
         ("t^2+t", make_curve("poly2", a=1.0, b=1.0, c=0.0), 0.05, 2.0, False),
@@ -251,11 +250,8 @@ def test_circumcenter_step_matches_projected_root_update():
                 continue
             if s.case is not ColinearityCase.NON_COLINEAR:
                 continue
-            p = g.project(x)
-            ystar = graph_normal_coefficient(g, x, p)
-            if ystar is None:
-                continue
-            t_next = subgrad_proj_step(g, float(p[0]), ystar)
+            y = float(g.project(x)[0])
+            t_next = subgrad_proj_step(g, y, g.derivative(y))
             kept += 1
             worst = max(worst, float(np.linalg.norm(s.next - np.array([t_next, 0.0]))))
         ok = ok and kept == 100 and worst <= EMBED_TOL

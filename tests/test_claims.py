@@ -10,19 +10,26 @@ its status and the test that checks it; claims that
 checked twice.
 
 The table the checks read is ``feaskit compare --methods crm,dr,newton``
-over the catalog, from each problem's default start and stop rule.
+over the catalog, from each problem's default start and stop rule.  The
+regions check draws its own axis starts from each labelled problem's
+``epsilon_f`` window.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from feaskit import (
+    CaseLabel,
     FunctionGraph,
     Hyperplane,
     RateKind,
     StopReason,
+    StopRule,
     builtin,
     compare,
     problem_names,
@@ -39,6 +46,9 @@ INFEASIBLE_RESIDUAL = 0.1
 SHADOW_TOL = 1e-12
 # Rate classes at least as fast as superlinear.
 SUPERLINEAR_OR_BETTER = (RateKind.SUPERLINEAR, RateKind.QUADRATIC, RateKind.FINITE)
+# Catalog problems whose case label and epsilon_f state a region of convergence.
+LABELLED = tuple(n for n in problem_names() if builtin(n).case_label is not None)
+CONVEX_LABELS = (CaseLabel.CONVEX_ZERO_SLOPE, CaseLabel.CONVEX_NONZERO_SLOPE)
 
 
 def _check(name: str, ok: bool, detail: str) -> None:
@@ -169,4 +179,47 @@ def test_crm_is_feasible_where_dr_stops_at_an_infeasible_fixed_point(table):
         f"dr {dr.stop.value} at residual {residual:.3g} with shadow "
         f"{gap:.2g} from the root (tolerance {SHADOW_TOL:g}); crm {crm.stop.value} "
         f"in {crm.iterations} steps",
+    )
+
+
+@pytest.mark.parametrize("name", LABELLED)
+def test_crm_converges_from_every_axis_start_in_the_labelled_window(name):
+    # For f convex, increasing on [0, epsilon_f] and zero at 0, the CRM
+    # step from (t, 0) is Newton's step from the abscissa y in ]0, t[ of
+    # the projection onto the graph, which lands in [0, y[: the abscissae
+    # fall strictly and stay nonnegative.  On the square-root kink CRM
+    # lands in one step from every such t, where Newton 2-cycles.
+    p = builtin(name)
+    label, eps = p.case_label, p.epsilon_f
+    assert label in CONVEX_LABELS or label is CaseLabel.CONCAVE_INFINITE_SLOPE
+    tol = StopRule().residual_tol
+    steps = []
+    newton_stops = Counter()
+
+    @given(st.floats(min_value=0.0, max_value=eps, exclude_min=True))
+    def check(t):
+        crm = run("crm", p.a, p.b, (t, 0.0))
+        assume(crm.residuals[0] > tol)
+        ts = crm.iterates[:, 0]
+        if label is CaseLabel.CONCAVE_INFINITE_SLOPE:
+            newton = run("newton", p.a, p.b, (t, 0.0))
+            newton_stops[newton.stop.value, newton.cycle_period] += 1
+            ok = _met(crm) and crm.iterations == 1 and not _met(newton)
+        else:
+            ok = _met(crm) and bool(np.all(np.diff(ts) < 0.0)) and ts.min() >= 0.0
+        steps.append(crm.iterations)
+        assert ok, f"t={t!r}: crm {crm.stop.value} in {crm.iterations} steps, abscissae {ts.tolist()}"
+
+    check()
+    if newton_stops:
+        shape = "landed in one step; newton stops " + ", ".join(
+            f"{stop} (period {period}) {n}" for (stop, period), n in sorted(newton_stops.items())
+        )
+    else:
+        shape = f"abscissae fell strictly and stayed nonnegative, at most {max(steps)} steps"
+    _check(
+        f"region of convergence on {name}",
+        bool(steps),
+        f"{label.value}: crm met the residual from {len(steps)} axis starts (t, 0), "
+        f"t in ]0, {eps:g}], off the residual {tol:g}; {shape}",
     )

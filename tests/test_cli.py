@@ -321,6 +321,15 @@ def test_a_problem_file_with_a_non_finite_set_parameter_is_a_config_error(
     assert f"{kind} {key} must be" in capsys.readouterr().err
 
 
+def test_a_problem_file_whose_graph_domain_has_a_nan_end_is_a_config_error(tmp_path, capsys):
+    doc = problem_to_dict(builtin("ellipse-line"))
+    doc["a"]["params"]["cx"] = math.nan
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--problem-file", str(path)]) == EXIT_CONFIG
+    assert "graph domain (nan, nan) is empty" in capsys.readouterr().err
+
+
 def test_plot_traces(tmp_path, capsys):
     t1 = tmp_path / "crm.csv"
     t2 = tmp_path / "dr.csv"

@@ -225,18 +225,6 @@ def test_classify_triple_five_cases():
     assert classify_triple((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)) is ColinearityCase.NON_COLINEAR
 
 
-def test_classify_triple_colinear_cases_report_is_colinear():
-    cases = {
-        ColinearityCase.ALL_COINCIDE: True,
-        ColinearityCase.TWO_DISTINCT: True,
-        ColinearityCase.FIXED_POINT_PAIR: True,
-        ColinearityCase.DISTINCT_COLINEAR: True,
-        ColinearityCase.NON_COLINEAR: False,
-    }
-    for case, expected in cases.items():
-        assert case.is_colinear is expected
-
-
 def test_classify_triple_alignment_threshold():
     # The middle point sits height h off the segment; the alignment
     # ratio is about 1 - h**2/2, so the default 1e-9 threshold flips

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from feaskit import (
     CURVES,
+    METHODS,
     CaseLabel,
     DerivativeUndefined,
     DimensionMismatch,
@@ -18,9 +19,12 @@ from feaskit import (
     FunctionGraph,
     Hyperplane,
     Problem,
+    RateKind,
+    StopReason,
     UnknownProblem,
     builtin,
     classify_conditions,
+    compare,
     load_problem,
     make_curve,
     nearest_solution,
@@ -76,6 +80,28 @@ def test_intersection_abscissas_match_closed_forms():
         p = builtin(name)
         abscissas = sorted(float(s[0]) for s in p.known_solutions)
         assert abscissas == pytest.approx([-root, root], abs=1e-14)
+
+
+def test_shifted_parabola_classifies_every_method_at_its_second_root():
+    # t^2 + 2t also vanishes at -2, where |f'| = 2 as at the origin, so
+    # runs from (-1.5, 0) meet the origin's rate classes and constants.
+    p = builtin("shifted-parabola")
+    assert [s.tolist() for s in p.known_solutions] == [[0.0, 0.0], [-2.0, 0.0]]
+    rows = {r.method: r for r in compare(p, METHODS, x0=(-1.5, 0.0))}
+    expected = {
+        "altproj": (RateKind.LINEAR, 0.2),
+        "crm": (RateKind.QUADRATIC, None),
+        "dr": (RateKind.LINEAR, 1.0 / math.sqrt(5.0)),
+        "newton": (RateKind.QUADRATIC, None),
+        "subgrad": (RateKind.QUADRATIC, None),
+    }
+    assert set(rows) == set(expected)
+    for method, (kind, constant) in expected.items():
+        rate = rows[method].rate
+        assert rows[method].stop is StopReason.RESIDUAL_MET, method
+        assert rate.kind is kind, method
+        if constant is not None:
+            assert rate.constant == pytest.approx(constant, rel=1e-3), method
 
 
 def test_case_metadata():

@@ -18,7 +18,6 @@ from feaskit import (
     Sphere,
     as_point,
     builtin,
-    graph_normal_coefficient,
     make_curve,
     problem_names,
     run,
@@ -238,9 +237,10 @@ def test_pnorm_branch_validation():
 
 
 def test_graph_empty_domain_raises():
-    g = FunctionGraph(f=lambda t: t, domain=(1.0, -1.0))
-    with pytest.raises(EmptyDomain):
-        g.project((0.0, 0.0))
+    # At construction, so no projection checks it; a NaN end fails lo <= hi.
+    for domain in [(1.0, -1.0), (math.nan, 1.0), (-1.0, math.nan), (math.nan, math.nan)]:
+        with pytest.raises(EmptyDomain):
+            FunctionGraph(f=lambda t: t, domain=domain)
 
 
 def test_graph_projection_rejects_non_finite_curve_values():
@@ -288,15 +288,6 @@ def test_derivative_defined_at():
     assert not walled.derivative_defined_at(2.0)
     assert not walled.derivative_defined_at(1.0)
     assert walled.derivative_defined_at(0.3)
-
-
-def test_graph_normal_coefficient():
-    g = make_curve("poly2", a=1.0, b=0.0, c=0.0)
-    x = np.array([3.0, 0.0])
-    p = g.project(x)
-    c = graph_normal_coefficient(g, x, p)
-    assert c == pytest.approx(2.0, abs=1e-9)
-    assert graph_normal_coefficient(g, (3.0, 1.0), (1.0, 1.0)) is None
 
 
 def test_projection_abscissa_stays_below_query_on_convex_curves():
