@@ -75,22 +75,10 @@ class RateClass:
         return name
 
 
-def error_ratios(trace: Trace, solution, order: float = 1) -> np.ndarray:
-    """Ratios e_{n+1} / e_n**order, truncated at the first tiny e_n.
-
-    Once a denominator drops to the error floor (1e-15) the remaining
-    ratios are pure rounding noise, so the sequence stops there.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if trace.iterates.shape[0] < 3:
-        raise TooShort("need at least 3 iterates to form ratio tails")
-    return np.array(_ratios(trace_errors(trace, solution).tolist(), order))
-
-
 def _ratios(errs: list[float], order: float) -> list[float]:
-    """``error_ratios`` of ``trace_errors`` as Python floats (same IEEE
-    results, cheaper per step): a finite ``errs[n] ** 2`` never overflows."""
+    """Ratios e_{n+1} / e_n**order, truncated at the first e_n at or below
+    the error floor (1e-15), past which the ratios are rounding noise.  A
+    finite ``e_n ** 2`` never overflows."""
     out = []
     for n in range(len(errs) - 1):
         if errs[n] <= _ERROR_FLOOR:
@@ -199,10 +187,11 @@ def compare(
 ) -> list[ComparisonRow]:
     """Run every method from the same start and tabulate the outcomes.
 
-    Rows come back sorted by method id.  A method that fails while
-    iterating gives an ERROR row; configuration errors raise before any run.
+    Rows come back sorted by method id, one per distinct method.  A method
+    that fails while iterating gives an ERROR row; configuration errors
+    raise before any run.
     """
-    methods = sorted(methods)
+    methods = sorted(set(methods))
     if not methods:
         raise ValueError("methods must be nonempty")
     for m in methods:

@@ -150,7 +150,6 @@ class Problem:
     known_solutions: tuple
     default_x0: np.ndarray
     case_label: CaseLabel | None = None
-    multiplicity: int | None = None
     epsilon_f: float | None = None
     root_curve: FunctionGraph | None = None
 
@@ -167,8 +166,6 @@ class Problem:
             raise DimensionMismatch(f"problem {self.name!r} mixes dimensions {sorted(dims)}")
         if self.epsilon_f is not None and not self.epsilon_f > 0.0:
             raise ValueError("epsilon_f must be positive when present")
-        if self.multiplicity is not None and self.case_label is not CaseLabel.CONVEX_ZERO_SLOPE:
-            raise ValueError("multiplicity applies only to convex-zero-slope problems")
         for s in sols:
             r = max(self.a.distance(s), self.b.distance(s))
             if not r <= _SOLUTION_RESIDUAL_TOL:
@@ -220,7 +217,7 @@ _CATALOG = {doc["name"]: doc for doc in [
     {
         "name": "parabola", "a": _graph("poly2", a=1.0, b=0.0, c=0.0), "b": _X_AXIS,
         "known_solutions": _ORIGIN, "default_x0": [0.75, 0.0],
-        "case_label": "convex-zero-slope", "multiplicity": 2, "epsilon_f": 0.5,
+        "case_label": "convex-zero-slope", "epsilon_f": 0.5,
     },
     # t**2 - 1 translated so one simple root sits at the origin; the
     # other is at -2.
@@ -374,7 +371,6 @@ def problem_to_dict(p: Problem) -> dict:
         "known_solutions": [s.tolist() for s in p.known_solutions],
         "default_x0": p.default_x0.tolist(),
         "case_label": p.case_label.value if p.case_label is not None else None,
-        "multiplicity": p.multiplicity,
         "epsilon_f": p.epsilon_f,
     }
     if p.root_curve is not None:
@@ -396,7 +392,6 @@ def problem_from_dict(d: dict) -> Problem:
             known_solutions=tuple(tuple(s) for s in d.get("known_solutions", ())),
             default_x0=tuple(d["default_x0"]),
             case_label=CaseLabel(label) if label is not None else None,
-            multiplicity=d.get("multiplicity"),
             epsilon_f=d.get("epsilon_f"),
             root_curve=root_curve,
         )

@@ -22,7 +22,6 @@ from feaskit import (
     circumcenter,
     classify_rate,
     ct_step,
-    error_ratios,
     make_curve,
     nearest_solution,
     problem_names,
@@ -30,6 +29,7 @@ from feaskit import (
     subgrad_proj_step,
     trace_errors,
 )
+from feaskit.analysis import _ratios
 
 X_AXIS = Hyperplane((0.0, 1.0), 0.0)
 
@@ -115,7 +115,7 @@ def test_square_root_kink_superlinear_staircase_and_newton_cycle():
     )
 
     far = run("crm", p.a, p.b, (3.0, 0.0))
-    far_ratios = error_ratios(far, nearest_solution(p, far.final), order=1)
+    far_ratios = np.array(_ratios(trace_errors(far, nearest_solution(p, far.final)).tolist(), 1))
     window = far_ratios[-5:]
     far_ok = (
         far.iterations <= SUPERLINEAR_ITER_BUDGET
@@ -154,7 +154,7 @@ def test_double_root_parabola_contracts_at_one_half():
         "crm", p.a, p.b, (0.75, 0.0),
         tol=Tolerances(colinearity_eps=1e-12),
     )
-    ratios = error_ratios(tr, nearest_solution(p, tr.final), order=1)
+    ratios = np.array(_ratios(trace_errors(tr, nearest_solution(p, tr.final)).tolist(), 1))
     tail = ratios[-max(4, math.ceil(len(ratios) / 4)):]
     ok = (
         tr.stop is StopReason.RESIDUAL_MET
@@ -171,7 +171,7 @@ def test_double_root_parabola_contracts_at_one_half():
 def test_simple_root_parabola_doubles_digits():
     p = builtin("shifted-parabola")
     tr = run("crm", p.a, p.b, (0.5, 0.0))
-    r2 = error_ratios(tr, nearest_solution(p, tr.final), order=2)
+    r2 = np.array(_ratios(trace_errors(tr, nearest_solution(p, tr.final)).tolist(), 2))
     last3 = r2[-3:]
     rate = classify_rate(tr, nearest_solution(p, tr.final))
     ok = (

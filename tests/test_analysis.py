@@ -27,7 +27,6 @@ from feaskit import (
     classify_rate,
     compare,
     comparison_to_csv,
-    error_ratios,
     nearest_solution,
     run,
     trace_errors,
@@ -88,21 +87,14 @@ def test_trace_errors_distance_to_solution():
     )
 
 
-def test_error_ratios_orders_and_validation():
-    tr = _synth([1.0, 0.5, 0.25, 0.125])
-    r1 = error_ratios(tr, ORIGIN, order=1)
-    assert np.allclose(r1, [0.5, 0.5, 0.5])
-    r2 = error_ratios(tr, ORIGIN, order=2)
-    assert np.allclose(r2, [0.5, 1.0, 2.0])
-    with pytest.raises(ValueError):
-        error_ratios(tr, ORIGIN, order=3)
-    with pytest.raises(TooShort):
-        error_ratios(_synth([1.0, 0.5]), ORIGIN)
+def test_error_ratios_orders():
+    errs = [1.0, 0.5, 0.25, 0.125]
+    assert np.allclose(_ratios(errs, 1), [0.5, 0.5, 0.5])
+    assert np.allclose(_ratios(errs, 2), [0.5, 1.0, 2.0])
 
 
 def test_error_ratios_truncate_at_error_floor():
-    tr = _synth([1.0, 0.1, 1e-16, 1e-18])
-    r = error_ratios(tr, ORIGIN)
+    r = _ratios([1.0, 0.1, 1e-16, 1e-18], 1)
     assert len(r) == 2
     assert r[0] == pytest.approx(0.1)
 
@@ -428,7 +420,7 @@ def test_classify_real_stalled_run_is_not_quadratic():
     tr = run("crm", g, axis, (0.3, 0.0))
     assert tr.stop is StopReason.MAX_ITER and tr.iterations == 100
     assert sum(not s.used_circumcenter for s in tr.step_results) == 86
-    assert error_ratios(tr, ORIGIN)[-1] > 0.99
+    assert np.array(_ratios(trace_errors(tr, ORIGIN).tolist(), 1))[-1] > 0.99
     assert classify_rate(tr, ORIGIN).kind is RateKind.INCONCLUSIVE
     newton = classify_rate(run("newton", g, axis, (0.3, 0.0)), ORIGIN)
     assert newton.kind is RateKind.LINEAR
@@ -500,6 +492,20 @@ def test_compare_checks_every_method_before_the_first_run(monkeypatch):
         compare(builtin("parabola"), ["crm", "dr", "zzz"])
     assert runs == []
     compare(builtin("parabola"), ["dr", "crm"])
+    assert runs == ["crm", "dr"]
+
+
+def test_compare_runs_each_named_method_once(monkeypatch):
+    runs = []
+    real_run = analysis.run
+
+    def counting_run(method, *args, **kwargs):
+        runs.append(method)
+        return real_run(method, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run", counting_run)
+    rows = compare(builtin("parabola"), ["dr", "crm", "dr"])
+    assert [r.method for r in rows] == ["crm", "dr"]
     assert runs == ["crm", "dr"]
 
 

@@ -11,8 +11,9 @@ checked twice.
 
 The table the checks read is ``feaskit compare --methods crm,dr,newton``
 over the catalog, from each problem's default start and stop rule.  The
-regions check draws its own axis starts from each labelled problem's
-``epsilon_f`` window.
+angle check runs ``dr`` and ``altproj`` the same way.  The regions check
+draws its own axis starts from each labelled problem's ``epsilon_f``
+window.
 """
 
 import math
@@ -25,13 +26,16 @@ from hypothesis import strategies as st
 
 from feaskit import (
     CaseLabel,
+    ComparisonRow,
     FunctionGraph,
     Hyperplane,
     RateKind,
+    Sphere,
     StopReason,
     StopRule,
     builtin,
     compare,
+    nearest_solution,
     problem_names,
     run,
 )
@@ -49,6 +53,17 @@ SUPERLINEAR_OR_BETTER = (RateKind.SUPERLINEAR, RateKind.QUADRATIC, RateKind.FINI
 # Catalog problems whose case label and epsilon_f state a region of convergence.
 LABELLED = tuple(n for n in problem_names() if builtin(n).case_label is not None)
 CONVEX_LABELS = (CaseLabel.CONVEX_ZERO_SLOPE, CaseLabel.CONVEX_NONZERO_SLOPE)
+# Relative gap allowed between a Linear row's constant and cos(theta)
+# (dr) or cos(theta)**2 (altproj) at the root it reached.
+ANGLE_RTOL = {"dr": 1e-4, "altproj": 1e-3}
+# Rows with no linear rate to predict, each with the rate it reads.
+ANGLE_EXCEPTIONS = {
+    ("parabola", "dr"): ("Cycling(1)", "theta = 0, a tangency; dr stops at a fixed point off the root"),
+    ("parabola", "altproj"): ("Inconclusive", "theta = 0, a tangency"),
+    ("pline", "altproj"): ("Cycling(1)", "stops at the fixed point (3, 0) on the flat branch"),
+    ("signed-sqrt", "dr"): ("Finite(1)", "theta = 90 degrees, the vertical tangent at the kink"),
+    ("signed-sqrt", "altproj"): ("Finite(1)", "theta = 90 degrees, the vertical tangent at the kink"),
+}
 
 
 def _check(name: str, ok: bool, detail: str) -> None:
@@ -222,4 +237,50 @@ def test_crm_converges_from_every_axis_start_in_the_labelled_window(name):
         bool(steps),
         f"{label.value}: crm met the residual from {len(steps)} axis starts (t, 0), "
         f"t in ]0, {eps:g}], off the residual {tol:g}; {shape}",
+    )
+
+
+def _unit_normal(s, r) -> np.ndarray:
+    if isinstance(s, Hyperplane):
+        return s.normal
+    if isinstance(s, Sphere):
+        return (r - s.center) / s.radius
+    slope = float(s.derivative(float(r[0])))
+    return np.array([-slope, 1.0]) / math.hypot(slope, 1.0)
+
+
+def test_linear_rates_of_dr_and_altproj_follow_the_crossing_angle():
+    # Where two lines cross at angle theta, dr contracts by cos(theta)
+    # (Bauschke, Bello Cruz, Nghia, Phan & Wang 2014) and alternating
+    # projections by cos(theta)**2 (Kayalar & Weinert 1988).  Curves that
+    # cross transversally inherit the rates of their tangent lines at the
+    # root.
+    rows = []
+    failed = []
+    linear = Counter()
+    for name in problem_names():
+        p = builtin(name)
+        for method in ("altproj", "dr"):
+            tr = run(method, p.a, p.b, p.default_x0, root_graph=p.graph)
+            row = ComparisonRow.from_trace(tr, p)
+            if (name, method) in ANGLE_EXCEPTIONS:
+                want, why = ANGLE_EXCEPTIONS[name, method]
+                rows.append(f"{name} {method} {_rate(row)} ({why})")
+                if _rate(row) != want:
+                    failed.append(f"{name} {method} reads {_rate(row)}, listed as {want}")
+                continue
+            r = nearest_solution(p, tr.final)
+            cos = abs(float(_unit_normal(p.a, r) @ _unit_normal(p.b, r)))
+            want = cos if method == "dr" else cos * cos
+            got = row.rate.constant if _kind(row) is RateKind.LINEAR else None
+            gap = math.inf if got is None else abs(got / want - 1.0)
+            linear[method] += got is not None
+            rows.append(f"{name} {method} {_rate(row)} vs {want:.6g} (gap {gap:.1e})")
+            if not gap <= ANGLE_RTOL[method]:
+                failed.append(f"{name} {method} reads {_rate(row)}, predicted {want:.6g}")
+    _check(
+        "dr and altproj linear rates follow the crossing angle",
+        not failed,
+        f"{linear['dr']} dr and {linear['altproj']} altproj Linear rows; "
+        + "; ".join(failed or rows),
     )

@@ -237,6 +237,44 @@ def test_classify_triple_alignment_threshold():
     assert classify_triple((0.0, 0.0), (2.0, 1e-5), (1.0, 0.0), tight) is ColinearityCase.NON_COLINEAR
 
 
+def _onset(q: float) -> float:
+    """y*(q): the abscissa above which the triple of the t**q onset law
+    reads non-colinear under the default alignment slack eps."""
+    eps = DEFAULT_TOLERANCES.colinearity_eps
+    return ((1.0 / (1.0 - eps) ** 2 - 1.0) / q**2) ** (1.0 / (2.0 * (q - 1.0)))
+
+
+def test_colinearity_onset_values():
+    got = [_onset(q) for q in (2.0, 3.0, 4.0)]
+    assert got == pytest.approx([2.236e-5, 3.861e-3, 2.236e-2], rel=1e-3)
+
+
+@given(
+    st.floats(1.75, 5.0),
+    st.one_of(st.floats(-1.0, math.log10(0.9)), st.floats(math.log10(1.1), 1.0)),
+)
+@example(2.0, math.log10(0.9))
+@example(2.0, math.log10(1.1))
+def test_colinearity_switch_fires_above_the_onset_abscissa(q, log_s):
+    """The hybrid's switch on the graph of f(t) = t**q against the axis.
+
+    For y > 0, t = y + q y**(2q-1) puts the projection of x = (t, 0) onto
+    the graph at (y, y**q) (stationarity), so the reflection triple is x,
+    R_A x = (2y - t, 2y**q) and R_B R_A x = (2y - t, -2y**q).  Its cosine
+    at R_B R_A x is 1/sqrt(1 + q**2 y**(2(q-1))), which falls below
+    1 - eps exactly when y > y*(q) = ((1/(1-eps)**2 - 1)/q**2)**(1/(2(q-1))).
+    Draws keep y a factor 1.1 away from y* on either side.  Below
+    q = 1.57 or so the triple's points lie within 1e-12 of each other
+    near y*, so the coincidence test decides first and the triple reads
+    all-coincide or two-distinct on both sides; that regime is not drawn.
+    """
+    y = 10.0**log_s * _onset(q)
+    t = y + q * y ** (2.0 * q - 1.0)
+    h = 2.0 * y**q
+    case = classify_triple((t, 0.0), (2.0 * y - t, h), (2.0 * y - t, -h))
+    assert (case is ColinearityCase.NON_COLINEAR) == (log_s > 0.0), (q, y, case)
+
+
 def test_classify_triple_scale_invariance():
     rng = np.random.default_rng(909)
     for _ in range(50):

@@ -107,12 +107,10 @@ def test_shifted_parabola_classifies_every_method_at_its_second_root():
 def test_case_metadata():
     p = builtin("parabola")
     assert p.case_label is CaseLabel.CONVEX_ZERO_SLOPE
-    assert p.multiplicity == 2
     assert p.epsilon_f == 0.5
     assert builtin("shifted-parabola").case_label is CaseLabel.CONVEX_NONZERO_SLOPE
     assert builtin("signed-sqrt").case_label is CaseLabel.CONCAVE_INFINITE_SLOPE
     assert builtin("pline").case_label is None
-    assert builtin("pline").multiplicity is None
 
 
 def test_graph_property_prefers_first_set_then_root_curve():
@@ -251,12 +249,6 @@ def test_problem_validation():
             known_solutions=((0.0, 0.0),), default_x0=(1.0, 0.0),
             epsilon_f=-0.5,
         )
-    with pytest.raises(ValueError):
-        Problem(
-            name="bad-mult", a=g, b=axis,
-            known_solutions=((0.0, 0.0),), default_x0=(1.0, 0.0),
-            multiplicity=2,
-        )
 
 
 def test_nearest_solution_picks_closest_candidate():
@@ -343,6 +335,18 @@ def test_problem_json_round_trip(tmp_path):
         for t in (0.1, 0.5, -0.3):
             if p.graph.domain[0] <= t <= p.graph.domain[1]:
                 assert float(q.graph.f(t)) == float(p.graph.f(t))
+
+
+def test_a_problem_has_no_multiplicity_and_documents_ignore_the_key():
+    g = make_curve("poly2", a=1.0, b=0.0, c=0.0)
+    with pytest.raises(TypeError):
+        Problem(
+            name="mult", a=g, b=Hyperplane((0.0, 1.0), 0.0),
+            known_solutions=((0.0, 0.0),), default_x0=(1.0, 0.0), multiplicity=2,
+        )
+    doc = problem_to_dict(builtin("parabola"))
+    assert "multiplicity" not in doc
+    assert problem_to_dict(problem_from_dict({**doc, "multiplicity": 2})) == doc
 
 
 def test_problem_file_errors(tmp_path):
