@@ -74,6 +74,8 @@ def _signed_sqrt() -> FunctionGraph:
         return np.sign(t) * np.sqrt(np.abs(t))
 
     def d(t):
+        if t == 0.0:
+            raise DerivativeUndefined(f"signed_sqrt has no derivative at t={t!r}")
         return 0.5 / math.sqrt(abs(t))
 
     return FunctionGraph(f=f, derivative=d, nonsmooth=(0.0,), curve="signed_sqrt", params={})

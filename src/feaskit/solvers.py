@@ -16,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -68,38 +68,28 @@ class StopRule:
     def __post_init__(self):
         if not self.residual_tol > 0.0:
             raise ValueError("residual_tol must be positive")
+        if not isinstance(self.max_iter, Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class StepResult:
-    """One reflection step: the new iterate ``next``, the reflections
-    ``rax`` and ``rbrax`` of the pre-step point x, and the ``case`` of the
-    triple (x, ``rax``, ``rbrax``), which the constructor takes as checked
-    points.
-
-    ``case`` is classified under ``tol`` when first read, and kept.  A
-    ``hybrid`` step reads it and takes the circumcenter of a non-colinear
-    triple.  Every other step is the average of x and ``rbrax``, and a
-    step that is not ``hybrid`` leaves ``case`` unread.
+    """One hybrid step: the new iterate ``next``, the reflections ``rax``
+    and ``rbrax`` of the pre-step point x, and the ``case`` of the triple
+    (x, ``rax``, ``rbrax``), whose circumcenter the step takes when it is
+    non-colinear and whose average of x and ``rbrax`` it takes otherwise.
     """
 
     next: np.ndarray
     case: ColinearityCase
     rax: np.ndarray
     rbrax: np.ndarray
-    used_circumcenter: bool = False
 
-    def __init__(self, x, rax, rbrax, tol: Tolerances | None = None, hybrid: bool = True):
-        self.__dict__.update(next=0.5 * (x + rbrax), rax=rax, rbrax=rbrax, _x=x, _tol=tol)
-        if hybrid and self.case is ColinearityCase.NON_COLINEAR:
-            self.__dict__.update(next=circumcenter(x, rax, rbrax), used_circumcenter=True)
-
-    # A descriptor-typed field: the default of ``case`` is this property.
-    @cached_property
-    def case(self) -> ColinearityCase:
-        return classify_triple(self._x, self.rax, self.rbrax, self._tol)
+    @property
+    def used_circumcenter(self) -> bool:
+        return self.case is ColinearityCase.NON_COLINEAR
 
 
 @dataclass(eq=False)
@@ -168,8 +158,8 @@ def _residual(a: FeasibleSet, b: FeasibleSet, x) -> tuple[float, np.ndarray]:
 
 
 # Run-loop steps, each (a, b, graph, x, P_A x, tol) -> (next iterate,
-# StepResult or None); only a reflection step's case reads tol.  Scalar
-# steps move the abscissa t of x = (t, 0).
+# StepResult or None); only the hybrid step reads tol.  Scalar steps move
+# the abscissa t of x = (t, 0).
 def _altproj(a, b, graph, x, pax, tol):
     return b.project(pax), None
 
@@ -178,17 +168,21 @@ def _crm(a, b, graph, x, pax, tol):
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
     through B, and take the hybrid step.  ``x`` must be a checked point."""
     rax = 2.0 * pax - x
-    result = StepResult(x, rax, 2.0 * b.project(rax) - rax, tol)
-    return result.next, result
+    rbrax = 2.0 * b.project(rax) - rax
+    case = classify_triple(x, rax, rbrax, tol)
+    if case is ColinearityCase.NON_COLINEAR:
+        nxt = circumcenter(x, rax, rbrax)
+    else:
+        nxt = 0.5 * (x + rbrax)
+    return nxt, StepResult(nxt, case, rax, rbrax)
 
 
 def _dr(a, b, graph, x, pax, tol):
-    """The average of x and R_B R_A x, reflected as in ``_crm``.  Nothing
-    reads the case, so R_B R_A x is checked finite here, where
-    classifying it would have."""
+    """The average of x and R_B R_A x, reflected as in ``_crm``.  R_B R_A x
+    is checked finite, so an overflowing reflection stops the run with
+    NonFinitePoint before the average overflows too."""
     rax = 2.0 * pax - x
-    result = StepResult(x, rax, as_point(2.0 * b.project(rax) - rax), tol, hybrid=False)
-    return result.next, result
+    return 0.5 * (x + as_point(2.0 * b.project(rax) - rax)), None
 
 
 def _newton(a, b, graph, x, pax, tol):
@@ -269,9 +263,7 @@ def run(
     step = _STEPS[method][0]
     stop = StopRule() if stop is None else stop
     tol = DEFAULT_TOLERANCES if tol is None else tol
-    # A copy: a DR step keeps its pre-step point to classify it later, and
-    # the caller may reuse the buffer of x0.
-    x = as_point(x0).copy()
+    x = as_point(x0)
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")
     if not x.size == a.dimension == b.dimension:

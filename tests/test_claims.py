@@ -13,11 +13,13 @@ The table the checks read is ``feaskit compare --methods crm,dr,newton``
 over the catalog, from each problem's default start and stop rule.  The
 angle check runs ``dr`` and ``altproj`` the same way.  The regions check
 draws its own axis starts from each labelled problem's ``epsilon_f``
-window.
+window.  The CRM constant check iterates the scalar reduction in
+300-digit ``decimal`` from two problems' default starts.
 """
 
 import math
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -64,6 +66,12 @@ ANGLE_EXCEPTIONS = {
     ("signed-sqrt", "dr"): ("Finite(1)", "theta = 90 degrees, the vertical tangent at the kink"),
     ("signed-sqrt", "altproj"): ("Finite(1)", "theta = 90 degrees, the vertical tangent at the kink"),
 }
+# Order-2 ratios are read over errors above this, far above the 300-digit
+# working precision, and must meet their prediction to CONSTANT_RTOL.
+DECIMAL_FLOOR = Decimal("1e-140")
+CONSTANT_RTOL = 1e-6
+# Gap allowed between the decimal reduction's first iterate and run's.
+FIRST_STEP_TOL = 1e-9
 
 
 def _check(name: str, ok: bool, detail: str) -> None:
@@ -283,4 +291,81 @@ def test_linear_rates_of_dr_and_altproj_follow_the_crossing_angle():
         not failed,
         f"{linear['dr']} dr and {linear['altproj']} altproj Linear rows; "
         + "; ".join(failed or rows),
+    )
+
+
+def _smooth_roots():
+    """Problem name -> (f, f', f'', root) of its root curve, in decimal."""
+    half = Decimal("0.5")
+    return {
+        "shifted-parabola": (
+            lambda t: t * t + 2 * t, lambda t: 2 * t + 2, lambda t: Decimal(2), Decimal(0)
+        ),
+        "sphere-line": (
+            lambda t: (1 - t * t).sqrt() - half,
+            lambda t: -t / (1 - t * t).sqrt(),
+            lambda t: -1 / (1 - t * t).sqrt() ** 3,
+            Decimal(3).sqrt() / 2,
+        ),
+    }
+
+
+def _crm_reduction(f, df, d2f, t):
+    # y, the abscissa of P_A(t, 0), solves y - t + f(y) f'(y) = 0 (Newton
+    # on that equation from t); then Newton's step from y.
+    y = t
+    for _ in range(100):
+        step = (y - t + f(y) * df(y)) / (1 + df(y) ** 2 + f(y) * d2f(y))
+        y -= step
+        if abs(step) < Decimal("1e-290"):
+            break
+    return y - f(y) / df(y)
+
+
+def _last_order_two_ratio(step, t, root):
+    errors = [abs(t - root)]
+    while errors[-1] > DECIMAL_FLOOR and len(errors) < 60:
+        t = step(t)
+        errors.append(abs(t - root))
+    ratios = [e1 / e0**2 for e0, e1 in zip(errors, errors[1:]) if e1 > DECIMAL_FLOOR]
+    return ratios[-1]
+
+
+@pytest.mark.parametrize("name", ["shifted-parabola", "sphere-line"])
+def test_crm_quadratic_constant_is_newtons_times_cos_theta_to_the_fourth(name):
+    # On a graph A of f against the axis B, P_A(t, 0) = (y, f(y)) with
+    # y - t + f(y) f'(y) = 0, so R_A(t, 0) = (2y - t, 2f(y)) and
+    # R_B R_A(t, 0) = (2y - t, -2f(y)).  The circumcenter is equidistant
+    # from the two reflections, so it lies on the axis at (c, 0), and
+    # (c - t)^2 = (c - 2y + t)^2 + 4f(y)^2 gives c = y + f(y)^2 / (y - t)
+    # = y - f(y) / f'(y): CRM's step from (t, 0) is Newton's step from y.
+    # Linearizing y - t + f(y) f'(y) = 0 at the root r, with s = f'(r),
+    # gives y - r ~ (t - r) / (1 + s^2) = cos^2(theta) (t - r), where
+    # theta is the crossing angle.  Newton from y then gives
+    # e_(k+1) ~ M (cos^2(theta) e_k)^2 with Newton's constant
+    # M = |f''(r)| / (2|s|): CRM's order-2 constant is M cos^4(theta).
+    p = builtin(name)
+    t0 = p.default_x0[0]
+    with localcontext() as ctx:
+        ctx.prec = 300
+        f, df, d2f, r = _smooth_roots()[name]
+        newton_m = abs(d2f(r)) / (2 * abs(df(r)))
+        cos2 = 1 / (1 + df(r) ** 2)
+        got = {
+            "crm": _last_order_two_ratio(lambda t: _crm_reduction(f, df, d2f, t), Decimal(t0), r),
+            "newton": _last_order_two_ratio(lambda t: t - f(t) / df(t), Decimal(t0), r),
+        }
+        want = {"crm": newton_m * cos2 * cos2, "newton": newton_m}
+        gaps = {m: float(abs(got[m] / want[m] - 1)) for m in got}
+        first = float(_crm_reduction(f, df, d2f, Decimal(t0)))
+    step = run("crm", p.a, p.b, p.default_x0, StopRule(max_iter=1)).iterates[1]
+    first_gap = math.hypot(first - float(step[0]), float(step[1]))
+    _check(
+        f"crm's quadratic constant on {name} is M cos^4(theta)",
+        all(gap <= CONSTANT_RTOL for gap in gaps.values()) and first_gap <= FIRST_STEP_TOL,
+        ", ".join(
+            f"{m} reads {float(got[m]):.7g} vs {float(want[m]):.7g} (gap {gaps[m]:.1e})"
+            for m in got
+        )
+        + f"; first iterate {first!r} vs run's {float(step[0])!r} (gap {first_gap:.1e})",
     )

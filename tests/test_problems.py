@@ -227,6 +227,17 @@ def test_pnorm_branch_has_no_derivative_off_its_open_domain(t):
     assert not g.derivative_defined_at(t)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.0])
+def test_signed_sqrt_has_no_derivative_at_its_kink(t):
+    g = make_curve("signed_sqrt")
+    with pytest.raises(DerivativeUndefined, match="signed_sqrt"):
+        g.derivative(t)
+    assert not g.derivative_defined_at(t)
+    # Next to the kink the slope is huge but finite.
+    for near in (1e-300, -1e-300):
+        assert g.derivative(near) == 0.5 / math.sqrt(1e-300) == 5e149
+
+
 def test_make_curve_registry():
     g = make_curve("poly2", a=2.0, b=1.0, c=-3.0)
     assert float(g.f(2.0)) == 2.0 * 4.0 + 1.0 * 2.0 - 3.0

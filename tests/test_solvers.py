@@ -61,22 +61,36 @@ def test_stop_rule_validation():
     assert StopRule().residual_tol == 1e-10
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+def test_stop_rule_rejects_a_max_iter_that_is_no_integer(max_iter):
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        StopRule(max_iter=max_iter)
+
+
 def test_a_hybrid_step_averages_a_distinct_colinear_triple():
-    x, rax, rbrax = np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([2.0, 0.0])
-    step = StepResult(x, rax, rbrax)
+    # The parallel lines x0 = 1/2 and x0 = 3/2 reflect the origin to (1, 0)
+    # and then to (2, 0).
+    a, b = Hyperplane((1.0, 0.0), 0.5), Hyperplane((1.0, 0.0), 1.5)
+    step = ct_step(a, b, (0.0, 0.0))
+    assert _bits(step.rax) == _bits([1.0, 0.0]) and _bits(step.rbrax) == _bits([2.0, 0.0])
     assert step.case is ColinearityCase.DISTINCT_COLINEAR
     assert not step.used_circumcenter
     assert np.array_equal(step.next, np.array([1.0, 0.0]))
 
 
+def _spanning_step(tol=None) -> StepResult:
+    # From (3, 0), the parabola y = t**2 and the axis reflect to (-1, 2)
+    # and then to (-1, -2).
+    return ct_step(make_curve("poly2", a=1.0, b=0.0, c=0.0), X_AXIS, (3.0, 0.0), tol)
+
+
 def test_a_hybrid_step_takes_the_circumcenter_of_a_spanning_triple():
-    x, rax, rbrax = np.array([0.0, 0.0]), np.array([1.0, 0.3]), np.array([0.2, 1.0])
-    step = StepResult(x, rax, rbrax)
+    step = _spanning_step()
     assert step.case is ColinearityCase.NON_COLINEAR and step.used_circumcenter
-    assert _bits(step.next) == _bits(circumcenter(x, rax, rbrax))
+    assert _bits(step.next) == _bits(circumcenter((3.0, 0.0), step.rax, step.rbrax))
 
 
-def test_an_averaged_step_classifies_only_when_its_case_is_read(monkeypatch):
+def test_a_hybrid_step_classifies_its_triple_once_under_its_tolerances(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -84,14 +98,11 @@ def test_an_averaged_step_classifies_only_when_its_case_is_read(monkeypatch):
         return classify_triple(*args)
 
     monkeypatch.setattr(solvers, "classify_triple", counted)
-    x, rax, rbrax = np.array([0.0, 0.0]), np.array([1.0, 0.3]), np.array([0.2, 1.0])
     # A switch this loose reads the spanning triple as colinear.
     tol = Tolerances(colinearity_eps=0.6)
-    step = StepResult(x, rax, rbrax, tol, hybrid=False)
-    assert not step.used_circumcenter and calls == []
-    assert _bits(step.next) == _bits(0.5 * (x + rbrax))
-    assert step.case is ColinearityCase.DISTINCT_COLINEAR
-    assert step.case is ColinearityCase.DISTINCT_COLINEAR
+    step = _spanning_step(tol)
+    assert step.case is ColinearityCase.DISTINCT_COLINEAR and not step.used_circumcenter
+    assert _bits(step.next) == _bits(0.5 * (np.array([3.0, 0.0]) + step.rbrax))
     assert len(calls) == 1 and calls[0][3] is tol
 
 
@@ -109,15 +120,17 @@ def test_trace_validation():
 @pytest.mark.parametrize("method", ["crm", "dr"])
 def test_steps_and_traces_compare_and_hash_by_identity(method):
     # Their fields are arrays, so field-wise == would raise ValueError and
-    # hash would raise TypeError.
+    # hash would raise TypeError.  Only crm records steps.
     p = builtin("sphere-line")
     one, two = (run(method, p.a, p.b, p.default_x0) for _ in range(2))
     assert one.iterates.tobytes() == two.iterates.tobytes()
-    step = one.step_results[0]
-    assert step == step and step != two.step_results[0]
     assert one == one and one != two
-    assert hash(step) == hash(step) and hash(one) == hash(one)
-    assert {step, one} == {step, one}
+    assert hash(one) == hash(one)
+    if method == "crm":
+        step = one.step_results[0]
+        assert step == step and step != two.step_results[0]
+        assert hash(step) == hash(step)
+        assert {step, one} == {step, one}
 
 
 def _first_step(method, a, b, x0) -> Trace:
@@ -281,9 +294,10 @@ def test_run_stalled_map_reports_period_one():
 
 def test_run_max_iter_budget():
     p = builtin("sphere-line")
-    tr = run("dr", p.a, p.b, (0.9999, 0.0), StopRule(max_iter=3))
-    assert tr.stop is StopReason.MAX_ITER
-    assert tr.iterations == 3
+    for max_iter in (3, np.int64(3)):
+        tr = run("dr", p.a, p.b, (0.9999, 0.0), StopRule(max_iter=max_iter))
+        assert tr.stop is StopReason.MAX_ITER
+        assert tr.iterations == 3
 
 
 def test_run_step_error_becomes_error_trace():
@@ -332,12 +346,13 @@ def test_run_rejects_a_start_or_set_of_another_dimension():
 
 
 def test_run_records_steps_only_for_reflection_methods():
+    # Of the two reflection methods, only the hybrid crm records its steps.
     p = builtin("parabola")
     assert run("altproj", p.a, p.b, (3.0, 0.0), StopRule(max_iter=4)).step_results == ()
     assert run("newton", p.a, p.b, (0.75, 0.0), StopRule(max_iter=4)).step_results == ()
-    tr = run("dr", p.a, p.b, (0.75, 0.0), StopRule(max_iter=4))
-    assert len(tr.step_results) == tr.iterations
-    assert all(not s.used_circumcenter for s in tr.step_results)
+    assert run("dr", p.a, p.b, (0.75, 0.0), StopRule(max_iter=4)).step_results == ()
+    tr = run("crm", p.a, p.b, (0.75, 0.0), StopRule(max_iter=4))
+    assert tr.iterations >= 1 and len(tr.step_results) == tr.iterations
 
 
 def _newton_formula(g, t):
@@ -601,7 +616,7 @@ class _EagerStep:
 
 def _eager_reflection_step(b, x, pax, tol, circumcenter_cases) -> _EagerStep:
     # Verbatim copy, docstring dropped, of the step that classified every
-    # triple before DR deferred its case: the reference for DR's steps.
+    # triple before DR deferred its case: the reference for DR's iterates.
     rax = 2.0 * pax - x
     rbrax = 2.0 * b.project(rax) - rax
     case = classify_triple(x, rax, rbrax, tol)
@@ -627,8 +642,8 @@ def _bits(a) -> bytes:
     return np.asarray(a).tobytes()
 
 
-# A looser colinearity switch classifies many of the same DR steps
-# otherwise, so the deferred case has to use the run's tolerances.
+# DR never reads the colinearity switch, so a looser one leaves its
+# iterates as they are.
 @pytest.mark.parametrize("tol", [None, Tolerances(colinearity_eps=0.01)])
 def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
     assert len(DR_RUNS) == 256 + len(problem_names())
@@ -647,17 +662,23 @@ def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
             (_distances(new, p), _distances(old, p)),
         ]:
             assert _bits(got) == _bits(want)
-        assert len(new.step_results) == len(old.step_results)
-        for got, want in zip(new.step_results, old.step_results):
-            assert got.case is want.case
-            assert not got.used_circumcenter and not want.used_circumcenter
-            for field in ("next", "rax", "rbrax"):
-                assert _bits(getattr(got, field)) == _bits(getattr(want, field))
+        assert new.step_results == ()
 
 
 def _without_wall_time(path) -> str:
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
     return "".join(line for line in lines if "wall_time" not in line)
+
+
+def _without_step_cells(csv: str, js: str) -> tuple[str, str]:
+    """A CSV and a JSON trace with every step cell emptied: the last two
+    CSV columns, and the JSON ``case_tags`` and ``used_circumcenter``."""
+    lines = csv.splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if line.startswith("iter,")) + 1
+    rows = [line.rsplit(",", 2)[0] + ",,\n" for line in lines[start:]]
+    doc = json.loads(js)
+    doc.update(case_tags=[], used_circumcenter=[])
+    return "".join(lines[:start] + rows), json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", problem_names())
@@ -673,10 +694,13 @@ def test_dr_trace_files_match_the_eager_step_byte_for_byte(name, tmp_path, capsy
 
     new = traces("new")
     monkeypatch.setitem(solvers._STEPS, "dr", (_eager_dr, False))
-    assert traces("old") == new
+    codes, out, csv, js = traces("old")
+    # The eager step's files carry its cases; DR's leave them empty.
+    assert csv != new[2] and js != new[3]
+    assert (codes, out, *_without_step_cells(csv, js)) == new
 
 
-def test_a_dr_step_classifies_its_triple_once_when_first_read(monkeypatch):
+def test_only_crm_steps_classify_and_record_their_triple(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -686,31 +710,27 @@ def test_a_dr_step_classifies_its_triple_once_when_first_read(monkeypatch):
     monkeypatch.setattr(solvers, "classify_triple", counted)
     p = builtin("sphere-line")
     crm = run("crm", p.a, p.b, p.default_x0)
-    assert len(calls) == crm.iterations  # CRM dispatches on every case
+    assert len(calls) == crm.iterations == len(crm.step_results)
     calls.clear()
     dr = run("dr", p.a, p.b, p.default_x0)
-    assert dr.iterations >= 2 and calls == []
-    step = dr.step_results[0]
-    case = step.case
-    assert step.case is case and len(calls) == 1
-    assert f"case={case!r}" in repr(step)
-    assert dataclasses.asdict(step)["case"] is case
-    assert [f.name for f in dataclasses.fields(step)] == [
-        "next", "case", "rax", "rbrax", "used_circumcenter",
-    ]
-    assert len(calls) == 1
+    assert dr.iterations >= 2 and calls == [] and dr.step_results == ()
+    step = crm.step_results[0]
+    assert f"case={step.case!r}" in repr(step)
+    assert dataclasses.asdict(step)["case"] is step.case
+    assert [f.name for f in dataclasses.fields(step)] == ["next", "case", "rax", "rbrax"]
+    assert isinstance(StepResult.used_circumcenter, property)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.case = ColinearityCase.DISTINCT_COLINEAR
     with pytest.raises(AttributeError, match="no attribute 'cas'"):
         step.cas
 
 
-def test_a_dr_step_classifies_the_start_as_it_was(monkeypatch):
-    # The run copies its start: reusing the caller's buffer afterwards
-    # leaves the deferred case of the first step as it was.
+def test_a_run_records_the_start_as_it_was():
+    # Reusing the caller's buffer after the run leaves the trace's start
+    # as it was.
     p = builtin("sphere-line")
-    x0 = np.array(p.default_x0)
-    tr = run("dr", p.a, p.b, x0)
-    step = tr.step_results[0]
-    want = classify_triple(p.default_x0, step.rax, step.rbrax)
-    x0[:] = step.rbrax
-    assert classify_triple(x0, step.rax, step.rbrax) is not want
-    assert step.case is want
+    for method in ("crm", "dr"):
+        x0 = np.array(p.default_x0)
+        tr = run(method, p.a, p.b, x0)
+        x0[:] = tr.final
+        assert _bits(tr.iterates[0]) == _bits(p.default_x0)
