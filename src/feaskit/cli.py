@@ -12,14 +12,13 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import ComparisonRow, compare, comparison_to_csv
 from .errors import FeaskitError
-from .geometry import DEFAULT_TOLERANCES
+from .geometry import Tolerances
 from .plotting import TraceSeries, render_svg
 from .problems import (
     Problem, builtin, load_problem, nearest_solution, problem_names, problem_to_dict,
@@ -105,10 +104,10 @@ def _resolve_problem(args) -> Problem:
 def _resolve_run_config(args, problem: Problem):
     if args.format not in ("csv", "json"):
         raise _ConfigError(f"unknown format {args.format!r}")
-    tol = DEFAULT_TOLERANCES
+    tol = None
     if args.eps_colinear is not None:
         try:
-            tol = replace(tol, colinearity_eps=args.eps_colinear)
+            tol = Tolerances(colinearity_eps=args.eps_colinear)
         except ValueError as exc:
             raise _ConfigError(str(exc)) from exc
     limits = {"residual_tol": args.tol, "max_iter": args.max_iter}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -38,13 +39,13 @@ class Tolerances:
     colinearity_eps: float = 1e-9
 
     def __post_init__(self):
-        if not self.colinearity_eps > 0.0:
-            raise ValueError(f"colinearity_eps must be strictly positive, got {self.colinearity_eps!r}")
-        if not self.colinearity_eps < 1.0:
-            raise ValueError("colinearity_eps must be below 1")
+        eps = self.colinearity_eps
+        # A bool is a Real; a string or None fails the test before comparing.
+        if isinstance(eps, bool) or not (isinstance(eps, Real) and 0.0 < eps < 1.0):
+            raise ValueError(f"colinearity_eps must be a real in (0, 1), got {eps!r}")
 
 
-DEFAULT_TOLERANCES = Tolerances()
+_DEFAULT_TOLERANCES = Tolerances()
 
 
 class ColinearityCase(Enum):
@@ -147,7 +148,7 @@ def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Colinearity
     equal; exactly two survive; x equals the double reflection but not
     the single one; three distinct colinear points.
     """
-    tol = DEFAULT_TOLERANCES if tol is None else tol
+    tol = _DEFAULT_TOLERANCES if tol is None else tol
     x = as_point(x)
     rax = as_point(rax, x.size)
     rbrax = as_point(rbrax, x.size)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DerivativeUndefined, DimensionMismatch, UnknownProblem
 from .geometry import as_point
-from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere
+from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere, _residual
 
 _SOLUTION_RESIDUAL_TOL = 1e-10
 _CLASSIFY_SAMPLES = 64
@@ -169,7 +169,7 @@ class Problem:
         if self.epsilon_f is not None and not self.epsilon_f > 0.0:
             raise ValueError("epsilon_f must be positive when present")
         for s in sols:
-            r = max(self.a.distance(s), self.b.distance(s))
+            r = _residual(self.a, self.b, s)[0]
             if not r <= _SOLUTION_RESIDUAL_TOL:
                 raise ValueError(
                     f"known solution {s.tolist()} of {self.name!r} has residual {r:.3e}"

@@ -42,14 +42,13 @@ class FeasibleSet(ABC):
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x`` (deterministic on ties)."""
 
-    def reflect(self, x) -> np.ndarray:
-        """Reflection of ``x`` through the set: 2 P(x) - x."""
-        x = as_point(x, self.dimension)
-        return 2.0 * self.project(x) - x
 
-    def distance(self, x) -> float:
-        x = as_point(x, self.dimension)
-        return _norm(x - self.project(x))
+def _residual(a: FeasibleSet, b: FeasibleSet, x) -> tuple[float, np.ndarray]:
+    """max(d_A(x), d_B(x)), NaN when either distance is, and P_A x,
+    which the next step reuses.  (Python's max drops a NaN second argument.)"""
+    pax = a.project(x)
+    d_b = _norm(x - b.project(x))
+    return (max(_norm(x - pax), d_b) if d_b == d_b else d_b), pax
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import (
     ZeroSubgradient,
 )
 from .geometry import (
+    _DEFAULT_TOLERANCES,
     _POINT_EQ_EPS,
-    DEFAULT_TOLERANCES,
     ColinearityCase,
     Tolerances,
     _norm,
@@ -38,7 +38,7 @@ from .geometry import (
     circumcenter,
     classify_triple,
 )
-from .sets import FeasibleSet, FunctionGraph
+from .sets import FeasibleSet, FunctionGraph, _residual
 
 # How many of the latest iterates the cycle test compares the newest with.
 _CYCLE_WINDOW = 8
@@ -66,11 +66,13 @@ class StopRule:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
-        if not isinstance(self.max_iter, Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
+        tol, n = self.residual_tol, self.max_iter
+        # A bool is an Integral; a string or None fails the test before comparing.
+        if isinstance(tol, bool) or not (isinstance(tol, Real) and tol > 0.0):
+            raise ValueError(f"residual_tol must be a positive real, got {tol!r}")
+        if isinstance(n, bool) or not isinstance(n, Integral):
+            raise ValueError(f"max_iter must be an integer, got {n!r}")
+        if n < 1:
             raise ValueError("max_iter must be at least 1")
 
 
@@ -151,12 +153,6 @@ def subgrad_proj_step(g, y: float, ystar: float) -> float:
     return y - (float(f(y)) / nsq) * ystar
 
 
-def _residual(a: FeasibleSet, b: FeasibleSet, x) -> tuple[float, np.ndarray]:
-    """max(d_A(x), d_B(x)) and P_A x, which the next step reuses."""
-    pax = a.project(x)
-    return max(_norm(x - pax), _norm(x - b.project(x))), pax
-
-
 # Run-loop steps, each (a, b, graph, x, P_A x, tol) -> (next iterate,
 # StepResult or None); only the hybrid step reads tol.  Scalar steps move
 # the abscissa t of x = (t, 0).
@@ -210,14 +206,15 @@ METHODS = tuple(_STEPS)
 
 
 def check_method(method: str, a: FeasibleSet, root_graph: FunctionGraph | None = None):
-    """The function graph ``method`` steps on (None for vector methods).
-    Raises UnknownMethod when the method does not exist or needs a
-    function graph that neither ``root_graph`` nor ``a`` is."""
+    """The function graph ``method`` steps on: ``a`` when it is one, else
+    ``root_graph`` (None for vector methods).  Raises UnknownMethod when
+    the method does not exist or needs a function graph that neither
+    ``a`` nor ``root_graph`` is."""
     if method not in _STEPS:
         raise UnknownMethod(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if not _STEPS[method][1]:
         return None
-    graph = root_graph if root_graph is not None else a
+    graph = a if isinstance(a, FunctionGraph) else root_graph
     if not isinstance(graph, FunctionGraph):
         raise UnknownMethod(
             f"method {method!r} needs a function-graph problem; supply root_graph "
@@ -248,9 +245,8 @@ def run(
     it is a graph, else ``root_graph``) and record iterates embedded as
     (t, 0).  Residuals are always measured against ``a`` and ``b``.
     Reflection is 2P(x) - x and distance is ||x - P(x)|| for every set,
-    from its ``project``, so a subclass that overrides ``reflect`` or
-    ``distance`` is not consulted; P_A x comes from the residual test of
-    the same iterate.  Errors of a step or of an iterate's
+    from its ``project``; P_A x comes from the residual test of the same
+    iterate.  Errors of a step or of an iterate's
     residual test are caught and reported through a trace with stop
     reason ERROR rather than raised; the trace ends at the last iterate
     whose residual is known, or holds the start with residual NaN.
@@ -262,7 +258,7 @@ def run(
     graph = check_method(method, a, root_graph)
     step = _STEPS[method][0]
     stop = StopRule() if stop is None else stop
-    tol = DEFAULT_TOLERANCES if tol is None else tol
+    tol = _DEFAULT_TOLERANCES if tol is None else tol
     x = as_point(x0)
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")

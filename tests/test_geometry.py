@@ -9,7 +9,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from feaskit import (
-    DEFAULT_TOLERANCES,
     ColinearityCase,
     DimensionMismatch,
     DistinctColinearInput,
@@ -125,6 +124,10 @@ def test_tolerances_validation():
         Tolerances(colinearity_eps=0.0)
     with pytest.raises(ValueError):
         Tolerances(colinearity_eps=1.5)
+    for eps in ("0.1", True, None):
+        with pytest.raises(ValueError, match="colinearity_eps must be a real"):
+            Tolerances(colinearity_eps=eps)
+    assert Tolerances(colinearity_eps=np.float64(0.1)).colinearity_eps == 0.1
     tight = Tolerances(colinearity_eps=1e-12)
     assert tight.colinearity_eps == 1e-12
 
@@ -240,7 +243,7 @@ def test_classify_triple_alignment_threshold():
 def _onset(q: float) -> float:
     """y*(q): the abscissa above which the triple of the t**q onset law
     reads non-colinear under the default alignment slack eps."""
-    eps = DEFAULT_TOLERANCES.colinearity_eps
+    eps = Tolerances().colinearity_eps
     return ((1.0 / (1.0 - eps) ** 2 - 1.0) / q**2) ** (1.0 / (2.0 * (q - 1.0)))
 
 
@@ -369,7 +372,7 @@ def _ref_abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
 
 
 def _ref_classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> ColinearityCase:
-    tol = DEFAULT_TOLERANCES if tol is None else tol
+    tol = Tolerances() if tol is None else tol
     x = _ref_as_point(x)
     rax = _ref_as_point(rax, x.size)
     rbrax = _ref_as_point(rbrax, x.size)

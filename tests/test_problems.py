@@ -64,8 +64,8 @@ def test_known_solutions_actually_solve():
         p = builtin(name)
         assert p.known_solutions
         for s in p.known_solutions:
-            assert p.a.distance(s) <= SOLUTION_TOL
-            assert p.b.distance(s) <= SOLUTION_TOL
+            assert np.linalg.norm(s - p.a.project(s)) <= SOLUTION_TOL
+            assert np.linalg.norm(s - p.b.project(s)) <= SOLUTION_TOL
 
 
 def test_intersection_abscissas_match_closed_forms():
@@ -396,9 +396,14 @@ class _Unmeasurable(FeasibleSet):
         return np.full(2, np.nan)
 
 
-def test_a_known_solution_of_unknown_residual_is_rejected():
+@pytest.mark.parametrize("unmeasurable", ["a", "b"])
+def test_a_known_solution_of_unknown_residual_is_rejected(unmeasurable):
+    # The residual is NaN whichever of the two sets has no known distance.
+    a, b = _Unmeasurable(), Hyperplane((0.0, 1.0), 0.0)
+    if unmeasurable == "b":
+        a, b = b, a
     with pytest.raises(ValueError, match="has residual nan"):
-        Problem("nan", _Unmeasurable(), Hyperplane((0.0, 1.0), 0.0), ((0.0, 0.0),), (1.0, 1.0))
+        Problem("nan", a, b, ((0.0, 0.0),), (1.0, 1.0))
 
 
 def test_problem_to_dict_rejects_a_set_of_an_unknown_kind():

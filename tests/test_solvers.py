@@ -12,7 +12,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from feaskit import (
-    DEFAULT_TOLERANCES,
     ColinearityCase,
     DimensionMismatch,
     FeasibleSet,
@@ -58,10 +57,14 @@ def test_stop_rule_validation():
         StopRule(residual_tol=0.0)
     with pytest.raises(ValueError):
         StopRule(max_iter=0)
+    for residual_tol in ("1e-3", True, None):
+        with pytest.raises(ValueError, match="residual_tol must be a positive real"):
+            StopRule(residual_tol=residual_tol)
+    assert StopRule(residual_tol=np.float64(1e-3)).residual_tol == 1e-3
     assert StopRule().residual_tol == 1e-10
 
 
-@pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None, True])
 def test_stop_rule_rejects_a_max_iter_that_is_no_integer(max_iter):
     with pytest.raises(ValueError, match="max_iter must be an integer"):
         StopRule(max_iter=max_iter)
@@ -157,7 +160,8 @@ def test_dr_step_matches_reflection_composition():
     b = X_AXIS
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=2)
-        expected = 0.5 * (x + b.reflect(a.reflect(x)))
+        rax = 2.0 * a.project(x) - x
+        expected = 0.5 * (x + (2.0 * b.project(rax) - rax))
         tr = _first_step("dr", a, b, x)
         assert tr.iterations == 1
         assert np.array_equal(tr.final, expected)
@@ -307,6 +311,33 @@ def test_run_step_error_becomes_error_trace():
     assert tr.message.startswith("DerivativeZero:")
     assert tr.iterations == 0
     assert tr.residuals[0] == 1.0
+
+
+class _Unmeasurable(FeasibleSet):
+    """A set whose projection is NaN, so no distance to it is known."""
+
+    dimension = 2
+
+    def project(self, x):
+        return np.full(2, np.nan)
+
+
+def test_run_does_not_meet_the_residual_on_an_unknown_distance_to_b():
+    # The start lies on A; its distance to B is NaN, so is its residual.
+    trace = run("altproj", X_AXIS, _Unmeasurable(), (0.0, 0.0))
+    assert trace.stop is StopReason.ERROR
+    assert trace.message.startswith("NonFinitePoint: ")
+    assert math.isnan(trace.residuals[0])
+
+
+def test_scalar_methods_step_a_when_it_is_a_graph():
+    a = make_curve("poly2", a=1.0, b=2.0, c=0.0)
+    other = make_curve("poly2", a=1.0, b=-1.0, c=0.0)
+    assert solvers.check_method("newton", a, other) is a
+    assert solvers.check_method("newton", X_AXIS, other) is other
+    tr = run("newton", a, X_AXIS, (0.8, 0.0), root_graph=other)
+    assert _bits(tr.iterates) == _bits(run("newton", a, X_AXIS, (0.8, 0.0)).iterates)
+    assert tr.stop is StopReason.RESIDUAL_MET
 
 
 def test_run_subgrad_checks_derivative_oracle():
@@ -535,7 +566,7 @@ def test_a_set_whose_project_takes_tol_runs_as_the_set_it_wraps(name, tol):
 def test_builtin_projections_take_only_the_point():
     for s in (X_AXIS, Sphere((0.0, 0.0), 1.0), builtin("parabola").graph):
         with pytest.raises(TypeError):
-            s.project((0.5, 0.5), DEFAULT_TOLERANCES)
+            s.project((0.5, 0.5), Tolerances())
 
 
 def _unscreened_cycle_lag(iterates, window, eps):
