@@ -1,9 +1,9 @@
 """Command line front end: run solvers, compare methods, plot traces.
 
-Exit codes: 0 success (run stopped on residual), 1 a step or
-projection failed, 2 iteration budget exhausted, 3 cycle detected, 64
-invalid configuration (including a wrong-dimension start and sets of
-different dimensions), 65 unreadable, malformed or empty trace file.
+Exit codes: 0 success (run stopped on residual), 1 a step or projection failed,
+2 iteration budget exhausted, 3 cycle detected, 64 invalid configuration
+(including a wrong-dimension start, sets of different dimensions and an output
+path that cannot be written), 65 unreadable, malformed or empty trace file.
 """
 
 from __future__ import annotations
@@ -130,23 +130,18 @@ def _trace_doc(trace: Trace, problem_name: str, dist) -> dict:
         "method": trace.method,
         "problem": problem_name,
         "stop": trace.stop.value,
-        "wall_time": trace.wall_time,
         "cycle_period": trace.cycle_period,
         "message": trace.message,
         "iterates": trace.iterates.tolist(),
         "residuals": trace.residuals.tolist(),
         "dist_to_solution": None if dist is None else dist.tolist(),
         "case_tags": [r.case.value for r in trace.step_results],
-        "used_circumcenter": [r.used_circumcenter for r in trace.step_results],
     }
 
 
 def _header_lines(doc: dict) -> list:
-    """A record's CSV header, one ``# key=value`` line per set field (line
-    breaks become spaces), with ``wall_time`` to six significant digits."""
+    """A record's CSV header: one ``# key=value`` line per set field, line breaks as spaces."""
     fields = {key: doc.get(key) for key in ("method", "problem", "stop")}
-    if doc.get("wall_time") is not None:
-        fields["wall_time"] = f"{doc['wall_time']:.6g}"
     fields.update((key, doc.get(key)) for key in ("cycle_period", "message") if doc.get(key) != "")
     return [f"# {k}={' '.join(str(v).splitlines())}" for k, v in fields.items() if v is not None]
 
@@ -158,22 +153,29 @@ def _header_fields(lines) -> dict:
     return {key.strip(): value for key, _, value in pairs}
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
     doc = _trace_doc(trace, problem_name, dist)
     lines = _header_lines(doc)
     cols = ",".join(f"x{i}" for i in range(trace.iterates.shape[1]))
-    lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
-    dist, cases, used = doc["dist_to_solution"], doc["case_tags"], doc["used_circumcenter"]
+    lines.append(f"iter,{cols},residual,dist_to_solution,case_tag")
+    dist, cases = doc["dist_to_solution"], doc["case_tags"]
     for i, p in enumerate(doc["iterates"]):
         d = _fmt17(dist[i]) if dist is not None else ""
-        tags = f"{cases[i]},{'true' if used[i] else 'false'}" if i < len(cases) else ","
-        lines.append(f"{i},{','.join(map(_fmt17, p))},{_fmt17(doc['residuals'][i])},{d},{tags}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tag = cases[i] if i < len(cases) else ""
+        lines.append(f"{i},{','.join(map(_fmt17, p))},{_fmt17(doc['residuals'][i])},{d},{tag}")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_trace_json(path, trace: Trace, problem_name: str, dist) -> None:
     doc = _trace_doc(trace, problem_name, dist)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_trace(path):
@@ -258,7 +260,7 @@ def cmd_compare(args) -> int:
     else:
         table = json.dumps([r.record() for r in rows], indent=2) + "\n"
     if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
+        _write_text(args.out, table)
         print(f"wrote {args.out}")
     else:
         print(table, end="")
@@ -277,7 +279,7 @@ def cmd_plot(args) -> int:
             p = builtin(name)
             sets = (p.a, p.b)
     out = args.out or str(Path(args.traces[0]).with_suffix(".svg"))
-    Path(out).write_text(render_svg(series, sets), encoding="utf-8")
+    _write_text(out, render_svg(series, sets))
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -29,7 +29,6 @@ from .errors import (
     ZeroSubgradient,
 )
 from .geometry import (
-    _DEFAULT_TOLERANCES,
     _POINT_EQ_EPS,
     ColinearityCase,
     Tolerances,
@@ -258,7 +257,6 @@ def run(
     graph = check_method(method, a, root_graph)
     step = _STEPS[method][0]
     stop = StopRule() if stop is None else stop
-    tol = _DEFAULT_TOLERANCES if tol is None else tol
     x = as_point(x0)
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")

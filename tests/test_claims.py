@@ -13,8 +13,10 @@ The table the checks read is ``feaskit compare --methods crm,dr,newton``
 over the catalog, from each problem's default start and stop rule.  The
 angle check runs ``dr`` and ``altproj`` the same way.  The regions check
 draws its own axis starts from each labelled problem's ``epsilon_f``
-window.  The CRM constant check iterates the scalar reduction in
-300-digit ``decimal`` from two problems' default starts.
+window.  The local check draws its own starts around each stored root
+of the two circle- and ellipse-against-line problems.  The CRM constant
+check iterates the scalar reduction in 300-digit ``decimal`` from two
+problems' default starts.
 """
 
 import math
@@ -55,6 +57,8 @@ SUPERLINEAR_OR_BETTER = (RateKind.SUPERLINEAR, RateKind.QUADRATIC, RateKind.FINI
 # Catalog problems whose case label and epsilon_f state a region of convergence.
 LABELLED = tuple(n for n in problem_names() if builtin(n).case_label is not None)
 CONVEX_LABELS = (CaseLabel.CONVEX_ZERO_SLOPE, CaseLabel.CONVEX_NONZERO_SLOPE)
+# Starts of the local check lie this close to a stored root.
+LOCAL_RADIUS = 0.25
 # Relative gap allowed between a Linear row's constant and cos(theta)
 # (dr) or cos(theta)**2 (altproj) at the root it reached.
 ANGLE_RTOL = {"dr": 1e-4, "altproj": 1e-3}
@@ -245,6 +249,40 @@ def test_crm_converges_from_every_axis_start_in_the_labelled_window(name):
         bool(steps),
         f"{label.value}: crm met the residual from {len(steps)} axis starts (t, 0), "
         f"t in ]0, {eps:g}], off the residual {tol:g}; {shape}",
+    )
+
+
+@pytest.mark.parametrize("name", ["sphere-line", "ellipse-line"])
+def test_crm_converges_locally_at_each_root_of_the_prototypical_pairs(name):
+    # A circle against a line through it is the plane setting of Borwein &
+    # Sims (2011); the ellipse stretches it.  From every start near a
+    # root, in any direction, CRM meets the residual at that root.
+    p = builtin(name)
+    steps = []
+
+    @given(
+        st.sampled_from(range(len(p.known_solutions))),
+        st.floats(min_value=0.0, max_value=LOCAL_RADIUS),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def check(k, radius, angle):
+        root = p.known_solutions[k]
+        x0 = root + radius * np.array([math.cos(angle), math.sin(angle)])
+        crm = run("crm", p.a, p.b, x0)
+        steps.append(crm.iterations)
+        reached = nearest_solution(p, crm.final)
+        assert _met(crm) and reached is root, (
+            f"from {x0.tolist()}: crm {crm.stop.value} in {crm.iterations} steps "
+            f"at {crm.final.tolist()}"
+        )
+
+    check()
+    _check(
+        f"local convergence on {name}",
+        bool(steps),
+        f"crm met the residual at the root it started within {LOCAL_RADIUS:g} of, from "
+        f"{len(steps)} starts around {len(p.known_solutions)} roots, in at most "
+        f"{max(steps)} steps",
     )
 
 

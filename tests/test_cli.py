@@ -64,7 +64,7 @@ def test_run_writes_csv_trace_that_round_trips(tmp_path, capsys):
     assert "# problem=parabola" in text
     assert "# stop=residual-met" in text
     header = next(l for l in text.split("\n") if l.startswith("iter,"))
-    assert header == "iter,x0,x1,residual,dist_to_solution,case_tag,used_circumcenter"
+    assert header == "iter,x0,x1,residual,dist_to_solution,case_tag"
 
     meta, series = read_trace(path)
     assert meta["method"] == "crm"
@@ -86,13 +86,11 @@ def test_run_csv_rows_carry_step_tags(tmp_path, capsys):
         if l and not l.startswith("#") and not l.startswith("iter,")
     ]
     assert len(rows) == 11
+    assert all(len(row) == 6 for row in rows)
     assert rows[0][5] == "distinct-colinear"
-    assert rows[0][6] == "false"
     assert rows[9][5] == "non-colinear"
-    assert rows[9][6] == "true"
     # The final row describes the landing point; no step leaves it.
     assert rows[10][5] == ""
-    assert rows[10][6] == ""
 
 
 def test_run_json_trace(tmp_path, capsys):
@@ -558,6 +556,8 @@ def test_the_full_parser_lists_every_command_in_order():
 # Verbatim copies, renamed, of the trace writers and reader (with their
 # helpers) from before the two formats shared one record: the reference
 # for the bytes of every trace file and for what reading one returns.
+# The writers have since dropped the clock reading (wall_time) and the
+# used_circumcenter column, which the case tag determines.
 def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -568,7 +568,6 @@ def _ref_write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
         ("method", trace.method),
         ("problem", problem_name),
         ("stop", trace.stop.value),
-        ("wall_time", f"{trace.wall_time:.6g}"),
     ]
     if trace.cycle_period is not None:
         meta.append(("cycle_period", trace.cycle_period))
@@ -577,17 +576,15 @@ def _ref_write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
     # One line per value, split the way read_trace splits the file.
     lines = [f"# {key}={' '.join(str(value).splitlines())}" for key, value in meta]
     cols = ",".join(f"x{i}" for i in range(dim))
-    lines.append(f"iter,{cols},residual,dist_to_solution,case_tag,used_circumcenter")
+    lines.append(f"iter,{cols},residual,dist_to_solution,case_tag")
     for i, p in enumerate(trace.iterates):
         coords = ",".join(_fmt17(v) for v in p)
         d = _fmt17(dist[i]) if dist is not None else ""
         if i < len(trace.step_results):
             case = trace.step_results[i].case.value
-            used = "true" if trace.step_results[i].used_circumcenter else "false"
         else:
             case = ""
-            used = ""
-        lines.append(f"{i},{coords},{_fmt17(trace.residuals[i])},{d},{case},{used}")
+        lines.append(f"{i},{coords},{_fmt17(trace.residuals[i])},{d},{case}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -596,14 +593,12 @@ def _ref_write_trace_json(path, trace: Trace, problem_name: str, dist) -> None:
         "method": trace.method,
         "problem": problem_name,
         "stop": trace.stop.value,
-        "wall_time": trace.wall_time,
         "cycle_period": trace.cycle_period,
         "message": trace.message,
         "iterates": trace.iterates.tolist(),
         "residuals": trace.residuals.tolist(),
         "dist_to_solution": None if dist is None else dist.tolist(),
         "case_tags": [r.case.value for r in trace.step_results],
-        "used_circumcenter": [r.used_circumcenter for r in trace.step_results],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -764,6 +759,8 @@ def test_drawn_trace_files_and_reads_match_the_reference(trace_and_dist, problem
         _assert_trace_files_match_the_reference(trace, problem_name, dist, directory)
 
 
+# The column header that traces carried before used_circumcenter was
+# dropped: such files still read.
 HEADER = "iter,x0,x1,residual,dist_to_solution,case_tag,used_circumcenter\n"
 
 
@@ -789,12 +786,8 @@ def test_hand_made_csv_traces_read_as_the_reference(text, tmp_path):
         {"residuals": {"a": 1}},
         {"problem": ["x"]},
         {"residuals": [[1.0, 0.5]]},
-        {"wall_time": "soon"},
     ],
-    ids=[
-        "dist-a-number", "residuals-an-object", "problem-a-list", "residuals-a-matrix",
-        "wall-time-a-string",
-    ],
+    ids=["dist-a-number", "residuals-an-object", "problem-a-list", "residuals-a-matrix"],
 )
 def test_malformed_json_traces_exit_65(field, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -802,6 +795,27 @@ def test_malformed_json_traces_exit_65(field, tmp_path, capsys):
     assert main(["plot", str(path), "--out", str(tmp_path / "bad.svg")]) == EXIT_BAD_TRACE
     assert capsys.readouterr().err.startswith(f"feaskit: malformed trace file {path}")
     assert not (tmp_path / "bad.svg").exists()
+
+
+def test_a_json_trace_with_the_dropped_keys_still_reads(tmp_path):
+    # Traces once carried a clock reading and used_circumcenter; no reader
+    # reads either, so neither can make a file malformed.
+    path = tmp_path / "t.json"
+    doc = {"iterates": [[0.5, 0.5]], "wall_time": "soon", "used_circumcenter": [True]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert read_trace(path)[1].iterates.tolist() == [[0.5, 0.5]]
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "plot"])
+def test_an_unwritable_out_is_a_config_error(command, tmp_path, capsys):
+    trace, out = tmp_path / "t.csv", tmp_path / "missing" / "out"
+    assert main(["run", "--problem", "sphere-line", "--out", str(trace)]) == EXIT_OK
+    capsys.readouterr()
+    args = [str(trace)] if command == "plot" else ["--problem", "sphere-line"]
+    assert main([command, *args, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"feaskit: cannot write {out}: ")
+    assert captured.out == ""
 
 
 def test_a_trace_label_with_markup_plots_as_well_formed_svg(tmp_path, capsys):

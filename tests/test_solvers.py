@@ -696,19 +696,14 @@ def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
         assert new.step_results == ()
 
 
-def _without_wall_time(path) -> str:
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    return "".join(line for line in lines if "wall_time" not in line)
-
-
 def _without_step_cells(csv: str, js: str) -> tuple[str, str]:
-    """A CSV and a JSON trace with every step cell emptied: the last two
-    CSV columns, and the JSON ``case_tags`` and ``used_circumcenter``."""
+    """A CSV and a JSON trace with every step cell emptied: the last CSV
+    column, and the JSON ``case_tags``."""
     lines = csv.splitlines(keepends=True)
     start = next(i for i, line in enumerate(lines) if line.startswith("iter,")) + 1
-    rows = [line.rsplit(",", 2)[0] + ",,\n" for line in lines[start:]]
+    rows = [line.rsplit(",", 1)[0] + ",\n" for line in lines[start:]]
     doc = json.loads(js)
-    doc.update(case_tags=[], used_circumcenter=[])
+    doc.update(case_tags=[])
     return "".join(lines[:start] + rows), json.dumps(doc, indent=2) + "\n"
 
 
@@ -721,7 +716,7 @@ def test_dr_trace_files_match_the_eager_step_byte_for_byte(name, tmp_path, capsy
             main([*argv, "--out", str(csv)]),
             main([*argv, "--format", "json", "--out", str(js)]),
         )
-        return codes, capsys.readouterr().out, _without_wall_time(csv), _without_wall_time(js)
+        return codes, capsys.readouterr().out, csv.read_text("utf-8"), js.read_text("utf-8")
 
     new = traces("new")
     monkeypatch.setitem(solvers._STEPS, "dr", (_eager_dr, False))
