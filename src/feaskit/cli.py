@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -104,14 +105,9 @@ def _resolve_problem(args) -> Problem:
 def _resolve_run_config(args, problem: Problem):
     if args.format not in ("csv", "json"):
         raise _ConfigError(f"unknown format {args.format!r}")
-    tol = None
-    if args.eps_colinear is not None:
-        try:
-            tol = Tolerances(colinearity_eps=args.eps_colinear)
-        except ValueError as exc:
-            raise _ConfigError(str(exc)) from exc
     limits = {"residual_tol": args.tol, "max_iter": args.max_iter}
     try:
+        tol = None if args.eps_colinear is None else Tolerances(colinearity_eps=args.eps_colinear)
         stop = StopRule(**{k: v for k, v in limits.items() if v is not None})
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
@@ -310,7 +306,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _full_parser() -> _Parser:
+    """Built on first use and then reused: argparse leaves a parser as it was when it parses."""
     p = _Parser(prog="feaskit", description="feasibility solvers for plane problems")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_, add_args, _) in _COMMANDS.items():
@@ -318,21 +316,9 @@ def _full_parser() -> _Parser:
     return p
 
 
-def _parse_args(argv: list) -> argparse.Namespace:
-    """``argv`` parsed by the parser of the command it names, built alone, or
-    else by the full parser.  Subparsers parse on their own, so both agree."""
-    if not argv or argv[0] not in _COMMANDS:
-        return _full_parser().parse_args(argv)
-    p = _Parser(prog=f"feaskit {argv[0]}")
-    p.set_defaults(command=argv[0])
-    _COMMANDS[argv[0]][1](p)
-    return p.parse_args(argv[1:])
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
+        args = _full_parser().parse_args(argv)
         return _COMMANDS[args.command][2](args)
     except (_ConfigError, FeaskitError) as exc:
         print(f"feaskit: {exc}", file=sys.stderr)

@@ -26,6 +26,11 @@ _SINGULAR_RTOL = 1e-13
 _POINT_EQ_EPS = 1e-12
 
 
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number, numpy scalars included, but not a bool."""
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """The slack of the triple alignment test (dimensionless), which
@@ -40,8 +45,7 @@ class Tolerances:
 
     def __post_init__(self):
         eps = self.colinearity_eps
-        # A bool is a Real; a string or None fails the test before comparing.
-        if isinstance(eps, bool) or not (isinstance(eps, Real) and 0.0 < eps < 1.0):
+        if not (_is_real(eps) and 0.0 < eps < 1.0):
             raise ValueError(f"colinearity_eps must be a real in (0, 1), got {eps!r}")
 
 

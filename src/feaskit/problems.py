@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DerivativeUndefined, DimensionMismatch, UnknownProblem
-from .geometry import as_point
+from .geometry import _is_real, as_point
 from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere, _residual
 
 _SOLUTION_RESIDUAL_TOL = 1e-10
@@ -166,8 +166,9 @@ class Problem:
         dims = {self.a.dimension, self.b.dimension, x0.size, *(s.size for s in sols)}
         if len(dims) > 1:
             raise DimensionMismatch(f"problem {self.name!r} mixes dimensions {sorted(dims)}")
-        if self.epsilon_f is not None and not self.epsilon_f > 0.0:
-            raise ValueError("epsilon_f must be positive when present")
+        eps = self.epsilon_f
+        if eps is not None and not (_is_real(eps) and 0.0 < eps < math.inf):
+            raise ValueError(f"epsilon_f must be a positive finite real, got {eps!r}")
         for s in sols:
             r = _residual(self.a, self.b, s)[0]
             if not r <= _SOLUTION_RESIDUAL_TOL:
@@ -354,14 +355,24 @@ def _set_to_dict(s: FeasibleSet) -> dict:
     raise UnknownProblem(f"cannot serialize set of type {type(s).__name__}")
 
 
+def _reals(values, key: str) -> tuple:
+    """The values of ``key`` in a problem document, if all are finite reals."""
+    values = tuple(values)
+    if not all(_is_real(v) and math.isfinite(v) for v in values):
+        raise UnknownProblem(f"{key} must hold finite reals, got {list(values)!r}")
+    return values
+
+
 def _set_from_dict(d: dict) -> FeasibleSet:
     kind = d.get("kind")
     if kind == "hyperplane":
-        return Hyperplane(normal=np.asarray(d["normal"], dtype=float), offset=float(d["offset"]))
+        return Hyperplane(normal=_reals(d["normal"], "hyperplane normal"), offset=d["offset"])
     if kind == "sphere":
-        return Sphere(center=np.asarray(d["center"], dtype=float), radius=float(d["radius"]))
+        return Sphere(center=_reals(d["center"], "sphere center"), radius=d["radius"])
     if kind == "graph":
-        return make_curve(d["curve"], **d.get("params", {}))
+        params = d.get("params", {})
+        _reals(params.values(), "graph params")
+        return make_curve(d["curve"], **params)
     raise UnknownProblem(f"unknown set kind {kind!r}")
 
 
@@ -382,22 +393,24 @@ def problem_to_dict(p: Problem) -> dict:
 
 def problem_from_dict(d: dict) -> Problem:
     try:
-        label = d.get("case_label")
-        root = d.get("root_curve")
+        name, label, root = d["name"], d.get("case_label"), d.get("root_curve")
+        if not isinstance(name, str):
+            raise UnknownProblem(f"name must be a string, got {name!r}")
         root_curve = _set_from_dict(root) if root is not None else None
         if root_curve is not None and not isinstance(root_curve, FunctionGraph):
             raise UnknownProblem("root_curve must be a graph descriptor")
         return Problem(
-            name=str(d["name"]),
+            name=name,
             a=_set_from_dict(d["a"]),
             b=_set_from_dict(d["b"]),
-            known_solutions=tuple(tuple(s) for s in d.get("known_solutions", ())),
-            default_x0=tuple(d["default_x0"]),
+            known_solutions=[_reals(s, "known_solutions") for s in d.get("known_solutions", ())],
+            default_x0=_reals(d["default_x0"], "default_x0"),
             case_label=CaseLabel(label) if label is not None else None,
             epsilon_f=d.get("epsilon_f"),
             root_curve=root_curve,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # AttributeError: a set or params that is not an object; OverflowError: a huge integer.
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UnknownProblem(f"bad problem document: {exc}") from exc
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
-from .geometry import _POINT_EQ_EPS, _norm, as_point
+from .geometry import _POINT_EQ_EPS, _is_real, _norm, as_point
 
 _GRID_POINTS = 2048
 # The ramp np.linspace scales and shifts into each 2048-point grid.
@@ -69,9 +69,9 @@ class Hyperplane(FeasibleSet):
         big = max(map(abs, n.tolist()))
         if big == 0.0:
             raise DimensionMismatch("hyperplane normal must be nonzero")
-        offset = float(self.offset)
-        if not math.isfinite(offset):
+        if not (_is_real(self.offset) and math.isfinite(self.offset)):
             raise ValueError(f"hyperplane offset must be finite, got {self.offset!r}")
+        offset = float(self.offset)
         if not 1e-150 <= big <= 1e150:
             n, offset = n / big, offset / big
         scale = _norm(n)
@@ -105,7 +105,7 @@ class Sphere(FeasibleSet):
         c = as_point(self.center).copy()
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
-        if not 0.0 < float(self.radius) < math.inf:
+        if not (_is_real(self.radius) and 0.0 < self.radius < math.inf):
             raise ValueError(f"sphere radius must be positive and finite, got {self.radius!r}")
         object.__setattr__(self, "radius", float(self.radius))
 

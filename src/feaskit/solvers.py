@@ -16,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .geometry import (
     _POINT_EQ_EPS,
     ColinearityCase,
     Tolerances,
+    _is_real,
     _norm,
     as_point,
     circumcenter,
@@ -66,9 +67,9 @@ class StopRule:
 
     def __post_init__(self):
         tol, n = self.residual_tol, self.max_iter
-        # A bool is an Integral; a string or None fails the test before comparing.
-        if isinstance(tol, bool) or not (isinstance(tol, Real) and tol > 0.0):
+        if not (_is_real(tol) and tol > 0.0):
             raise ValueError(f"residual_tol must be a positive real, got {tol!r}")
+        # A bool is an Integral; a string or None fails the test.
         if isinstance(n, bool) or not isinstance(n, Integral):
             raise ValueError(f"max_iter must be an integer, got {n!r}")
         if n < 1:
@@ -128,7 +129,7 @@ def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) ->
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
     x = as_point(x)
-    return _crm(a, b, None, x, a.project(x), tol)[1]
+    return _crm(b, None, x, a.project(x), tol)[1]
 
 
 def _derivative(g: FunctionGraph, t: float) -> float:
@@ -152,14 +153,14 @@ def subgrad_proj_step(g, y: float, ystar: float) -> float:
     return y - (float(f(y)) / nsq) * ystar
 
 
-# Run-loop steps, each (a, b, graph, x, P_A x, tol) -> (next iterate,
+# Run-loop steps, each (b, graph, x, P_A x, tol) -> (next iterate,
 # StepResult or None); only the hybrid step reads tol.  Scalar steps move
 # the abscissa t of x = (t, 0).
-def _altproj(a, b, graph, x, pax, tol):
+def _altproj(b, graph, x, pax, tol):
     return b.project(pax), None
 
 
-def _crm(a, b, graph, x, pax, tol):
+def _crm(b, graph, x, pax, tol):
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
     through B, and take the hybrid step.  ``x`` must be a checked point."""
     rax = 2.0 * pax - x
@@ -172,7 +173,7 @@ def _crm(a, b, graph, x, pax, tol):
     return nxt, StepResult(nxt, case, rax, rbrax)
 
 
-def _dr(a, b, graph, x, pax, tol):
+def _dr(b, graph, x, pax, tol):
     """The average of x and R_B R_A x, reflected as in ``_crm``.  R_B R_A x
     is checked finite, so an overflowing reflection stops the run with
     NonFinitePoint before the average overflows too."""
@@ -180,7 +181,7 @@ def _dr(a, b, graph, x, pax, tol):
     return 0.5 * (x + as_point(2.0 * b.project(rax) - rax)), None
 
 
-def _newton(a, b, graph, x, pax, tol):
+def _newton(b, graph, x, pax, tol):
     t = float(x[0])
     d = _derivative(graph, t)
     if abs(d) <= _POINT_EQ_EPS:
@@ -188,7 +189,7 @@ def _newton(a, b, graph, x, pax, tol):
     return np.array([t - float(graph.f(t)) / d, 0.0]), None
 
 
-def _subgrad(a, b, graph, x, pax, tol):
+def _subgrad(b, graph, x, pax, tol):
     t = float(x[0])
     return np.array([subgrad_proj_step(graph, t, _derivative(graph, t)), 0.0]), None
 
@@ -279,7 +280,7 @@ def run(
             reason = StopReason.RESIDUAL_MET
         else:
             for _ in range(stop.max_iter):
-                nxt, result = step(a, b, graph, x, pax, tol)
+                nxt, result = step(b, graph, x, pax, tol)
                 residual, pax = _residual(a, b, nxt)
                 if result is not None:
                     steps.append(result)

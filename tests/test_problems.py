@@ -426,6 +426,63 @@ def test_problem_from_dict_rejects_a_sphere_root_curve():
         problem_from_dict(doc)
 
 
+# Where the schema says a real, a document gives a finite one: not a bool
+# (a Real in Python), not a numeric string, and not NaN or Infinity, which
+# json.loads reads as floats.  Each case sets one key of sphere-line's
+# document, whose a is a sphere, b a hyperplane and root_curve a graph.
+BAD_REALS = [
+    (("a", "radius"), True),
+    (("a", "radius"), "1"),
+    (("a", "radius"), 10**400),
+    (("a", "center"), [0.0, "-0.5"]),
+    (("b", "normal"), [0.0, True]),
+    (("b", "offset"), "0"),
+    (("b", "offset"), math.inf),
+    (("root_curve", "params", "cy"), "-0.5"),
+    (("root_curve", "params", "p"), math.nan),
+    (("default_x0",), [True, 0.0]),
+    (("default_x0",), [math.nan, 0.0]),
+    (("known_solutions",), [["0.8660254037844386", 0.0]]),
+    (("epsilon_f",), True),
+    (("epsilon_f",), "0.5"),
+    (("epsilon_f",), math.inf),
+    (("name",), 7),
+]
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    *parents, key = path
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(("path", "value"), BAD_REALS, ids=lambda v: repr(v)[:24])
+def test_problem_from_dict_takes_only_finite_reals_where_the_schema_says_a_real(path, value):
+    doc = _with(problem_to_dict(builtin("sphere-line")), path, value)
+    with pytest.raises(UnknownProblem):
+        problem_from_dict(doc)
+
+
+def test_problem_from_dict_takes_numpy_scalars_as_reals():
+    doc = problem_to_dict(builtin("sphere-line"))
+    doc["a"]["radius"] = np.float64(1.0)
+    doc["default_x0"] = [np.float64(0.9999), np.int64(0)]
+    p = problem_from_dict(doc)
+    assert p.a.radius == 1.0
+    assert p.default_x0.tolist() == [0.9999, 0.0]
+
+
+@pytest.mark.parametrize("side", [[0.0, 1.0], "sphere", None])
+def test_problem_from_dict_rejects_a_set_descriptor_that_is_not_an_object(side):
+    doc = problem_to_dict(builtin("sphere-line"))
+    doc["a"] = side
+    with pytest.raises(UnknownProblem):
+        problem_from_dict(doc)
+
+
 def test_problem_rejects_sets_starts_and_solutions_of_other_dimensions():
     doc = {
         "name": "mixed",

@@ -656,7 +656,7 @@ def _eager_reflection_step(b, x, pax, tol, circumcenter_cases) -> _EagerStep:
     return _EagerStep(0.5 * (x + rbrax), case, rax, rbrax, False)
 
 
-def _eager_dr(a, b, graph, x, pax, tol):
+def _eager_dr(b, graph, x, pax, tol):
     result = _eager_reflection_step(b, x, pax, tol, frozenset())
     return result.next, result
 
