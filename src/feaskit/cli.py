@@ -23,6 +23,7 @@ from .geometry import Tolerances
 from .plotting import TraceSeries, render_svg
 from .problems import (
     Problem, builtin, load_problem, nearest_solution, problem_names, problem_to_dict,
+    set_from_dict, set_to_dict,
 )
 from .solvers import METHODS, StopReason, StopRule, Trace, run, trace_errors
 
@@ -83,13 +84,11 @@ def _plot_args(sp) -> None:
 
 
 def _parse_point(text: str) -> np.ndarray:
+    # float rejects an empty coordinate, as in "0.5,,0" or ",".
     try:
-        vals = [float(v) for v in text.replace("(", "").replace(")", "").split(",") if v.strip()]
+        return np.array([float(v) for v in text.replace("(", "").replace(")", "").split(",")])
     except ValueError:
         raise _ConfigError(f"cannot parse point {text!r}") from None
-    if not vals:
-        raise _ConfigError(f"cannot parse point {text!r}")
-    return np.array(vals)
 
 
 def _resolve_problem(args) -> Problem:
@@ -111,7 +110,7 @@ def _resolve_run_config(args, problem: Problem):
         stop = StopRule(**{k: v for k, v in limits.items() if v is not None})
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
-    x0 = _parse_point(args.x0) if args.x0 else problem.default_x0
+    x0 = problem.default_x0 if args.x0 is None else _parse_point(args.x0)
     return stop, tol, x0
 
 
@@ -119,15 +118,18 @@ def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _trace_doc(trace: Trace, problem_name: str, dist) -> dict:
+def _trace_doc(trace: Trace, problem: Problem, dist) -> dict:
     """The trace record both formats encode, in a JSON trace's key order;
-    ``dist`` is the iterates' distances to a solution, or None."""
+    ``a`` and ``b`` are the problem's sets as its problem file describes
+    them, and ``dist`` is the iterates' distances to a solution, or None."""
     return {
         "method": trace.method,
-        "problem": problem_name,
+        "problem": problem.name,
         "stop": trace.stop.value,
         "cycle_period": trace.cycle_period,
         "message": trace.message,
+        "a": set_to_dict(problem.a),
+        "b": set_to_dict(problem.b),
         "iterates": trace.iterates.tolist(),
         "residuals": trace.residuals.tolist(),
         "dist_to_solution": None if dist is None else dist.tolist(),
@@ -136,9 +138,11 @@ def _trace_doc(trace: Trace, problem_name: str, dist) -> dict:
 
 
 def _header_lines(doc: dict) -> list:
-    """A record's CSV header: one ``# key=value`` line per set field, line breaks as spaces."""
+    """A record's CSV header: one ``# key=value`` line per field that is
+    set, the two sets as JSON, line breaks as spaces."""
     fields = {key: doc.get(key) for key in ("method", "problem", "stop")}
     fields.update((key, doc.get(key)) for key in ("cycle_period", "message") if doc.get(key) != "")
+    fields.update((key, json.dumps(doc[key])) for key in ("a", "b") if doc.get(key) is not None)
     return [f"# {k}={' '.join(str(v).splitlines())}" for k, v in fields.items() if v is not None]
 
 
@@ -156,8 +160,8 @@ def _write_text(path, text: str) -> None:
         raise _ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
-    doc = _trace_doc(trace, problem_name, dist)
+def write_trace_csv(path, trace: Trace, problem: Problem, dist) -> None:
+    doc = _trace_doc(trace, problem, dist)
     lines = _header_lines(doc)
     cols = ",".join(f"x{i}" for i in range(trace.iterates.shape[1]))
     lines.append(f"iter,{cols},residual,dist_to_solution,case_tag")
@@ -169,8 +173,8 @@ def write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_trace_json(path, trace: Trace, problem_name: str, dist) -> None:
-    doc = _trace_doc(trace, problem_name, dist)
+def write_trace_json(path, trace: Trace, problem: Problem, dist) -> None:
+    doc = _trace_doc(trace, problem, dist)
     _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -197,7 +201,8 @@ def read_trace(path):
         values = np.asarray(values, dtype=float)
         if values.ndim != 1:
             raise ValueError("values are not a 1-D array")
-    except (KeyError, ValueError, IndexError, TypeError) as exc:
+    # RecursionError: JSON nested deeper than the parser recurses.
+    except (KeyError, ValueError, IndexError, TypeError, RecursionError) as exc:
         raise _TraceFileError(f"malformed trace file {path}: {exc}") from exc
     if iterates.ndim != 2 or iterates.shape[0] == 0:
         raise _TraceFileError("trace holds no iterates")
@@ -231,7 +236,7 @@ def cmd_run(args) -> int:
         s = nearest_solution(problem, trace.final)
         dist = None if s is None else trace_errors(trace, s)
         writer = write_trace_csv if args.format == "csv" else write_trace_json
-        writer(args.out, trace, problem.name, dist)
+        writer(args.out, trace, problem, dist)
     rate = ComparisonRow.from_trace(trace, problem).rate
     summary = (
         f"method={args.method} problem={problem.name} stop={trace.stop.value} "
@@ -264,16 +269,22 @@ def cmd_compare(args) -> int:
     return EXIT_ERROR if bad else EXIT_OK
 
 
+def _recorded_sets(path, a, b) -> tuple:
+    """The two sets a trace's header records, or none if it lacks either."""
+    if a is None or b is None:
+        return ()
+    try:
+        return tuple(set_from_dict(json.loads(d)) for d in (a, b))
+    # A descriptor is data from a file: whatever it fails with, the file is at fault.
+    except Exception as exc:
+        raise _TraceFileError(f"malformed trace file {path}: bad set: {exc!r}") from exc
+
+
 def cmd_plot(args) -> int:
     parsed = [read_trace(p) for p in args.traces]
     series = [s for _, s in parsed]
-    names = {m.get("problem") for m, _ in parsed}
-    sets = ()
-    if len(names) == 1:
-        name = names.pop()
-        if name in problem_names():
-            p = builtin(name)
-            sets = (p.a, p.b)
+    pairs = {(m.get("a"), m.get("b")) for m, _ in parsed}
+    sets = _recorded_sets(args.traces[0], *pairs.pop()) if len(pairs) == 1 else ()
     out = args.out or str(Path(args.traces[0]).with_suffix(".svg"))
     _write_text(out, render_svg(series, sets))
     print(f"wrote {out}")

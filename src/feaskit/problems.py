@@ -156,11 +156,12 @@ class Problem:
     root_curve: FunctionGraph | None = None
 
     def __post_init__(self):
-        sols = tuple(as_point(s) for s in self.known_solutions)
+        # Frozen copies: as_point hands back a caller's float array itself.
+        sols = tuple(as_point(s).copy() for s in self.known_solutions)
         for s in sols:
             s.setflags(write=False)
         object.__setattr__(self, "known_solutions", sols)
-        x0 = as_point(self.default_x0)
+        x0 = as_point(self.default_x0).copy()
         x0.setflags(write=False)
         object.__setattr__(self, "default_x0", x0)
         dims = {self.a.dimension, self.b.dimension, x0.size, *(s.size for s in sols)}
@@ -343,7 +344,8 @@ def _constant_sign(values: np.ndarray) -> int:
 # evaluates user-supplied expressions.
 
 
-def _set_to_dict(s: FeasibleSet) -> dict:
+def set_to_dict(s: FeasibleSet) -> dict:
+    """The descriptor of ``s`` that problem files and trace files hold."""
     if isinstance(s, Hyperplane):
         return {"kind": "hyperplane", "normal": s.normal.tolist(), "offset": s.offset}
     if isinstance(s, Sphere):
@@ -363,7 +365,8 @@ def _reals(values, key: str) -> tuple:
     return values
 
 
-def _set_from_dict(d: dict) -> FeasibleSet:
+def set_from_dict(d: dict) -> FeasibleSet:
+    """The set a descriptor of ``set_to_dict`` describes."""
     kind = d.get("kind")
     if kind == "hyperplane":
         return Hyperplane(normal=_reals(d["normal"], "hyperplane normal"), offset=d["offset"])
@@ -379,15 +382,15 @@ def _set_from_dict(d: dict) -> FeasibleSet:
 def problem_to_dict(p: Problem) -> dict:
     out = {
         "name": p.name,
-        "a": _set_to_dict(p.a),
-        "b": _set_to_dict(p.b),
+        "a": set_to_dict(p.a),
+        "b": set_to_dict(p.b),
         "known_solutions": [s.tolist() for s in p.known_solutions],
         "default_x0": p.default_x0.tolist(),
         "case_label": p.case_label.value if p.case_label is not None else None,
         "epsilon_f": p.epsilon_f,
     }
     if p.root_curve is not None:
-        out["root_curve"] = _set_to_dict(p.root_curve)
+        out["root_curve"] = set_to_dict(p.root_curve)
     return out
 
 
@@ -396,13 +399,13 @@ def problem_from_dict(d: dict) -> Problem:
         name, label, root = d["name"], d.get("case_label"), d.get("root_curve")
         if not isinstance(name, str):
             raise UnknownProblem(f"name must be a string, got {name!r}")
-        root_curve = _set_from_dict(root) if root is not None else None
+        root_curve = set_from_dict(root) if root is not None else None
         if root_curve is not None and not isinstance(root_curve, FunctionGraph):
             raise UnknownProblem("root_curve must be a graph descriptor")
         return Problem(
             name=name,
-            a=_set_from_dict(d["a"]),
-            b=_set_from_dict(d["b"]),
+            a=set_from_dict(d["a"]),
+            b=set_from_dict(d["b"]),
             known_solutions=[_reals(s, "known_solutions") for s in d.get("known_solutions", ())],
             default_x0=_reals(d["default_x0"], "default_x0"),
             case_label=CaseLabel(label) if label is not None else None,
@@ -421,7 +424,7 @@ def save_problem(p: Problem, path) -> None:
 def load_problem(path) -> Problem:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UnknownProblem(f"cannot read problem file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise UnknownProblem("problem file must hold a JSON object")

@@ -67,7 +67,7 @@ class StopRule:
 
     def __post_init__(self):
         tol, n = self.residual_tol, self.max_iter
-        if not (_is_real(tol) and tol > 0.0):
+        if not (_is_real(tol) and 0.0 < tol < math.inf):
             raise ValueError(f"residual_tol must be a positive real, got {tol!r}")
         # A bool is an Integral; a string or None fails the test.
         if isinstance(n, bool) or not isinstance(n, Integral):

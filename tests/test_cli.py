@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -168,7 +169,10 @@ def test_config_errors_exit_64(tmp_path, capsys):
         ["run", "--problem", "parabola", "--format", "yaml"],
         ["run", "--problem", "parabola", "--x0", "abc"],
         ["run", "--problem", "parabola", "--x0", "1,2,3"],
+        ["run", "--problem", "parabola", "--x0", "0.5,,0"],
+        ["run", "--problem", "parabola", "--x0", ""],
         ["run", "--problem", "parabola", "--tol", "-1"],
+        ["run", "--problem", "sphere-line", "--tol", "inf"],
         ["run", "--problem", "parabola", "--max-iter", "0"],
         ["run", "--problem", "parabola", "--eps-colinear", "2"],
         ["run"],
@@ -260,13 +264,18 @@ def test_compare_scalar_method_needs_graph(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _renamed(name, base="sphere-line"):
+    """The catalog problem ``base`` under another name."""
+    return dataclasses.replace(builtin(base), name=name)
+
+
 def test_csv_trace_with_multi_line_header_values_reads_back(tmp_path):
     trace = Trace(
         method="crm", iterates=[[0.5, 0.5]], residuals=[math.nan],
         stop=StopReason.ERROR, message="a\nb",
     )
     path = tmp_path / "error.csv"
-    write_trace_csv(path, trace, "two\r\nlines", None)
+    write_trace_csv(path, trace, _renamed("two\r\nlines"), None)
     meta, series = read_trace(path)
     assert meta["message"] == "a b"
     assert meta["problem"] == "two lines"
@@ -283,26 +292,28 @@ def _trailing_whitespace_trace():
 @pytest.mark.parametrize("write", [write_trace_csv, write_trace_json])
 def test_header_values_keep_their_trailing_whitespace(write, tmp_path):
     path = tmp_path / "t.trace"
-    write(path, _trailing_whitespace_trace(), "sphere-line ", None)
+    write(path, _trailing_whitespace_trace(), _renamed("sphere-line "), None)
     meta, _ = read_trace(path)
     assert meta["problem"] == "sphere-line "
     assert meta["message"] == "ends with a tab\t"
 
 
-def test_a_problem_name_with_trailing_space_plots_no_catalog_sets(tmp_path, capsys):
-    # Set outlines are the only polylines drawn 1.8 wide.
+def test_a_trace_plots_its_recorded_sets_whatever_its_problem_name(tmp_path, capsys):
     trace = _trailing_whitespace_trace()
-    for name, drawn in [("sphere-line", True), ("sphere-line ", False)]:
-        path, fig = tmp_path / "t.csv", tmp_path / "t.svg"
-        write_trace_csv(path, trace, name, None)
-        assert main(["plot", str(path), "--out", str(fig)]) == EXIT_OK
-        assert ('stroke-width="1.8"' in fig.read_text(encoding="utf-8")) is drawn
+    p = builtin("sphere-line")
+    want = None
+    for write in (write_trace_csv, write_trace_json):
+        for name in ("sphere-line", "sphere-line ", "no such problem", ""):
+            path, fig = tmp_path / "t.trace", tmp_path / "t.svg"
+            write(path, trace, _renamed(name), None)
+            assert main(["plot", str(path), "--out", str(fig)]) == EXIT_OK
+            want = want or render_svg([read_trace(path)[1]], (p.a, p.b))
+            assert fig.read_text(encoding="utf-8") == want, (write.__name__, name)
     capsys.readouterr()
 
 
-# A trace records its problem's name but not its sets, so plot draws the
-# catalog's sets for a problem file that shares a catalog name.
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11.3")
+# A trace records its sets, so plot draws a problem file's own sets under
+# a catalog problem's name.
 def test_plot_draws_the_sets_of_a_problem_file_named_like_a_catalog_problem(tmp_path, capsys):
     doc = problem_to_dict(builtin("sphere-line"))
     doc["a"].update(center=[0.0, -1.0], radius=2.0)
@@ -358,7 +369,7 @@ def test_plot_traces(tmp_path, capsys):
     assert f"wrote {fig}" in out
     svg = fig.read_text(encoding="utf-8")
     assert svg.startswith("<svg ")
-    # Shared catalog problem: both set outlines join the two traces.
+    # Shared sets: both set outlines join the two traces.
     assert svg.count("<polyline") >= 6
 
 
@@ -410,7 +421,11 @@ def test_plot_mixed_problems_still_renders(tmp_path, capsys):
     fig = tmp_path / "mixed.svg"
     assert main(["plot", str(t1), str(t2), "--out", str(fig)]) == EXIT_OK
     capsys.readouterr()
-    assert fig.read_text(encoding="utf-8").startswith("<svg ")
+    svg = fig.read_text(encoding="utf-8")
+    assert svg.startswith("<svg ")
+    # Traces over different sets draw none; set outlines are the only
+    # polylines drawn 1.8 wide.
+    assert 'stroke-width="1.8"' not in svg
 
 
 def test_problem_file_round_trip(tmp_path, capsys):
@@ -583,22 +598,26 @@ def test_the_full_parser_lists_every_command_in_order():
 # helpers) from before the two formats shared one record: the reference
 # for the bytes of every trace file and for what reading one returns.
 # The writers have since dropped the clock reading (wall_time) and the
-# used_circumcenter column, which the case tag determines.
+# used_circumcenter column, which the case tag determines, and take the
+# problem to record its two sets, as its problem file describes them,
+# after the message: as JSON on a CSV header line, as objects in JSON.
 def _fmt17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _ref_write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
+def _ref_write_trace_csv(path, trace: Trace, problem, dist) -> None:
     dim = trace.iterates.shape[1]
     meta = [
         ("method", trace.method),
-        ("problem", problem_name),
+        ("problem", problem.name),
         ("stop", trace.stop.value),
     ]
     if trace.cycle_period is not None:
         meta.append(("cycle_period", trace.cycle_period))
     if trace.message:
         meta.append(("message", trace.message))
+    doc = problem_to_dict(problem)
+    meta += [("a", json.dumps(doc["a"])), ("b", json.dumps(doc["b"]))]
     # One line per value, split the way read_trace splits the file.
     lines = [f"# {key}={' '.join(str(value).splitlines())}" for key, value in meta]
     cols = ",".join(f"x{i}" for i in range(dim))
@@ -614,13 +633,16 @@ def _ref_write_trace_csv(path, trace: Trace, problem_name: str, dist) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _ref_write_trace_json(path, trace: Trace, problem_name: str, dist) -> None:
+def _ref_write_trace_json(path, trace: Trace, problem, dist) -> None:
+    sets = problem_to_dict(problem)
     doc = {
         "method": trace.method,
-        "problem": problem_name,
+        "problem": problem.name,
         "stop": trace.stop.value,
         "cycle_period": trace.cycle_period,
         "message": trace.message,
+        "a": sets["a"],
+        "b": sets["b"],
         "iterates": trace.iterates.tolist(),
         "residuals": trace.residuals.tolist(),
         "dist_to_solution": None if dist is None else dist.tolist(),
@@ -697,7 +719,7 @@ def _read_result(parsed):
     return meta, series.label, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
-def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, dist, directory):
+def _assert_trace_files_match_the_reference(trace: Trace, problem, dist, directory):
     """Both trace files are the reference's bytes.  Reading either gives the
     reference reader's arrays, and the metadata and label the reference
     reads from the CSV trace: a JSON trace reads as its CSV trace does."""
@@ -707,8 +729,8 @@ def _assert_trace_files_match_the_reference(trace: Trace, problem_name: str, dis
         ("json", write_trace_json, _ref_write_trace_json),
     ):
         path, ref_path = (Path(directory) / f"{stem}.{ext}" for stem in ("new", "ref"))
-        write(path, trace, problem_name, dist)
-        ref_write(ref_path, trace, problem_name, dist)
+        write(path, trace, problem, dist)
+        ref_write(ref_path, trace, problem, dist)
         assert path.read_bytes() == ref_path.read_bytes(), ext
         meta, label, arrays = _read_result(_ref_read_trace(ref_path))
         csv_meta_and_label = csv_meta_and_label or (meta, label)
@@ -721,13 +743,13 @@ def _catalog_traces():
         for method in METHODS:
             trace = run(method, p.a, p.b, p.default_x0, root_graph=p.graph)
             dist = trace_errors(trace, nearest_solution(p, trace.final))
-            yield pytest.param(trace, name, dist, id=f"{name}-{method}")
+            yield pytest.param(trace, p, dist, id=f"{name}-{method}")
     yield pytest.param(
         Trace(
             method="crm", iterates=[[0.5, 0.5]], residuals=[math.nan],
             stop=StopReason.ERROR, message="step failed\r\non two lines", wall_time=0.125,
         ),
-        "two\r\nlines",
+        _renamed("two\r\nlines"),
         None,
         id="error-with-line-breaks",
     )
@@ -736,26 +758,26 @@ def _catalog_traces():
             method="newton", iterates=[[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]],
             residuals=[1.0, 1.0, 1.0], stop=StopReason.CYCLE, cycle_period=2,
         ),
-        "signed-sqrt",
+        builtin("signed-sqrt"),
         None,
         id="cycle",
     )
     p = builtin("sphere-line")
-    yield pytest.param(run("dr", p.a, p.b, p.default_x0), "sphere-line", None, id="no-distances")
+    yield pytest.param(run("dr", p.a, p.b, p.default_x0), p, None, id="no-distances")
     yield pytest.param(
         Trace(
             method="dr", iterates=[[0.0, 1.0], [-0.0, 1e308], [5e-324, -2.5]],
             residuals=[math.nan, math.inf, 0.0],
         ),
-        "sphere-line",
+        p,
         np.array([1.0, math.inf, math.nan]),
         id="nan-and-inf-residuals",
     )
 
 
-@pytest.mark.parametrize(("trace", "problem_name", "dist"), _catalog_traces())
-def test_trace_files_and_reads_match_the_reference(trace, problem_name, dist, tmp_path):
-    _assert_trace_files_match_the_reference(trace, problem_name, dist, tmp_path)
+@pytest.mark.parametrize(("trace", "problem", "dist"), _catalog_traces())
+def test_trace_files_and_reads_match_the_reference(trace, problem, dist, tmp_path):
+    _assert_trace_files_match_the_reference(trace, problem, dist, tmp_path)
 
 
 _labels = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
@@ -778,11 +800,11 @@ def _traces(draw):
     return trace, None if dist is None else np.array(dist)
 
 
-@given(_traces(), _labels)
-def test_drawn_trace_files_and_reads_match_the_reference(trace_and_dist, problem_name):
+@given(_traces(), st.builds(_renamed, _labels, st.sampled_from(problem_names())))
+def test_drawn_trace_files_and_reads_match_the_reference(trace_and_dist, problem):
     trace, dist = trace_and_dist
     with tempfile.TemporaryDirectory() as directory:
-        _assert_trace_files_match_the_reference(trace, problem_name, dist, directory)
+        _assert_trace_files_match_the_reference(trace, problem, dist, directory)
 
 
 # The column header that traces carried before used_circumcenter was
@@ -805,6 +827,66 @@ def test_hand_made_csv_traces_read_as_the_reference(text, tmp_path):
     assert _read_result(read_trace(path)) == _read_result(_ref_read_trace(path))
 
 
+# Traces from before the sets were recorded read without them and plot
+# without set outlines, the only polylines drawn 1.8 wide.
+@pytest.mark.parametrize(
+    ("name", "text"),
+    [
+        ("t.csv", "# method=crm\n# problem=sphere-line\n" + HEADER + "0,1,2,0.5,,,\n"),
+        ("t.json", json.dumps({"problem": "sphere-line", "iterates": [[1.0, 2.0]], "a": None})),
+    ],
+    ids=["csv", "json"],
+)
+def test_a_trace_without_sets_plots_without_outlines(name, text, tmp_path, capsys):
+    path, fig = tmp_path / name, tmp_path / "t.svg"
+    path.write_text(text, encoding="utf-8")
+    meta, _ = read_trace(path)
+    assert "a" not in meta and "b" not in meta
+    assert main(["plot", str(path), "--out", str(fig)]) == EXIT_OK
+    capsys.readouterr()
+    svg = fig.read_text(encoding="utf-8")
+    assert "<circle" in svg and 'stroke-width="1.8"' not in svg
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "a",
+    [
+        {"kind": "cone", "apex": [0.0, 0.0]},
+        {"kind": "sphere", "center": [0.0, -0.5]},
+        {"kind": "sphere", "center": [0.0, -0.5], "radius": "1"},
+        {"kind": "graph", "curve": "poly2", "params": {"d": 1.0}},
+        [0.0, 1.0],
+        "sphere",
+    ],
+    ids=["unknown-kind", "no-radius", "radius-a-string", "unknown-param", "a-list", "a-string"],
+)
+def test_a_trace_with_a_bad_set_descriptor_exits_65(fmt, a, tmp_path, capsys):
+    path, fig = tmp_path / f"t.{fmt}", tmp_path / "t.svg"
+    assert main(["run", "--problem", "sphere-line", "--format", fmt, "--out", str(path)]) == EXIT_OK
+    if fmt == "json":
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**doc, "a": a}), encoding="utf-8")
+    else:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [f"# a={json.dumps(a)}" if line.startswith("# a=") else line for line in lines]
+        path.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot", str(path), "--out", str(fig)]) == EXIT_BAD_TRACE
+    assert capsys.readouterr().err.startswith(f"feaskit: malformed trace file {path}")
+    assert not fig.exists()
+
+
+def test_a_csv_trace_whose_set_is_not_json_exits_65(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    assert main(["run", "--problem", "sphere-line", "--out", str(path)]) == EXIT_OK
+    text = path.read_text(encoding="utf-8").replace("# b={", "# b=")
+    path.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["plot", str(path), "--out", str(tmp_path / "t.svg")]) == EXIT_BAD_TRACE
+    assert capsys.readouterr().err.startswith(f"feaskit: malformed trace file {path}")
+
+
 @pytest.mark.parametrize(
     "field",
     [
@@ -821,6 +903,17 @@ def test_malformed_json_traces_exit_65(field, tmp_path, capsys):
     assert main(["plot", str(path), "--out", str(tmp_path / "bad.svg")]) == EXIT_BAD_TRACE
     assert capsys.readouterr().err.startswith(f"feaskit: malformed trace file {path}")
     assert not (tmp_path / "bad.svg").exists()
+
+
+def test_json_nested_deeper_than_the_parser_recurses_is_a_bad_file(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000
+    trace, problem = tmp_path / "t.json", tmp_path / "p.json"
+    trace.write_text(f'{{"iterates": {deep}}}', encoding="utf-8")
+    problem.write_text(deep, encoding="utf-8")
+    assert main(["plot", str(trace), "--out", str(tmp_path / "t.svg")]) == EXIT_BAD_TRACE
+    assert capsys.readouterr().err.startswith(f"feaskit: malformed trace file {trace}")
+    assert main(["run", "--problem-file", str(problem)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"feaskit: cannot read problem file {problem}")
 
 
 def test_a_json_trace_with_the_dropped_keys_still_reads(tmp_path):

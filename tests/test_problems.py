@@ -262,6 +262,18 @@ def test_problem_validation():
         )
 
 
+def test_a_problem_freezes_copies_of_the_callers_arrays():
+    s = builtin("sphere-line")
+    sol, x0 = np.array([math.sqrt(3.0) / 2.0, 0.0]), np.array([0.9, 0.0])
+    p = Problem("copy", s.a, s.b, known_solutions=(sol,), default_x0=x0)
+    x0[0], sol[1] = 0.5, 1.0
+    assert p.default_x0.tolist() == [0.9, 0.0]
+    assert p.known_solutions[0].tolist() == [math.sqrt(3.0) / 2.0, 0.0]
+    for frozen in (p.default_x0, *p.known_solutions):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0] = 0.0
+
+
 def test_nearest_solution_picks_closest_candidate():
     p = builtin("sphere-line")
     root = math.sqrt(3.0) / 2.0

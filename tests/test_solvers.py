@@ -57,7 +57,7 @@ def test_stop_rule_validation():
         StopRule(residual_tol=0.0)
     with pytest.raises(ValueError):
         StopRule(max_iter=0)
-    for residual_tol in ("1e-3", True, None):
+    for residual_tol in ("1e-3", True, None, math.inf):
         with pytest.raises(ValueError, match="residual_tol must be a positive real"):
             StopRule(residual_tol=residual_tol)
     assert StopRule(residual_tol=np.float64(1e-3)).residual_tol == 1e-3
