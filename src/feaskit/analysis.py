@@ -75,16 +75,24 @@ class RateClass:
         return name
 
 
-def _ratios(errs: list[float], order: float) -> list[float]:
-    """Ratios e_{n+1} / e_n**order, truncated at the first e_n at or below
-    the error floor (1e-15), past which the ratios are rounding noise.  A
-    finite ``e_n ** 2`` never overflows."""
-    out = []
+def _floor_cut(errs: list[float]) -> int:
+    """Index of the first e_n, n < len(errs) - 1, at or below the error
+    floor (1e-15), past which the ratios are rounding noise; without one,
+    the number of ratios the sequence has."""
     for n in range(len(errs) - 1):
         if errs[n] <= _ERROR_FLOOR:
-            break
-        out.append(errs[n + 1] / errs[n] ** order)
-    return out
+            return n
+    return max(len(errs) - 1, 0)
+
+
+def _ratios(
+    errs: list[float], order: float, start: int = 0, stop: int | None = None
+) -> list[float]:
+    """Ratios e_{n+1} / e_n**order for start <= n < stop, ``stop``
+    defaulting to the error floor's cut.  A finite ``e_n ** 2`` never
+    overflows."""
+    stop = _floor_cut(errs) if stop is None else stop
+    return [errs[n + 1] / errs[n] ** order for n in range(start, stop)]
 
 
 def classify_rate(trace: Trace, solution) -> RateClass:
@@ -96,17 +104,18 @@ def classify_rate(trace: Trace, solution) -> RateClass:
         return RateClass(RateKind.CYCLING, count=int(trace.cycle_period or 1))
     if len(errs) < 4:
         raise TooShort("need at least 4 iterates to classify a rate")
-    r1 = _ratios(errs, 1)
-    r2 = _ratios(errs, 2)
-    if len(r1) < 2:
+    cut = _floor_cut(errs)
+    if cut < 2:
         return RateClass(RateKind.INCONCLUSIVE)
     # The screens run on Python floats.  The constants stay in numpy, whose
     # pairwise summation fixes the bits of np.mean.  A NaN ratio fails
     # ``bounded`` and ``c <= 0.9``, so Python's min and max, which depend
-    # on where a NaN sits, cannot change a verdict.
-    tail = max(4, math.ceil(len(r1) / 4))
-    t1 = r1[-tail:]
-    t2 = r2[-tail:]
+    # on where a NaN sits, cannot change a verdict.  Only the last ``tail``
+    # ratios of each order are read, so only those are computed.
+    tail = max(4, math.ceil(cut / 4))
+    start = max(0, cut - tail)
+    t1 = _ratios(errs, 1, start, cut)
+    t2 = _ratios(errs, 2, start, cut)
     decreasing = all(b < a for a, b in zip(t1, t1[1:]))
 
     lo, hi = _RATIO_BAND

@@ -84,9 +84,14 @@ def _plot_args(sp) -> None:
 
 
 def _parse_point(text: str) -> np.ndarray:
-    # float rejects an empty coordinate, as in "0.5,,0" or ",".
+    # One enclosing pair of parentheses, as in "(3, 0)", is dropped.  float
+    # rejects any other parenthesis, as in "1(2,0", and an empty
+    # coordinate, as in "0.5,,0" or ",".
+    inner = text.strip()
+    if inner[:1] == "(" and inner[-1:] == ")":
+        inner = inner[1:-1]
     try:
-        return np.array([float(v) for v in text.replace("(", "").replace(")", "").split(",")])
+        return np.array([float(v) for v in inner.split(",")])
     except ValueError:
         raise _ConfigError(f"cannot parse point {text!r}") from None
 

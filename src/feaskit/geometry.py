@@ -62,17 +62,24 @@ class ColinearityCase(Enum):
     NON_COLINEAR = "non-colinear"
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a 1-D float array, once every coordinate is checked finite.
+    The solver checks the points it makes with this alone: their shape
+    and size follow from its checked start and sets."""
+    # math.isfinite per coordinate: ~7x faster than np.isfinite in 2-D.
+    if not all(map(math.isfinite, arr.tolist())):
+        raise NonFinitePoint(f"point has non-finite coordinates: {arr!r}")
+    return arr
+
+
 def as_point(p, dim: int | None = None) -> np.ndarray:
     """Validate and return ``p`` as a finite 1-D float array."""
     arr = np.asarray(p, dtype=float)
-    coords = arr.tolist()
-    if arr.ndim != 1 or not coords:
+    if arr.ndim != 1 or not arr.size:
         raise DimensionMismatch(f"expected a 1-D point, got shape {arr.shape}")
-    # math.isfinite per coordinate: ~7x faster than np.isfinite in 2-D.
-    if not all(map(math.isfinite, coords)):
-        raise NonFinitePoint(f"point has non-finite coordinates: {arr!r}")
-    if dim is not None and len(coords) != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {len(coords)}")
+    _finite(arr)
+    if dim is not None and arr.size != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {arr.size}")
     return arr
 
 

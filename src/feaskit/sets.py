@@ -42,12 +42,18 @@ class FeasibleSet(ABC):
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x`` (deterministic on ties)."""
 
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        """``project`` of a finite float point of the set's dimension,
+        which a closed-form set projects without checking it again."""
+        return self.project(x)
 
-def _residual(a: FeasibleSet, b: FeasibleSet, x) -> tuple[float, np.ndarray]:
+
+def _residual(a: FeasibleSet, b: FeasibleSet, x: np.ndarray) -> tuple[float, np.ndarray]:
     """max(d_A(x), d_B(x)), NaN when either distance is, and P_A x,
-    which the next step reuses.  (Python's max drops a NaN second argument.)"""
-    pax = a.project(x)
-    d_b = _norm(x - b.project(x))
+    which the next step reuses, for a checked point ``x`` of the sets'
+    dimension.  (Python's max drops a NaN second argument.)"""
+    pax = a._project(x)
+    d_b = _norm(x - b._project(x))
     return (max(_norm(x - pax), d_b) if d_b == d_b else d_b), pax
 
 
@@ -87,7 +93,9 @@ class Hyperplane(FeasibleSet):
         return self.normal.size
 
     def project(self, x) -> np.ndarray:
-        x = as_point(x, self.normal.size)
+        return self._project(as_point(x, self.normal.size))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         # Bitwise self.normal @ x, without matmul's dispatch cost.  From two
         # coordinates on both run one dot routine, whose sum is never -0.0;
         # on one, matmul is 0.0 + n[0] * x[0], which + 0.0 reproduces.
@@ -114,7 +122,9 @@ class Sphere(FeasibleSet):
         return self.center.size
 
     def project(self, x) -> np.ndarray:
-        x = as_point(x, self.center.size)
+        return self._project(as_point(x, self.center.size))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         v = x - self.center
         n = _norm(v)
         if n <= _POINT_EQ_EPS:

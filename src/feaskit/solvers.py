@@ -32,6 +32,7 @@ from .geometry import (
     _POINT_EQ_EPS,
     ColinearityCase,
     Tolerances,
+    _finite,
     _is_real,
     _norm,
     as_point,
@@ -128,8 +129,12 @@ class Trace:
 def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> StepResult:
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
-    x = as_point(x)
-    return _crm(b, None, x, a.project(x), tol)[1]
+    # The closed-form sets' _project checks nothing, so the start is
+    # checked against both sets here, as run checks it.
+    x = as_point(x, a.dimension)
+    if b.dimension != x.size:
+        raise DimensionMismatch(f"expected dimension {b.dimension}, got {x.size}")
+    return _crm(b, None, x, a._project(x), tol)[1]
 
 
 def _derivative(g: FunctionGraph, t: float) -> float:
@@ -155,16 +160,17 @@ def subgrad_proj_step(g, y: float, ystar: float) -> float:
 
 # Run-loop steps, each (b, graph, x, P_A x, tol) -> (next iterate,
 # StepResult or None); only the hybrid step reads tol.  Scalar steps move
-# the abscissa t of x = (t, 0).
+# the abscissa t of x = (t, 0).  x is a checked point of B's dimension,
+# and each step checks the point it projects onto B finite first.
 def _altproj(b, graph, x, pax, tol):
-    return b.project(pax), None
+    return b._project(_finite(pax)), None
 
 
 def _crm(b, graph, x, pax, tol):
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
-    through B, and take the hybrid step.  ``x`` must be a checked point."""
-    rax = 2.0 * pax - x
-    rbrax = 2.0 * b.project(rax) - rax
+    through B, and take the hybrid step."""
+    rax = _finite(2.0 * pax - x)
+    rbrax = 2.0 * b._project(rax) - rax
     case = classify_triple(x, rax, rbrax, tol)
     if case is ColinearityCase.NON_COLINEAR:
         nxt = circumcenter(x, rax, rbrax)
@@ -177,8 +183,8 @@ def _dr(b, graph, x, pax, tol):
     """The average of x and R_B R_A x, reflected as in ``_crm``.  R_B R_A x
     is checked finite, so an overflowing reflection stops the run with
     NonFinitePoint before the average overflows too."""
-    rax = 2.0 * pax - x
-    return 0.5 * (x + as_point(2.0 * b.project(rax) - rax)), None
+    rax = _finite(2.0 * pax - x)
+    return 0.5 * (x + _finite(2.0 * b._project(rax) - rax)), None
 
 
 def _newton(b, graph, x, pax, tol):
@@ -281,7 +287,7 @@ def run(
         else:
             for _ in range(stop.max_iter):
                 nxt, result = step(b, graph, x, pax, tol)
-                residual, pax = _residual(a, b, nxt)
+                residual, pax = _residual(a, b, _finite(nxt))
                 if result is not None:
                     steps.append(result)
                 iterates.append(nxt)

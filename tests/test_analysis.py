@@ -378,6 +378,86 @@ def test_classify_rate_matches_the_np_mean_copy_bitwise(trace):
     assert got[0] is want[0] and got[1:] == want[1:]
 
 
+def _all_ratios(errs: list[float], order: float) -> list[float]:
+    out = []
+    for n in range(len(errs) - 1):
+        if errs[n] <= _ERROR_FLOOR:
+            break
+        out.append(errs[n + 1] / errs[n] ** order)
+    return out
+
+
+def _all_ratios_classify_rate(trace: Trace, solution) -> RateClass:
+    # Verbatim copies, renamed and docstrings and comments dropped, of
+    # classify_rate and _ratios from before classify_rate computed only
+    # the tail ratios it reads: the reference for its bits.
+    errs = trace_errors(trace, solution).tolist()
+    if 0.0 in errs:
+        return RateClass(RateKind.FINITE, count=errs.index(0.0))
+    if trace.stop is StopReason.CYCLE:
+        return RateClass(RateKind.CYCLING, count=int(trace.cycle_period or 1))
+    if len(errs) < 4:
+        raise TooShort("need at least 4 iterates to classify a rate")
+    r1 = _all_ratios(errs, 1)
+    r2 = _all_ratios(errs, 2)
+    if len(r1) < 2:
+        return RateClass(RateKind.INCONCLUSIVE)
+    tail = max(4, math.ceil(len(r1) / 4))
+    t1 = r1[-tail:]
+    t2 = r2[-tail:]
+    decreasing = all(b < a for a, b in zip(t1, t1[1:]))
+
+    lo, hi = analysis._RATIO_BAND
+    bounded = all(lo <= r <= hi for r in t2)
+    if bounded and max(t2) < 10.0 * min(t2) and decreasing and t1[-1] < 0.1:
+        m_est = float(np.exp(np.mean(np.log(t2))))
+        return RateClass(RateKind.QUADRATIC, constant=m_est)
+    if decreasing and t1[-1] < 0.1:
+        return RateClass(RateKind.SUPERLINEAR)
+    c = float(np.add.reduce(t1) / len(t1))
+    if min(t1) > 0.0 and c <= 0.9 and max(t1) - min(t1) < 0.2 * c:
+        return RateClass(RateKind.LINEAR, constant=c)
+    if float(trace.residuals[-1]) > float(trace.residuals[0]):
+        return RateClass(RateKind.DIVERGING)
+    return RateClass(RateKind.INCONCLUSIVE)
+
+
+@st.composite
+def _floor_traces(draw):
+    """A trace of 0-60 iterates along the first axis whose errors may fall
+    through the 1e-15 floor (a geometric run from up to 1, maybe
+    continued past it), read NaN, land at exactly 0 or number fewer than
+    4, under any stop."""
+    n = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        first, ratio = draw(st.floats(1e-12, 1.0)), draw(st.floats(1e-3, 0.99))
+        errs = _geometric(first, ratio, n) if n else []
+    else:
+        pool = st.sampled_from((_ERROR_FLOOR, math.nextafter(_ERROR_FLOOR, 1.0), 1e-16, math.nan, 0.0))
+        errs = draw(st.lists(pool | _RATE_ERRORS, min_size=n, max_size=n))
+    for value in (math.nan, 0.0, _ERROR_FLOOR, 1e-16):
+        at = draw(st.none() | st.integers(0, 60))
+        if at is not None and at < n:
+            errs[at] = value
+    stop = draw(st.sampled_from((StopReason.RESIDUAL_MET, StopReason.MAX_ITER, StopReason.CYCLE)))
+    residuals = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return _synth(errs, stop=stop, period=draw(st.sampled_from((None, 1, 2))), residuals=residuals)
+
+
+@given(_floor_traces())
+# The floor cuts the ratios at 3 of 7, 22 of 25 (a tail of 6) and 0 of
+# 4; a NaN error among the last ratios; three errors.
+@example(_synth(_geometric(1e-10, 0.01, 8)))
+@example(_synth(_geometric(0.5, 0.2, 24) + [1.0, 1.0]))
+@example(_synth([1e-16, 0.5, 0.25, 0.125, 0.0625]))
+@example(_synth([1.0, 0.5, 0.25, math.nan, 0.1, 0.05], residuals=[0.0] * 6))
+@example(_synth([1.0, 0.5, 0.25]))
+def test_classify_rate_matches_the_all_ratios_copy_bitwise(trace):
+    got = _rate_outcome(classify_rate, trace)
+    want = _rate_outcome(_all_ratios_classify_rate, trace)
+    assert got[0] is want[0] and got[1:] == want[1:]
+
+
 def test_classify_real_parabola_run_is_linear_half():
     p = builtin("parabola")
     tr = run(

@@ -162,6 +162,24 @@ def test_run_accepts_parenthesized_points(capsys):
     assert "stop=residual-met" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("x0", ["(3, 0)", " (3,0) ", "( 3 , 0 )"])
+def test_a_parenthesized_start_runs_as_the_bare_one(x0, capsys):
+    assert main(["run", "--problem", "parabola", "--x0", "3,0"]) == EXIT_OK
+    want = capsys.readouterr().out
+    assert main(["run", "--problem", "parabola", "--x0", x0]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+# Only one pair enclosing the whole point is dropped; stripping every
+# parenthesis would read "1(2,0" as (12, 0).
+@pytest.mark.parametrize("x0", ["1(2,0", "((3, 0))", "(3, 0", "3, 0)", "(3),(0)", "()", "(", ")"])
+def test_a_start_with_any_other_parenthesis_is_a_config_error(x0, capsys):
+    assert main(["run", "--problem", "parabola", "--x0", x0]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot parse point {x0!r}" in captured.err
+
+
 def test_config_errors_exit_64(tmp_path, capsys):
     bad = [
         ["run", "--problem", "banana"],

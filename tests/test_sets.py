@@ -131,6 +131,45 @@ def test_sphere_center_projects_along_first_axis():
     assert np.array_equal(s.project((1.0, -0.5)), np.array([3.0, -0.5]))
 
 
+@st.composite
+def _closed_set_and_point(draw):
+    """A hyperplane or a sphere in 1-4 dimensions and a finite point: the
+    sphere's center itself, within about 1e-12 of it on either side of
+    the tie threshold, up to 1e300 away, or anywhere in a box."""
+    dim = draw(st.integers(1, 4))
+    coords = st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim).map(np.array)
+    anchor = draw(coords)
+    kind = draw(st.sampled_from(("tie", "near", "far", "box")))
+    if kind == "tie":
+        x = anchor.copy()
+    elif kind == "near":
+        step = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+        x = anchor + draw(st.floats(0.5, 2.0)) * 1e-12 * np.array(step)
+    elif kind == "far":
+        x = anchor + np.array(draw(st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim)))
+    else:
+        x = draw(coords)
+    assume(np.isfinite(x).all())
+    if draw(st.booleans()):
+        # A tiny normal can overflow the offset at unit length.
+        assume(np.abs(anchor).max() >= 1e-3)
+        return Hyperplane(anchor, draw(st.floats(-1e3, 1e3))), x
+    return Sphere(anchor, draw(st.floats(1e-3, 1e3))), x
+
+
+@given(_closed_set_and_point())
+@example((Sphere((1.0, -0.5), 2.0), np.array([1.0, -0.5])))
+@example((Sphere((0.0,), 1.0), np.array([1e-12])))
+@example((Hyperplane((1.0, 1.0)), np.array([1.7e308, 1.7e308])))
+def test_unchecked_closed_form_projection_matches_project_bitwise(case):
+    # run projects the points it checked itself through _project.
+    s, x = case
+    with np.errstate(all="ignore"):
+        got = s._project(x)
+        want = s.project(x)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 COORD = st.floats(-100.0, 100.0)
 INVOLUTION_RTOL = 1e-12
 

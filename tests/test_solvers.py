@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import random
+import warnings
 from collections import deque
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from feaskit import (
     FunctionGraph,
     Hyperplane,
     METHODS,
+    NonFinitePoint,
     Sphere,
     StepResult,
     StopReason,
@@ -502,16 +505,96 @@ def test_run_makes_one_graph_projection_per_iterate(method, monkeypatch):
 
 @pytest.mark.parametrize("method", ["crm", "dr"])
 def test_run_makes_three_closed_set_projections_per_iteration(method, monkeypatch):
-    # The benchmark's tracer sees the loop only through the public
-    # project methods: P_B of R_A x in the step, then P_A and P_B of the
-    # new iterate in its residual test.
+    # The loop projects the points it made and checked itself through the
+    # unchecked closed-form _project, not the public project: P_B of
+    # R_A x in the step, then P_A and P_B of the new iterate in its
+    # residual test.
     p = builtin("sphere-line")
-    calls = []
+    calls, public = [], []
     for cls in (Sphere, Hyperplane):
-        monkeypatch.setattr(cls, "project", _counted(cls.project, calls))
+        monkeypatch.setattr(cls, "_project", _counted(cls._project, calls))
+        monkeypatch.setattr(cls, "project", _counted(cls.project, public))
     tr = run(method, p.a, p.b, (0.4, 0.7))
     assert tr.iterations >= 3
     assert len(calls) == 3 * tr.iterations + 2
+    assert public == []
+
+
+_PLANE_3 = Hyperplane((0.0, 0.0, 1.0), 0.0)
+_CIRCLE = Sphere((0.0, 0.0), 1.0)
+_BALL_SHELL = Sphere((0.0, 0.0, 0.0), 1.0)
+
+# Each public entry point on malformed input, and the error it raised
+# before run's own points skipped the checks: the closed-form _project
+# checks nothing, so project checks its point, and ct_step checks its
+# start and both sets' dimensions before it projects.
+_NAN_AT_1 = "point has non-finite coordinates: array([ 1., nan])"
+_CHECKED_CALLS = [
+    (lambda: as_point((1.0, math.nan), 2), NonFinitePoint, _NAN_AT_1),
+    (lambda: as_point((1.0, 2.0), 3), DimensionMismatch, "expected dimension 3, got 2"),
+    (lambda: X_AXIS.project((1.0, math.nan)), NonFinitePoint, _NAN_AT_1),
+    (lambda: X_AXIS.project((1.0, 2.0, 3.0)), DimensionMismatch, "expected dimension 2, got 3"),
+    (
+        lambda: X_AXIS.project([[1.0, 2.0]]),
+        DimensionMismatch,
+        "expected a 1-D point, got shape (1, 2)",
+    ),
+    (
+        lambda: _CIRCLE.project((math.inf, 0.0)),
+        NonFinitePoint,
+        "point has non-finite coordinates: array([inf,  0.])",
+    ),
+    (lambda: _CIRCLE.project((1.0,)), DimensionMismatch, "expected dimension 2, got 1"),
+    (lambda: _CIRCLE.project(()), DimensionMismatch, "expected a 1-D point, got shape (0,)"),
+    (
+        lambda: ct_step(_CIRCLE, X_AXIS, (math.nan, 0.0)),
+        NonFinitePoint,
+        "point has non-finite coordinates: array([nan,  0.])",
+    ),
+    (
+        lambda: ct_step(_CIRCLE, X_AXIS, (1.0, 0.0, 0.5)),
+        DimensionMismatch,
+        "expected dimension 2, got 3",
+    ),
+    (
+        lambda: ct_step(_BALL_SHELL, X_AXIS, (1.0, 0.5)),
+        DimensionMismatch,
+        "expected dimension 3, got 2",
+    ),
+    (
+        lambda: ct_step(_BALL_SHELL, X_AXIS, (1.0, 0.5, 0.2)),
+        DimensionMismatch,
+        "expected dimension 2, got 3",
+    ),
+    (
+        lambda: ct_step(_CIRCLE, _PLANE_3, (1.0, 0.5)),
+        DimensionMismatch,
+        "expected dimension 3, got 2",
+    ),
+    (
+        lambda: ct_step(builtin("parabola").a, _PLANE_3, (1.0, 0.5)),
+        DimensionMismatch,
+        "expected dimension 3, got 2",
+    ),
+    (
+        lambda: ct_step(_BALL_SHELL, builtin("parabola").a, (1.0, 0.5, 0.1)),
+        DimensionMismatch,
+        "expected dimension 2, got 3",
+    ),
+    # R_A x overflows; the step checks it before projecting it onto B.
+    (
+        lambda: ct_step(Hyperplane((1.0, 1.0)), _CIRCLE, (1.7e308, 1.7e308)),
+        NonFinitePoint,
+        "point has non-finite coordinates: array([-inf, -inf])",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", _CHECKED_CALLS)
+def test_public_entry_points_keep_their_checks_and_messages(call, exc, message):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(exc) as info:
+        call()
+    assert type(info.value) is exc and str(info.value) == message
 
 
 class _SetWithTolParameter(FeasibleSet):
@@ -760,3 +843,147 @@ def test_a_run_records_the_start_as_it_was():
         tr = run(method, p.a, p.b, x0)
         x0[:] = tr.final
         assert _bits(tr.iterates[0]) == _bits(p.default_x0)
+
+
+# A copy of run, its residual test and its vector steps from before the
+# loop projected its own points through the unchecked _project: every
+# point goes through the public, checked project, as_point,
+# classify_triple and circumcenter.  The reference for run's bits and
+# error messages.
+def _checked_residual(a, b, x):
+    pax = a.project(x)
+    d_b = solvers._norm(x - b.project(x))
+    return (max(solvers._norm(x - pax), d_b) if d_b == d_b else d_b), pax
+
+
+def _checked_altproj(b, graph, x, pax, tol):
+    return b.project(pax), None
+
+
+def _checked_crm(b, graph, x, pax, tol):
+    rax = 2.0 * pax - x
+    rbrax = 2.0 * b.project(rax) - rax
+    case = classify_triple(x, rax, rbrax, tol)
+    if case is ColinearityCase.NON_COLINEAR:
+        nxt = circumcenter(x, rax, rbrax)
+    else:
+        nxt = 0.5 * (x + rbrax)
+    return nxt, StepResult(nxt, case, rax, rbrax)
+
+
+def _checked_dr(b, graph, x, pax, tol):
+    rax = 2.0 * pax - x
+    return 0.5 * (x + as_point(2.0 * b.project(rax) - rax)), None
+
+
+_CHECKED_STEPS = {
+    "altproj": _checked_altproj,
+    "crm": _checked_crm,
+    "dr": _checked_dr,
+    "newton": solvers._newton,
+    "subgrad": solvers._subgrad,
+}
+
+
+def _checked_run(method, a, b, x0, root_graph=None):
+    graph = solvers.check_method(method, a, root_graph)
+    step = _CHECKED_STEPS[method]
+    stop = StopRule()
+    tol = None
+    x = as_point(x0)
+    if graph is not None and x.size != 2:
+        raise UnknownMethod("scalar methods need a 2-dimensional start point")
+    if not x.size == a.dimension == b.dimension:
+        raise DimensionMismatch(f"start {x.size}-D, sets {a.dimension}-D and {b.dimension}-D")
+
+    iterates = [x]
+    firsts = deque([float(x[0])], maxlen=solvers._CYCLE_WINDOW + 1)
+    residuals = [math.nan]
+    steps = []
+    reason = StopReason.MAX_ITER
+    message = ""
+    cycle_period = None
+
+    try:
+        residuals[0], pax = _checked_residual(a, b, x)
+        if residuals[0] <= stop.residual_tol:
+            reason = StopReason.RESIDUAL_MET
+        else:
+            for _ in range(stop.max_iter):
+                nxt, result = step(b, graph, x, pax, tol)
+                residual, pax = _checked_residual(a, b, nxt)
+                if result is not None:
+                    steps.append(result)
+                iterates.append(nxt)
+                firsts.append(float(nxt[0]))
+                residuals.append(residual)
+                if residuals[-1] <= stop.residual_tol:
+                    reason = StopReason.RESIDUAL_MET
+                    break
+                lag = _cycle_lag(iterates, firsts)
+                if lag is not None:
+                    reason = StopReason.CYCLE
+                    cycle_period = lag
+                    break
+                x = nxt
+    except solvers.FeaskitError as exc:
+        reason = StopReason.ERROR
+        message = f"{type(exc).__name__}: {exc}"
+
+    return Trace(
+        method=method,
+        iterates=np.array(iterates),
+        residuals=np.array(residuals),
+        step_results=tuple(steps),
+        stop=reason,
+        message=message,
+        cycle_period=cycle_period,
+    )
+
+
+def _run_outcome(run_fn):
+    """A run's trace, bit for bit, and the numpy warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tr = run_fn()
+    steps = [(r.case, *(_bits(getattr(r, f)) for f in ("next", "rax", "rbrax"))) for r in tr.step_results]
+    return (
+        tr.method, tr.stop, tr.message, tr.cycle_period,
+        _bits(tr.iterates), _bits(tr.residuals), steps,
+        [(w.category, str(w.message)) for w in caught],
+    )
+
+
+# Every catalog problem under every method from its default start, then
+# 32 seeded starts of the sphere-basin pool, then starts whose
+# projections, reflections or averages overflow, on sphere-line and on a
+# circle against a diagonal line in either order.
+_POOL_STARTS = [DR_RUNS[i][1] for i in random.Random(0).sample(range(256), 32)]
+_OVERFLOWING_STARTS = [
+    (1.5e308, 1.7e308), (1.7e308, 1.7e308), (1.7e308, -1.7e308),
+    (-1e308, 1e308), (0.5, 1.7e308), (1e160, 0.0),
+]
+_VECTOR_METHODS = ("altproj", "crm", "dr")
+
+
+def _parity_runs():
+    for name in problem_names():
+        p = builtin(name)
+        yield from ((name, p.a, p.b, p.default_x0, m, p.graph) for m in METHODS)
+    line = builtin("sphere-line")
+    yield from (("sphere-line", line.a, line.b, x0, m, None) for x0 in _POOL_STARTS for m in _VECTOR_METHODS)
+    diagonal, circle = Hyperplane((1.0, 1.0)), Sphere((0.0, 0.0), 1.0)
+    for a, b in ((line.a, line.b), (diagonal, circle), (circle, diagonal)):
+        yield from (("overflow", a, b, x0, m, None) for x0 in _OVERFLOWING_STARTS for m in _VECTOR_METHODS)
+
+
+def test_run_matches_the_checked_loop_bit_for_bit():
+    errors = 0
+    for name, a, b, x0, method, graph in _parity_runs():
+        got = _run_outcome(lambda: run(method, a, b, x0, root_graph=graph))
+        want = _run_outcome(lambda: _checked_run(method, a, b, x0, root_graph=graph))
+        assert got == want, (name, x0, method)
+        errors += want[1] is StopReason.ERROR
+    # The comparison reaches error paths of both the graphs and the
+    # closed-form sets.
+    assert errors >= 20
