@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
-from .geometry import _POINT_EQ_EPS, _is_real, _norm, as_point
+from .geometry import _POINT_EQ_EPS, _is_real, _norm, _norm_xy, _screened, as_point
 
 _GRID_POINTS = 2048
 # The ramp np.linspace scales and shifts into each 2048-point grid.
@@ -55,6 +55,18 @@ def _residual(a: FeasibleSet, b: FeasibleSet, x: np.ndarray) -> tuple[float, np.
     pax = a._project(x)
     d_b = _norm(x - b._project(x))
     return (max(_norm(x - pax), d_b) if d_b == d_b else d_b), pax
+
+
+def _residual_xy(a: FeasibleSet, b: FeasibleSet, x) -> tuple[float, tuple[float, float]]:
+    """``_residual`` of the point ``x`` = (x0, x1) of a planar run, on
+    Python floats, bit for bit.  ``a`` and ``b`` are exactly ``Hyperplane``
+    or ``Sphere``; ``_HandOff`` leaves the run to the array path, so both
+    distances are finite."""
+    x0, x1 = x
+    p0, p1 = a._project_xy(x0, x1)
+    q0, q1 = b._project_xy(x0, x1)
+    d_b = _norm_xy(x0 - q0, x1 - q1)
+    return max(_norm_xy(x0 - p0, x1 - p1), d_b), (p0, p1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +113,12 @@ class Hyperplane(FeasibleSet):
         # on one, matmul is 0.0 + n[0] * x[0], which + 0.0 reproduces.
         return x - (float(self.normal.dot(x)) + 0.0 - self.offset) * self.normal
 
+    def _project_xy(self, x0: float, x1: float) -> tuple[float, float]:
+        # _project's operations, in its order, on the floats of a 2-D point.
+        k = float(self.normal.dot(_screened(x0, x1))) + 0.0 - self.offset
+        n0, n1 = self.normal.tolist()
+        return x0 - k * n0, x1 - k * n1
+
 
 @dataclass(frozen=True, eq=False)
 class Sphere(FeasibleSet):
@@ -134,6 +152,17 @@ class Sphere(FeasibleSet):
             e1[0] = 1.0
             return self.center + self.radius * e1
         return self.center + (self.radius / n) * v
+
+    def _project_xy(self, x0: float, x1: float) -> tuple[float, float]:
+        # _project's operations, in its order, on the floats of a 2-D point.
+        c0, c1 = self.center.tolist()
+        v0 = x0 - c0
+        v1 = x1 - c1
+        n = _norm_xy(v0, v1)
+        if n <= _POINT_EQ_EPS:
+            return c0 + self.radius, c1 + 0.0
+        q = self.radius / n
+        return c0 + q * v0, c1 + q * v1
 
 
 def _eval_curve(f: Callable, ts: np.ndarray) -> np.ndarray:

@@ -33,13 +33,16 @@ from .geometry import (
     ColinearityCase,
     Tolerances,
     _finite,
+    _HandOff,
     _is_real,
     _norm,
+    _norm_xy,
+    _screened,
     as_point,
     circumcenter,
     classify_triple,
 )
-from .sets import FeasibleSet, FunctionGraph, _residual
+from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere, _residual, _residual_xy
 
 # How many of the latest iterates the cycle test compares the newest with.
 _CYCLE_WINDOW = 8
@@ -161,16 +164,21 @@ def subgrad_proj_step(g, y: float, ystar: float) -> float:
 # Run-loop steps, each (b, graph, x, P_A x, tol) -> (next iterate,
 # StepResult or None); only the hybrid step reads tol.  Scalar steps move
 # the abscissa t of x = (t, 0).  x is a checked point of B's dimension,
-# and each step checks the point it projects onto B finite first.
+# and each step checks the point it projects onto B finite first.  A
+# planar step (suffix _xy) takes x and P_A x as pairs of Python floats
+# and returns its iterate as one; it does its array twin's operations in
+# the same order, and the planar projections' _HandOff stands in for the
+# finiteness checks.
 def _altproj(b, graph, x, pax, tol):
     return b._project(_finite(pax)), None
 
 
-def _crm(b, graph, x, pax, tol):
-    """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
-    through B, and take the hybrid step."""
-    rax = _finite(2.0 * pax - x)
-    rbrax = 2.0 * b._project(rax) - rax
+def _altproj_xy(b, graph, x, pax, tol):
+    return b._project_xy(*pax), None
+
+
+def _hybrid(x, rax, rbrax, tol):
+    """The hybrid step on the triple (x, R_A x, R_B R_A x)."""
     case = classify_triple(x, rax, rbrax, tol)
     if case is ColinearityCase.NON_COLINEAR:
         nxt = circumcenter(x, rax, rbrax)
@@ -179,12 +187,39 @@ def _crm(b, graph, x, pax, tol):
     return nxt, StepResult(nxt, case, rax, rbrax)
 
 
+def _crm(b, graph, x, pax, tol):
+    """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
+    through B, and take the hybrid step."""
+    rax = _finite(2.0 * pax - x)
+    return _hybrid(x, rax, 2.0 * b._project(rax) - rax, tol)
+
+
+def _crm_xy(b, graph, x, pax, tol):
+    # The triple goes to classify_triple and circumcenter as screened
+    # arrays, so none of the dots they take overflows.
+    x0, x1 = x
+    r0 = 2.0 * pax[0] - x0
+    r1 = 2.0 * pax[1] - x1
+    p0, p1 = b._project_xy(r0, r1)
+    triple = _screened(x0, x1), _screened(r0, r1), _screened(2.0 * p0 - r0, 2.0 * p1 - r1)
+    nxt, result = _hybrid(*triple, tol)
+    return nxt.tolist(), result
+
+
 def _dr(b, graph, x, pax, tol):
     """The average of x and R_B R_A x, reflected as in ``_crm``.  R_B R_A x
     is checked finite, so an overflowing reflection stops the run with
     NonFinitePoint before the average overflows too."""
     rax = _finite(2.0 * pax - x)
     return 0.5 * (x + _finite(2.0 * b._project(rax) - rax)), None
+
+
+def _dr_xy(b, graph, x, pax, tol):
+    x0, x1 = x
+    r0 = 2.0 * pax[0] - x0
+    r1 = 2.0 * pax[1] - x1
+    p0, p1 = b._project_xy(r0, r1)
+    return [0.5 * (x0 + (2.0 * p0 - r0)), 0.5 * (x1 + (2.0 * p1 - r1))], None
 
 
 def _newton(b, graph, x, pax, tol):
@@ -200,14 +235,18 @@ def _subgrad(b, graph, x, pax, tol):
     return np.array([subgrad_proj_step(graph, t, _derivative(graph, t)), 0.0]), None
 
 
-# method -> (step, whether it steps a function graph's abscissa)
+# method -> (step, planar step or None, whether it steps a function
+# graph's abscissa)
 _STEPS = {
-    "altproj": (_altproj, False),
-    "crm": (_crm, False),
-    "dr": (_dr, False),
-    "newton": (_newton, True),
-    "subgrad": (_subgrad, True),
+    "altproj": (_altproj, _altproj_xy, False),
+    "crm": (_crm, _crm_xy, False),
+    "dr": (_dr, _dr_xy, False),
+    "newton": (_newton, None, True),
+    "subgrad": (_subgrad, None, True),
 }
+# The set types whose pairs a 2-D run steps on Python floats
+# (``_project_xy``); a subclass keeps the array path.
+_PLANAR_SETS = (Hyperplane, Sphere)
 METHODS = tuple(_STEPS)
 
 
@@ -218,7 +257,7 @@ def check_method(method: str, a: FeasibleSet, root_graph: FunctionGraph | None =
     ``a`` nor ``root_graph`` is."""
     if method not in _STEPS:
         raise UnknownMethod(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    if not _STEPS[method][1]:
+    if not _STEPS[method][2]:
         return None
     graph = a if isinstance(a, FunctionGraph) else root_graph
     if not isinstance(graph, FunctionGraph):
@@ -251,18 +290,26 @@ def run(
     it is a graph, else ``root_graph``) and record iterates embedded as
     (t, 0).  Residuals are always measured against ``a`` and ``b``.
     Reflection is 2P(x) - x and distance is ||x - P(x)|| for every set,
-    from its ``project``; P_A x comes from the residual test of the same
-    iterate.  Errors of a step or of an iterate's
-    residual test are caught and reported through a trace with stop
-    reason ERROR rather than raised; the trace ends at the last iterate
-    whose residual is known, or holds the start with residual NaN.
+    from its projection; P_A x comes from the residual test of the same
+    iterate.  ``Hyperplane`` and ``Sphere`` project the points ``run``
+    checked itself through their unchecked ``_project``, and every other
+    set through ``project``.  A vector method on a 2-D start over two
+    sets that are exactly ``Hyperplane`` or ``Sphere`` runs on Python
+    floats through their ``_project_xy``, with the same operations in the
+    same order; a coordinate larger than 1e150 in magnitude before a dot,
+    or a non-finite one, repeats the whole run on arrays from ``x0``, so
+    the result is the array run's, bit for bit.  Errors of a step or of
+    an iterate's residual test are caught and reported through a trace
+    with stop reason ERROR rather than raised; the trace ends at the last
+    iterate whose residual is known, or holds the start with residual
+    NaN.
 
     Configuration errors raise instead: UnknownMethod for an unknown or
     inapplicable method, DimensionMismatch for a start or set of another
     dimension, NonFinitePoint for a non-finite start.
     """
     graph = check_method(method, a, root_graph)
-    step = _STEPS[method][0]
+    step, step_xy, _ = _STEPS[method]
     stop = StopRule() if stop is None else stop
     x = as_point(x0)
     if graph is not None and x.size != 2:
@@ -271,6 +318,33 @@ def run(
         raise DimensionMismatch(f"start {x.size}-D, sets {a.dimension}-D and {b.dimension}-D")
 
     t_start = time.perf_counter()
+    if step_xy is not None and x.size == 2 and type(a) in _PLANAR_SETS and type(b) in _PLANAR_SETS:
+        planar = (step_xy, _residual_xy, _distance_xy)
+        try:
+            return _iterate(method, planar, a, b, graph, x.tolist(), stop, tol, t_start)
+        except _HandOff:
+            pass
+    arrays = (step, _checked_residual, _distance)
+    return _iterate(method, arrays, a, b, graph, x, stop, tol, t_start)
+
+
+def _checked_residual(a, b, x):
+    """``_residual`` of a point a step made, once it is checked finite."""
+    return _residual(a, b, _finite(x))
+
+
+def _distance(u, v) -> float:
+    return _norm(u - v)
+
+
+def _distance_xy(u, v) -> float:
+    return _norm_xy(u[0] - v[0], u[1] - v[1])
+
+
+def _iterate(method, kernels, a, b, graph, x, stop, tol, t_start) -> Trace:
+    """The run loop of ``run`` from its checked start ``x``, with the
+    step, residual and distance ``kernels`` of the array or planar path."""
+    step, residual_of, distance = kernels
     iterates = [x]
     # First coordinates of the iterates the cycle test can still reach.
     firsts = deque([float(x[0])], maxlen=_CYCLE_WINDOW + 1)
@@ -281,13 +355,13 @@ def run(
     cycle_period = None
 
     try:
-        residuals[0], pax = _residual(a, b, x)
+        residuals[0], pax = residual_of(a, b, x)
         if residuals[0] <= stop.residual_tol:
             reason = StopReason.RESIDUAL_MET
         else:
             for _ in range(stop.max_iter):
                 nxt, result = step(b, graph, x, pax, tol)
-                residual, pax = _residual(a, b, _finite(nxt))
+                residual, pax = residual_of(a, b, nxt)
                 if result is not None:
                     steps.append(result)
                 iterates.append(nxt)
@@ -296,7 +370,7 @@ def run(
                 if residuals[-1] <= stop.residual_tol:
                     reason = StopReason.RESIDUAL_MET
                     break
-                lag = _cycle_lag(iterates, firsts)
+                lag = _cycle_lag(iterates, firsts, distance)
                 if lag is not None:
                     reason = StopReason.CYCLE
                     cycle_period = lag
@@ -318,9 +392,10 @@ def run(
     )
 
 
-def _cycle_lag(iterates, firsts) -> int | None:
+def _cycle_lag(iterates, firsts, distance) -> int | None:
     """Lag of a revisit, within ``_POINT_EQ_EPS``, of one of the last
-    ``_CYCLE_WINDOW`` iterates by the newest one, if any.
+    ``_CYCLE_WINDOW`` iterates by the newest one, if any, measured by
+    ``distance`` (``_distance``, or ``_distance_xy`` on a planar run).
 
     ``firsts`` holds, as floats, the first coordinates of the last
     ``_CYCLE_WINDOW + 1`` iterates (all, while fewer).  A lag whose first
@@ -336,6 +411,6 @@ def _cycle_lag(iterates, firsts) -> int | None:
     for lag, first in enumerate(back, 1):
         if abs(new0 - first) > 2.0 * eps:
             continue
-        if _norm(new - iterates[-1 - lag]) <= eps:
+        if distance(new, iterates[-1 - lag]) <= eps:
             return lag
     return None

@@ -22,6 +22,7 @@ from feaskit import (
     problem_names,
     run,
 )
+from feaskit.geometry import _PLANAR_SCREEN, _HandOff
 from feaskit.sets import _PROJECTION_TOL, _grid
 from feaskit.sets import _golden_min as _sets_golden_min
 
@@ -168,6 +169,85 @@ def test_unchecked_closed_form_projection_matches_project_bitwise(case):
         got = s._project(x)
         want = s.project(x)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _magnitude(lo_exp: int, hi_exp: int):
+    """Signed values m * 10**e, m in [1, 10), e in [lo_exp, hi_exp]."""
+    return st.builds(
+        lambda m, e, sign: sign * m * 10.0**e,
+        st.floats(1.0, 10.0, exclude_max=True),
+        st.integers(lo_exp, hi_exp),
+        st.sampled_from((1.0, -1.0)),
+    )
+
+
+# A coordinate of a planar run's point: a signed zero, or a magnitude
+# from 1e-300 up to the screen.
+_PLANAR_COORD = st.sampled_from((0.0, -0.0, _PLANAR_SCREEN, -_PLANAR_SCREEN)) | _magnitude(-300, 149)
+
+
+@st.composite
+def _planar_set_and_point(draw):
+    """A 2-D hyperplane or sphere and a point within the screen.
+
+    Hyperplane normals point off the axes, some pre-scaled by 1e-200 or
+    1e200, and offsets are nonzero.  Sphere centres lie anywhere within
+    the screen, and the point is sometimes the centre itself."""
+    x = np.array([draw(_PLANAR_COORD), draw(_PLANAR_COORD)])
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from((1e-200, 1.0, 1e200)))
+        normal = [scale * draw(st.floats(0.01, 100.0)) * draw(st.sampled_from((1.0, -1.0))) for _ in range(2)]
+        try:
+            return Hyperplane(normal, draw(_magnitude(-300, 300))), x
+        except ValueError:
+            # The offset overflows at a unit normal.
+            assume(False)
+    center = np.array([draw(_PLANAR_COORD), draw(_PLANAR_COORD)])
+    if draw(st.booleans()):
+        x = center
+    return Sphere(center, abs(draw(_magnitude(-300, 300)))), x
+
+
+@given(_planar_set_and_point())
+@example((Sphere((1.0, -0.5), 2.0), np.array([1.0, -0.5])))
+@example((Sphere((-0.0, -0.0), 1.0), np.array([-0.0, -0.0])))
+@example((Hyperplane((1e-200, 3e-200), 0.5), np.array([-0.0, 1e150])))
+@example((Hyperplane((1e200, -1e200), -1e300), np.array([1e-300, -0.0])))
+def test_planar_projection_matches_the_array_projection_bitwise(case):
+    # A planar run projects its float points through _project_xy, which
+    # does _project's operations in _project's order.  A sphere hands off
+    # exactly when x - c leaves the screen.
+    s, x = case
+    x0, x1 = x.tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = s._project_xy(x0, x1)
+        except _HandOff:
+            assert isinstance(s, Sphere)
+            assert np.abs(x - s.center).max() > _PLANAR_SCREEN
+            return
+    assert not (isinstance(s, Sphere) and np.abs(x - s.center).max() > _PLANAR_SCREEN)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == s._project(x).tobytes()
+
+
+@given(
+    st.sampled_from((Hyperplane((1.0, 2.0), 0.5), Sphere((0.5, -0.5), 2.0))),
+    st.sampled_from((math.inf, -math.inf, math.nan)) | _magnitude(150, 307).filter(
+        lambda v: abs(v) > _PLANAR_SCREEN
+    ),
+    _PLANAR_COORD,
+    st.booleans(),
+)
+@example(Hyperplane((1.0, 2.0), 0.5), math.nextafter(_PLANAR_SCREEN, math.inf), 0.0, False)
+@example(Sphere((0.5, -0.5), 2.0), 1.7e308, 1.7e308, True)
+def test_planar_projection_hands_off_past_the_screen_without_a_warning(s, far, near, swap):
+    x0, x1 = (near, far) if swap else (far, near)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(_HandOff):
+            s._project_xy(x0, x1)
 
 
 COORD = st.floats(-100.0, 100.0)

@@ -1,6 +1,7 @@
 """Step operators and the run loop: dispatch, traces, stop reasons."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -484,9 +485,9 @@ def test_run_and_nearest_solution_pick_the_same_root_on_a_near_tie(x0):
 
 
 def _counted(project, calls):
-    def counted(self, x):
+    def counted(self, *point):
         calls.append(1)
-        return project(self, x)
+        return project(self, *point)
 
     return counted
 
@@ -503,21 +504,55 @@ def test_run_makes_one_graph_projection_per_iterate(method, monkeypatch):
     assert len(calls) == tr.iterations + 1
 
 
+# sphere-line in the plane, and a sphere against a plane in R^3 through
+# the same start lifted by a third coordinate, each with the closed-form
+# kernel run projects through.
+_COUNTED_RUNS = [
+    ((builtin("sphere-line").a, builtin("sphere-line").b, (0.4, 0.7)), "_project_xy"),
+    ((Sphere((0.0, 0.0, -0.5), 1.0), Hyperplane((0.0, 0.0, 1.0)), (0.4, 0.3, 0.7)), "_project"),
+]
+
+
 @pytest.mark.parametrize("method", ["crm", "dr"])
 def test_run_makes_three_closed_set_projections_per_iteration(method, monkeypatch):
     # The loop projects the points it made and checked itself through the
-    # unchecked closed-form _project, not the public project: P_B of
-    # R_A x in the step, then P_A and P_B of the new iterate in its
-    # residual test.
-    p = builtin("sphere-line")
-    calls, public = [], []
+    # unchecked closed-form kernel, not the public project: P_B of R_A x
+    # in the step, then P_A and P_B of the new iterate in its residual
+    # test.  In the plane that kernel is _project_xy, on Python floats;
+    # in R^3 it is _project.
+    for (a, b, x0), kernel in _COUNTED_RUNS:
+        calls, public = [], []
+        with monkeypatch.context() as m:
+            for cls in (Sphere, Hyperplane):
+                m.setattr(cls, kernel, _counted(getattr(cls, kernel), calls))
+                m.setattr(cls, "project", _counted(cls.project, public))
+            tr = run(method, a, b, x0)
+        assert tr.iterations >= 3
+        assert len(calls) == 3 * tr.iterations + 2
+        assert public == []
+
+
+class _Line(Hyperplane):
+    pass
+
+
+def test_only_exact_planar_pairs_run_on_floats_and_only_within_the_screen(monkeypatch):
+    # The array projection runs only on a subclass, or after a coordinate
+    # left the screen and the run started again on arrays.
+    calls = []
     for cls in (Sphere, Hyperplane):
         monkeypatch.setattr(cls, "_project", _counted(cls._project, calls))
-        monkeypatch.setattr(cls, "project", _counted(cls.project, public))
-    tr = run(method, p.a, p.b, (0.4, 0.7))
-    assert tr.iterations >= 3
+    pairs = ((_OFF_CENTRE_LINE, _OFF_CENTRE_CIRCLE), (_OFF_CENTRE_CIRCLE, _OFF_CENTRE_LINE))
+    for (a, b), x0, method in itertools.product(pairs, _OFF_CENTRE_STARTS, _VECTOR_METHODS):
+        assert run(method, a, b, x0).iterations >= 1
+    assert calls == []
+    for x0 in _SCREENED_STARTS:
+        run("dr", _OFF_CENTRE_CIRCLE, _OFF_CENTRE_LINE, x0)
+        assert calls
+        calls.clear()
+    line = _Line(_OFF_CENTRE_LINE.normal, _OFF_CENTRE_LINE.offset)
+    tr = run("dr", _OFF_CENTRE_CIRCLE, line, (0.5, 0.5))
     assert len(calls) == 3 * tr.iterations + 2
-    assert public == []
 
 
 _PLANE_3 = Hyperplane((0.0, 0.0, 1.0), 0.0)
@@ -713,8 +748,8 @@ def _cycle_inputs(draw):
 @example([np.array([math.nextafter(1e-12, 1.0)]), np.array([0.0])])
 def test_screened_cycle_lag_matches_the_unscreened_loop(iterates):
     firsts = deque((float(p[0]) for p in iterates), maxlen=_WINDOW + 1)
-    assert _cycle_lag(iterates, firsts) == _unscreened_cycle_lag(iterates, _WINDOW, _EPS)
-    assert _cycle_lag(iterates, firsts) == _indexed_cycle_lag(iterates, firsts)
+    assert _cycle_lag(iterates, firsts, solvers._distance) == _unscreened_cycle_lag(iterates, _WINDOW, _EPS)
+    assert _cycle_lag(iterates, firsts, solvers._distance) == _indexed_cycle_lag(iterates, firsts)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -744,6 +779,17 @@ def _eager_dr(b, graph, x, pax, tol):
     return result.next, result
 
 
+def _eager_dr_xy(b, graph, x, pax, tol):
+    # The eager step on the arrays of a planar run's floats.
+    nxt, result = _eager_dr(b, graph, np.array(x), np.array(pax), tol)
+    return nxt.tolist(), result
+
+
+# The eager step as both kernels of DR's method-table entry, so planar
+# runs take it too.
+_EAGER_DR = (_eager_dr, _eager_dr_xy, False)
+
+
 _BASIN = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sphere-basin.json"
 # Every start of the sphere-basin pool on sphere-line, then every catalog
 # problem from its default start.
@@ -766,7 +812,7 @@ def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
         x0 = p.default_x0 if x0 is None else x0
         new = run("dr", p.a, p.b, x0, tol=tol)
         with monkeypatch.context() as m:
-            m.setitem(solvers._STEPS, "dr", (_eager_dr, False))
+            m.setitem(solvers._STEPS, "dr", _EAGER_DR)
             old = run("dr", p.a, p.b, x0, tol=tol)
         for field in ("stop", "message", "cycle_period"):
             assert getattr(new, field) == getattr(old, field)
@@ -802,7 +848,7 @@ def test_dr_trace_files_match_the_eager_step_byte_for_byte(name, tmp_path, capsy
         return codes, capsys.readouterr().out, csv.read_text("utf-8"), js.read_text("utf-8")
 
     new = traces("new")
-    monkeypatch.setitem(solvers._STEPS, "dr", (_eager_dr, False))
+    monkeypatch.setitem(solvers._STEPS, "dr", _EAGER_DR)
     codes, out, csv, js = traces("old")
     # The eager step's files carry its cases; DR's leave them empty.
     assert csv != new[2] and js != new[3]
@@ -920,7 +966,7 @@ def _checked_run(method, a, b, x0, root_graph=None):
                 if residuals[-1] <= stop.residual_tol:
                     reason = StopReason.RESIDUAL_MET
                     break
-                lag = _cycle_lag(iterates, firsts)
+                lag = _cycle_lag(iterates, firsts, solvers._distance)
                 if lag is not None:
                     reason = StopReason.CYCLE
                     cycle_period = lag
@@ -955,14 +1001,23 @@ def _run_outcome(run_fn):
 
 
 # Every catalog problem under every method from its default start, then
-# 32 seeded starts of the sphere-basin pool, then starts whose
-# projections, reflections or averages overflow, on sphere-line and on a
-# circle against a diagonal line in either order.
+# 32 seeded starts of the sphere-basin pool, then 16 seeded starts around
+# an off-centre circle and an off-origin diagonal line in either order.
+# Then, on sphere-line and on a circle against a diagonal line in either
+# order, starts whose projections, reflections or averages overflow, and
+# starts past the planar screen (1e150) whose residual does not.  All of
+# these hand off to the array path.  It is silent from the first two
+# screened starts; from the last two, CRM's triple overflows its dots,
+# and the array path warns.
 _POOL_STARTS = [DR_RUNS[i][1] for i in random.Random(0).sample(range(256), 32)]
+_OFF_CENTRE_STARTS = [(r.uniform(-3.0, 3.0), r.uniform(-3.0, 3.0)) for r in [random.Random(1)] for _ in range(16)]
+_OFF_CENTRE_LINE = Hyperplane((1.0, 2.0), 0.75)
+_OFF_CENTRE_CIRCLE = Sphere((0.3, -0.4), 1.5)
 _OVERFLOWING_STARTS = [
     (1.5e308, 1.7e308), (1.7e308, 1.7e308), (1.7e308, -1.7e308),
     (-1e308, 1e308), (0.5, 1.7e308), (1e160, 0.0),
 ]
+_SCREENED_STARTS = [(1e152, 0.0), (-3e153, 2e153), (9e153, 9e153), (-9e153, 9e153)]
 _VECTOR_METHODS = ("altproj", "crm", "dr")
 
 
@@ -972,9 +1027,12 @@ def _parity_runs():
         yield from ((name, p.a, p.b, p.default_x0, m, p.graph) for m in METHODS)
     line = builtin("sphere-line")
     yield from (("sphere-line", line.a, line.b, x0, m, None) for x0 in _POOL_STARTS for m in _VECTOR_METHODS)
+    for a, b in ((_OFF_CENTRE_LINE, _OFF_CENTRE_CIRCLE), (_OFF_CENTRE_CIRCLE, _OFF_CENTRE_LINE)):
+        yield from (("off-centre", a, b, x0, m, None) for x0 in _OFF_CENTRE_STARTS for m in _VECTOR_METHODS)
     diagonal, circle = Hyperplane((1.0, 1.0)), Sphere((0.0, 0.0), 1.0)
+    far = _OVERFLOWING_STARTS + _SCREENED_STARTS
     for a, b in ((line.a, line.b), (diagonal, circle), (circle, diagonal)):
-        yield from (("overflow", a, b, x0, m, None) for x0 in _OVERFLOWING_STARTS for m in _VECTOR_METHODS)
+        yield from (("overflow", a, b, x0, m, None) for x0 in far for m in _VECTOR_METHODS)
 
 
 def test_run_matches_the_checked_loop_bit_for_bit():
