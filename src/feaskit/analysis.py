@@ -191,15 +191,18 @@ def compare(
     problem: Problem,
     methods,
     stop: StopRule | None = None,
-    tol=None,
+    *,
     x0=None,
 ) -> list[ComparisonRow]:
     """Run every method from the same start and tabulate the outcomes.
 
-    Rows come back sorted by method id, one per distinct method.  A method
-    that fails while iterating gives an ERROR row; configuration errors
-    raise before any run.
+    ``methods`` is a collection of method ids; a bare string raises
+    TypeError.  Rows come back sorted by method id, one per distinct
+    method.  A method that fails while iterating gives an ERROR row;
+    configuration errors raise before any run.
     """
+    if isinstance(methods, str):
+        raise TypeError(f"methods takes a collection of method ids, not the string {methods!r}")
     methods = sorted(set(methods))
     if not methods:
         raise ValueError("methods must be nonempty")
@@ -208,7 +211,7 @@ def compare(
     start = problem.default_x0 if x0 is None else x0
     return [
         ComparisonRow.from_trace(
-            run(m, problem.a, problem.b, start, stop=stop, tol=tol, root_graph=problem.graph),
+            run(m, problem.a, problem.b, start, stop=stop, root_graph=problem.graph),
             problem,
         )
         for m in methods

@@ -19,7 +19,6 @@ import numpy as np
 
 from .analysis import ComparisonRow, compare, comparison_to_csv
 from .errors import FeaskitError
-from .geometry import Tolerances
 from .plotting import TraceSeries, render_svg
 from .problems import (
     Problem, builtin, load_problem, nearest_solution, problem_names, problem_to_dict,
@@ -61,7 +60,6 @@ def _problem_args(sp) -> None:
     sp.add_argument("--x0", help="start point, comma-separated reals")
     sp.add_argument("--tol", type=float, help="residual stop tolerance")
     sp.add_argument("--max-iter", type=int, help="iteration budget")
-    sp.add_argument("--eps-colinear", type=float, help="noncolinearity tolerance")
 
 
 def _run_args(sp) -> None:
@@ -111,12 +109,11 @@ def _resolve_run_config(args, problem: Problem):
         raise _ConfigError(f"unknown format {args.format!r}")
     limits = {"residual_tol": args.tol, "max_iter": args.max_iter}
     try:
-        tol = None if args.eps_colinear is None else Tolerances(colinearity_eps=args.eps_colinear)
         stop = StopRule(**{k: v for k, v in limits.items() if v is not None})
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc
     x0 = problem.default_x0 if args.x0 is None else _parse_point(args.x0)
-    return stop, tol, x0
+    return stop, x0
 
 
 def _fmt17(v: float) -> str:
@@ -235,8 +232,8 @@ def _csv_record(text: str):
 
 def cmd_run(args) -> int:
     problem = _resolve_problem(args)
-    stop, tol, x0 = _resolve_run_config(args, problem)
-    trace = run(args.method, problem.a, problem.b, x0, stop=stop, tol=tol, root_graph=problem.graph)
+    stop, x0 = _resolve_run_config(args, problem)
+    trace = run(args.method, problem.a, problem.b, x0, stop=stop, root_graph=problem.graph)
     if args.out:
         s = nearest_solution(problem, trace.final)
         dist = None if s is None else trace_errors(trace, s)
@@ -259,8 +256,8 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise _ConfigError("--methods must name at least one method")
-    stop, tol, x0 = _resolve_run_config(args, problem)
-    rows = compare(problem, methods, stop=stop, tol=tol, x0=x0)
+    stop, x0 = _resolve_run_config(args, problem)
+    rows = compare(problem, methods, stop=stop, x0=x0)
     if args.format == "csv":
         table = comparison_to_csv(rows)
     else:

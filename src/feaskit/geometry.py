@@ -8,7 +8,6 @@ the arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
@@ -17,39 +16,22 @@ import numpy as np
 from .errors import DimensionMismatch, DistinctColinearInput, NonFinitePoint
 
 # In-plane residual (relative to the triple's extent) below which three
-# distinct points are treated as exactly colinear.  Kept far below the
-# colinearity_eps used for solver dispatch, so near-colinear triples that
-# a solver classifies as non-colinear still get a (possibly distant)
-# circumcenter instead of an error.
+# distinct points are treated as exactly colinear.  Kept far below
+# _COLINEARITY_EPS, so near-colinear triples that a hybrid step classifies
+# as non-colinear still get a (possibly distant) circumcenter instead of
+# an error.
 _SINGULAR_RTOL = 1e-13
 # Two points closer than this coincide.
 _POINT_EQ_EPS = 1e-12
+# The slack of the triple alignment test (dimensionless): a hybrid step
+# averages instead of taking the circumcenter when the absolute cosine at
+# R_B R_A x reaches 1 - _COLINEARITY_EPS.
+_COLINEARITY_EPS = 1e-9
 
 
 def _is_real(v) -> bool:
     """Whether ``v`` is a real number, numpy scalars included, but not a bool."""
     return isinstance(v, Real) and not isinstance(v, bool)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The slack of the triple alignment test (dimensionless), which
-    decides when a hybrid step averages instead of taking the
-    circumcenter.
-
-    Points within 1e-12 of each other coincide; the solver's stopping
-    residual is ``StopRule.residual_tol``.
-    """
-
-    colinearity_eps: float = 1e-9
-
-    def __post_init__(self):
-        eps = self.colinearity_eps
-        if not (_is_real(eps) and 0.0 < eps < 1.0):
-            raise ValueError(f"colinearity_eps must be a real in (0, 1), got {eps!r}")
-
-
-_DEFAULT_TOLERANCES = Tolerances()
 
 
 class ColinearityCase(Enum):
@@ -182,17 +164,16 @@ def _abs_cosine(u, v, nu: float, nv: float) -> float | None:
     return min(abs(float(u.dot(v))) / (nu * nv), 1.0)
 
 
-def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> ColinearityCase:
+def classify_triple(x, rax, rbrax) -> ColinearityCase:
     """Classify the reflection triple (x, Ra x, Rb Ra x).
 
     The triple is non-colinear exactly when the absolute cosine of the
     angle at ``rbrax`` is defined (both legs longer than 1e-12)
-    and falls below 1 - colinearity_eps.  Otherwise the
+    and falls below 1 - 1e-9 (``_COLINEARITY_EPS``).  Otherwise the
     coincidence pattern decides, checked in a fixed order: all three
     equal; exactly two survive; x equals the double reflection but not
     the single one; three distinct colinear points.
     """
-    tol = _DEFAULT_TOLERANCES if tol is None else tol
     x = as_point(x)
     rax = as_point(rax, x.size)
     rbrax = as_point(rbrax, x.size)
@@ -204,7 +185,7 @@ def classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Colinearity
     d_ra_rb = _norm(v)
 
     ratio = _abs_cosine(u, v, d_x_rb, d_ra_rb)
-    if ratio is not None and ratio < 1.0 - tol.colinearity_eps:
+    if ratio is not None and ratio < 1.0 - _COLINEARITY_EPS:
         return ColinearityCase.NON_COLINEAR
 
     d_x_ra = _norm(x - rax)

@@ -31,7 +31,6 @@ from .errors import (
 from .geometry import (
     _POINT_EQ_EPS,
     ColinearityCase,
-    Tolerances,
     _finite,
     _HandOff,
     _is_real,
@@ -70,9 +69,9 @@ class StopRule:
     max_iter: int = 100
 
     def __post_init__(self):
-        tol, n = self.residual_tol, self.max_iter
-        if not (_is_real(tol) and 0.0 < tol < math.inf):
-            raise ValueError(f"residual_tol must be a positive real, got {tol!r}")
+        r, n = self.residual_tol, self.max_iter
+        if not (_is_real(r) and 0.0 < r < math.inf):
+            raise ValueError(f"residual_tol must be a positive real, got {r!r}")
         # A bool is an Integral; a string or None fails the test.
         if isinstance(n, bool) or not isinstance(n, Integral):
             raise ValueError(f"max_iter must be an integer, got {n!r}")
@@ -82,16 +81,14 @@ class StopRule:
 
 @dataclass(frozen=True, eq=False)
 class StepResult:
-    """One hybrid step: the new iterate ``next``, the reflections ``rax``
-    and ``rbrax`` of the pre-step point x, and the ``case`` of the triple
-    (x, ``rax``, ``rbrax``), whose circumcenter the step takes when it is
-    non-colinear and whose average of x and ``rbrax`` it takes otherwise.
+    """One hybrid step: the new iterate ``next`` and the ``case`` of the
+    triple (x, R_A x, R_B R_A x) of the pre-step point x, whose
+    circumcenter the step takes when it is non-colinear and whose average
+    of x and R_B R_A x it takes otherwise.
     """
 
     next: np.ndarray
     case: ColinearityCase
-    rax: np.ndarray
-    rbrax: np.ndarray
 
     @property
     def used_circumcenter(self) -> bool:
@@ -129,7 +126,7 @@ class Trace:
         return self.iterates[-1]
 
 
-def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) -> StepResult:
+def ct_step(a: FeasibleSet, b: FeasibleSet, x) -> StepResult:
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
     # The closed-form sets' _project checks nothing, so the start is
@@ -137,7 +134,7 @@ def ct_step(a: FeasibleSet, b: FeasibleSet, x, tol: Tolerances | None = None) ->
     x = as_point(x, a.dimension)
     if b.dimension != x.size:
         raise DimensionMismatch(f"expected dimension {b.dimension}, got {x.size}")
-    return _crm(b, None, x, a._project(x), tol)[1]
+    return _crm(b, None, x, a._project(x))[1]
 
 
 def _derivative(g: FunctionGraph, t: float) -> float:
@@ -161,40 +158,39 @@ def subgrad_proj_step(g, y: float, ystar: float) -> float:
     return y - (float(f(y)) / nsq) * ystar
 
 
-# Run-loop steps, each (b, graph, x, P_A x, tol) -> (next iterate,
-# StepResult or None); only the hybrid step reads tol.  Scalar steps move
-# the abscissa t of x = (t, 0).  x is a checked point of B's dimension,
-# and each step checks the point it projects onto B finite first.  A
-# planar step (suffix _xy) takes x and P_A x as pairs of Python floats
-# and returns its iterate as one; it does its array twin's operations in
-# the same order, and the planar projections' _HandOff stands in for the
-# finiteness checks.
-def _altproj(b, graph, x, pax, tol):
+# Run-loop steps, each (b, graph, x, P_A x) -> (next iterate, StepResult
+# or None).  Scalar steps move the abscissa t of x = (t, 0).  x is a
+# checked point of B's dimension, and each step checks the point it
+# projects onto B finite first.  A planar step (suffix _xy) takes x and
+# P_A x as pairs of Python floats and returns its iterate as one; it does
+# its array twin's operations in the same order, and the planar
+# projections' _HandOff stands in for the finiteness checks.
+def _altproj(b, graph, x, pax):
     return b._project(_finite(pax)), None
 
 
-def _altproj_xy(b, graph, x, pax, tol):
+def _altproj_xy(b, graph, x, pax):
     return b._project_xy(*pax), None
 
 
-def _hybrid(x, rax, rbrax, tol):
+def _hybrid(x, rax, rbrax):
     """The hybrid step on the triple (x, R_A x, R_B R_A x)."""
-    case = classify_triple(x, rax, rbrax, tol)
+    case = classify_triple(x, rax, rbrax)
     if case is ColinearityCase.NON_COLINEAR:
         nxt = circumcenter(x, rax, rbrax)
     else:
         nxt = 0.5 * (x + rbrax)
-    return nxt, StepResult(nxt, case, rax, rbrax)
+    return nxt, StepResult(nxt, case)
 
 
-def _crm(b, graph, x, pax, tol):
+def _crm(b, graph, x, pax):
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
     through B, and take the hybrid step."""
     rax = _finite(2.0 * pax - x)
-    return _hybrid(x, rax, 2.0 * b._project(rax) - rax, tol)
+    return _hybrid(x, rax, 2.0 * b._project(rax) - rax)
 
 
-def _crm_xy(b, graph, x, pax, tol):
+def _crm_xy(b, graph, x, pax):
     # The triple goes to classify_triple and circumcenter as screened
     # arrays, so none of the dots they take overflows.
     x0, x1 = x
@@ -202,11 +198,11 @@ def _crm_xy(b, graph, x, pax, tol):
     r1 = 2.0 * pax[1] - x1
     p0, p1 = b._project_xy(r0, r1)
     triple = _screened(x0, x1), _screened(r0, r1), _screened(2.0 * p0 - r0, 2.0 * p1 - r1)
-    nxt, result = _hybrid(*triple, tol)
+    nxt, result = _hybrid(*triple)
     return nxt.tolist(), result
 
 
-def _dr(b, graph, x, pax, tol):
+def _dr(b, graph, x, pax):
     """The average of x and R_B R_A x, reflected as in ``_crm``.  R_B R_A x
     is checked finite, so an overflowing reflection stops the run with
     NonFinitePoint before the average overflows too."""
@@ -214,7 +210,7 @@ def _dr(b, graph, x, pax, tol):
     return 0.5 * (x + _finite(2.0 * b._project(rax) - rax)), None
 
 
-def _dr_xy(b, graph, x, pax, tol):
+def _dr_xy(b, graph, x, pax):
     x0, x1 = x
     r0 = 2.0 * pax[0] - x0
     r1 = 2.0 * pax[1] - x1
@@ -222,7 +218,7 @@ def _dr_xy(b, graph, x, pax, tol):
     return [0.5 * (x0 + (2.0 * p0 - r0)), 0.5 * (x1 + (2.0 * p1 - r1))], None
 
 
-def _newton(b, graph, x, pax, tol):
+def _newton(b, graph, x, pax):
     t = float(x[0])
     d = _derivative(graph, t)
     if abs(d) <= _POINT_EQ_EPS:
@@ -230,7 +226,7 @@ def _newton(b, graph, x, pax, tol):
     return np.array([t - float(graph.f(t)) / d, 0.0]), None
 
 
-def _subgrad(b, graph, x, pax, tol):
+def _subgrad(b, graph, x, pax):
     t = float(x[0])
     return np.array([subgrad_proj_step(graph, t, _derivative(graph, t)), 0.0]), None
 
@@ -281,7 +277,7 @@ def run(
     b: FeasibleSet,
     x0,
     stop: StopRule | None = None,
-    tol: Tolerances | None = None,
+    *,
     root_graph: FunctionGraph | None = None,
 ) -> Trace:
     """Iterate ``method`` from ``x0`` until the stop rule fires.
@@ -321,11 +317,11 @@ def run(
     if step_xy is not None and x.size == 2 and type(a) in _PLANAR_SETS and type(b) in _PLANAR_SETS:
         planar = (step_xy, _residual_xy, _distance_xy)
         try:
-            return _iterate(method, planar, a, b, graph, x.tolist(), stop, tol, t_start)
+            return _iterate(method, planar, a, b, graph, x.tolist(), stop, t_start)
         except _HandOff:
             pass
     arrays = (step, _checked_residual, _distance)
-    return _iterate(method, arrays, a, b, graph, x, stop, tol, t_start)
+    return _iterate(method, arrays, a, b, graph, x, stop, t_start)
 
 
 def _checked_residual(a, b, x):
@@ -341,7 +337,7 @@ def _distance_xy(u, v) -> float:
     return _norm_xy(u[0] - v[0], u[1] - v[1])
 
 
-def _iterate(method, kernels, a, b, graph, x, stop, tol, t_start) -> Trace:
+def _iterate(method, kernels, a, b, graph, x, stop, t_start) -> Trace:
     """The run loop of ``run`` from its checked start ``x``, with the
     step, residual and distance ``kernels`` of the array or planar path."""
     step, residual_of, distance = kernels
@@ -360,7 +356,7 @@ def _iterate(method, kernels, a, b, graph, x, stop, tol, t_start) -> Trace:
             reason = StopReason.RESIDUAL_MET
         else:
             for _ in range(stop.max_iter):
-                nxt, result = step(b, graph, x, pax, tol)
+                nxt, result = step(b, graph, x, pax)
                 residual, pax = residual_of(a, b, nxt)
                 if result is not None:
                     steps.append(result)

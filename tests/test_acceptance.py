@@ -16,7 +16,6 @@ from feaskit import (
     RateKind,
     StopReason,
     StopRule,
-    Tolerances,
     Trace,
     builtin,
     circumcenter,
@@ -29,6 +28,7 @@ from feaskit import (
     subgrad_proj_step,
     trace_errors,
 )
+from feaskit import geometry
 from feaskit.analysis import _ratios
 
 X_AXIS = Hyperplane((0.0, 1.0), 0.0)
@@ -145,15 +145,13 @@ def test_square_root_kink_superlinear_staircase_and_newton_cycle():
     )
 
 
-def test_double_root_parabola_contracts_at_one_half():
+def test_double_root_parabola_contracts_at_one_half(monkeypatch):
     # The double root makes the hybrid a fixed-factor contraction with
-    # ratio (m-1)/m = 1/2.  The tight alignment tolerance keeps every
-    # step on the circumcenter branch all the way down.
+    # ratio (m-1)/m = 1/2.  A tight alignment slack keeps every step on
+    # the circumcenter branch all the way down.
+    monkeypatch.setattr(geometry, "_COLINEARITY_EPS", 1e-12)
     p = builtin("parabola")
-    tr = run(
-        "crm", p.a, p.b, (0.75, 0.0),
-        tol=Tolerances(colinearity_eps=1e-12),
-    )
+    tr = run("crm", p.a, p.b, (0.75, 0.0))
     ratios = np.array(_ratios(trace_errors(tr, nearest_solution(p, tr.final)).tolist(), 1))
     tail = ratios[-max(4, math.ceil(len(ratios) / 4)):]
     ok = (

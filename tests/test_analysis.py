@@ -19,7 +19,6 @@ from feaskit import (
     RateKind,
     StopReason,
     StopRule,
-    Tolerances,
     TooShort,
     Trace,
     UnknownMethod,
@@ -31,7 +30,7 @@ from feaskit import (
     run,
     trace_errors,
 )
-from feaskit import analysis
+from feaskit import analysis, geometry
 from feaskit.analysis import _ERROR_FLOOR, _ratios
 
 ORIGIN = (0.0, 0.0)
@@ -458,12 +457,10 @@ def test_classify_rate_matches_the_all_ratios_copy_bitwise(trace):
     assert got[0] is want[0] and got[1:] == want[1:]
 
 
-def test_classify_real_parabola_run_is_linear_half():
+def test_classify_real_parabola_run_is_linear_half(monkeypatch):
+    monkeypatch.setattr(geometry, "_COLINEARITY_EPS", 1e-12)
     p = builtin("parabola")
-    tr = run(
-        "crm", p.a, p.b, (0.75, 0.0),
-        tol=Tolerances(colinearity_eps=1e-12),
-    )
+    tr = run("crm", p.a, p.b, (0.75, 0.0))
     rate = classify_rate(tr, nearest_solution(p, tr.final))
     assert rate.kind is RateKind.LINEAR
     assert LINEAR_BAND[0] <= rate.constant <= LINEAR_BAND[1]
@@ -548,6 +545,14 @@ def test_compare_raises_unknown_method():
     # A configuration error raises, as in run; it never becomes a row.
     with pytest.raises(UnknownMethod, match="'nope'"):
         compare(builtin("parabola"), ("nope", "dr"), stop=StopRule(max_iter=5))
+
+
+@pytest.mark.parametrize("methods", ["crm", "dr"])
+def test_compare_rejects_a_bare_method_string(methods):
+    # A string is a collection of characters: "crm" would ask for methods
+    # 'c', 'r' and 'm'.
+    with pytest.raises(TypeError, match="methods takes a collection of method ids"):
+        compare(builtin("parabola"), methods)
 
 
 class _BrokenProjection(FeasibleSet):

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+import pytest
 
 PACKAGE = importlib.import_module("feaskit")
 SRC = Path(PACKAGE.__file__).resolve().parent
@@ -111,3 +114,25 @@ def test_problems_are_built_in_one_place():
     # The catalog is a table of problem documents, read like problem files.
     calls = {path.name: _functions_calling(_tree(path), "Problem") for path in MODULES}
     assert {k: v for k, v in calls.items() if v} == {"problems.py": ["problem_from_dict"]}
+
+
+def test_the_alignment_slack_is_no_parameter(capsys):
+    # The hybrid's switch slack is the fixed geometry._COLINEARITY_EPS: no
+    # public function or method takes a tol, a caller's stale positional
+    # tol raises instead of binding to the next parameter, and the
+    # command line has no option for it.
+    for name in PACKAGE.__all__:
+        obj = getattr(PACKAGE, name)
+        members = vars(obj).items() if inspect.isclass(obj) else [(name, obj)]
+        for member, fn in members:
+            if inspect.isfunction(fn) and not member.startswith("_"):
+                assert "tol" not in inspect.signature(fn).parameters, (name, member)
+    assert not hasattr(PACKAGE, "Tolerances")
+    p = PACKAGE.builtin("sphere-line")
+    with pytest.raises(TypeError):
+        PACKAGE.run("crm", p.a, p.b, p.default_x0, None, None)
+    with pytest.raises(TypeError):
+        PACKAGE.compare(p, ["crm", "dr"], None, None)
+    main = importlib.import_module("feaskit.cli").main
+    assert main(["run", "--problem", "parabola", "--eps-colinear", "1e-12"]) == 64
+    assert "--eps-colinear" in capsys.readouterr().err

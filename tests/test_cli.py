@@ -22,6 +22,7 @@ from feaskit import (
     METHODS, StopReason, Trace, TraceSeries, builtin, load_problem, nearest_solution,
     problem_names, problem_to_dict, render_svg, run, save_problem, trace_errors,
 )
+from feaskit import geometry
 from feaskit.cli import (
     _COMMANDS, _ConfigError, _full_parser, _TraceFileError, main, read_trace,
     write_trace_csv, write_trace_json,
@@ -44,8 +45,9 @@ def test_list_problems(capsys):
     assert any("sphere(center=[0.0, -0.5], radius=1)" in line for line in out)
 
 
-def test_run_summary_line(capsys):
-    rc = main(["run", "--problem", "parabola", "--x0", "0.75,0", "--eps-colinear", "1e-12"])
+def test_run_summary_line(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "_COLINEARITY_EPS", 1e-12)
+    rc = main(["run", "--problem", "parabola", "--x0", "0.75,0"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "method=crm" in out
@@ -446,12 +448,11 @@ def test_plot_mixed_problems_still_renders(tmp_path, capsys):
     assert 'stroke-width="1.8"' not in svg
 
 
-def test_problem_file_round_trip(tmp_path, capsys):
+def test_problem_file_round_trip(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "_COLINEARITY_EPS", 1e-12)
     path = tmp_path / "parabola.json"
     save_problem(builtin("parabola"), path)
-    rc = main([
-        "run", "--problem-file", str(path), "--x0", "0.75,0", "--eps-colinear", "1e-12",
-    ])
+    rc = main(["run", "--problem-file", str(path), "--x0", "0.75,0"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert "iterations=16" in out

@@ -1,7 +1,9 @@
 """Circumcenter kernel, alignment cosines, and triple classification."""
 
+import contextlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +19,13 @@ from feaskit import (
     NonFinitePoint,
     Sphere,
     StopReason,
-    Tolerances,
     as_point,
     builtin,
     circumcenter,
     classify_triple,
     compare,
 )
+from feaskit import geometry
 from feaskit.geometry import _SINGULAR_RTOL, _abs_cosine, _norm
 
 CENTER_TOL = 1e-12
@@ -117,19 +119,6 @@ def test_method_dot_is_np_dot_bitwise(vw):
             assert got.tobytes() == matmul.tobytes()
         else:
             assert (got + 0.0).tobytes() == matmul.tobytes()
-
-
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(colinearity_eps=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(colinearity_eps=1.5)
-    for eps in ("0.1", True, None):
-        with pytest.raises(ValueError, match="colinearity_eps must be a real"):
-            Tolerances(colinearity_eps=eps)
-    assert Tolerances(colinearity_eps=np.float64(0.1)).colinearity_eps == 0.1
-    tight = Tolerances(colinearity_eps=1e-12)
-    assert tight.colinearity_eps == 1e-12
 
 
 def test_circumcenter_plane_instance():
@@ -228,22 +217,22 @@ def test_classify_triple_five_cases():
     assert classify_triple((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)) is ColinearityCase.NON_COLINEAR
 
 
-def test_classify_triple_alignment_threshold():
+def test_classify_triple_alignment_threshold(monkeypatch):
     # The middle point sits height h off the segment; the alignment
-    # ratio is about 1 - h**2/2, so the default 1e-9 threshold flips
-    # between h = 1e-4 and h = 1e-5.
+    # ratio is about 1 - h**2/2, so the 1e-9 slack flips between
+    # h = 1e-4 and h = 1e-5.
     wide = classify_triple((0.0, 0.0), (2.0, 1e-4), (1.0, 0.0))
     near = classify_triple((0.0, 0.0), (2.0, 1e-5), (1.0, 0.0))
     assert wide is ColinearityCase.NON_COLINEAR
     assert near is ColinearityCase.DISTINCT_COLINEAR
-    tight = Tolerances(colinearity_eps=1e-12)
-    assert classify_triple((0.0, 0.0), (2.0, 1e-5), (1.0, 0.0), tight) is ColinearityCase.NON_COLINEAR
+    monkeypatch.setattr(geometry, "_COLINEARITY_EPS", 1e-12)
+    assert classify_triple((0.0, 0.0), (2.0, 1e-5), (1.0, 0.0)) is ColinearityCase.NON_COLINEAR
 
 
 def _onset(q: float) -> float:
     """y*(q): the abscissa above which the triple of the t**q onset law
-    reads non-colinear under the default alignment slack eps."""
-    eps = Tolerances().colinearity_eps
+    reads non-colinear under the alignment slack eps."""
+    eps = geometry._COLINEARITY_EPS
     return ((1.0 / (1.0 - eps) ** 2 - 1.0) / q**2) ** (1.0 / (2.0 * (q - 1.0)))
 
 
@@ -324,6 +313,7 @@ def _ref_norm(v: np.ndarray) -> float:
 
 # Two points closer than this coincide.
 _REF_POINT_EQ_EPS = 1e-12
+_REF_COLINEARITY_EPS = 1e-9
 
 
 def _ref_circumcenter(u, v, w) -> np.ndarray:
@@ -371,8 +361,7 @@ def _ref_abs_cosine(u, v, nu: float, nv: float, eps: float) -> float | None:
     return min(abs(float(u @ v)) / (nu * nv), 1.0)
 
 
-def _ref_classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> ColinearityCase:
-    tol = Tolerances() if tol is None else tol
+def _ref_classify_triple(x, rax, rbrax, slack: float = _REF_COLINEARITY_EPS) -> ColinearityCase:
     x = _ref_as_point(x)
     rax = _ref_as_point(rax, x.size)
     rbrax = _ref_as_point(rbrax, x.size)
@@ -385,7 +374,7 @@ def _ref_classify_triple(x, rax, rbrax, tol: Tolerances | None = None) -> Coline
     d_ra_rb = _ref_norm(v)
 
     ratio = _ref_abs_cosine(u, v, d_x_rb, d_ra_rb, eps)
-    if ratio is not None and ratio < 1.0 - tol.colinearity_eps:
+    if ratio is not None and ratio < 1.0 - slack:
         return ColinearityCase.NON_COLINEAR
 
     if d_x_ra <= eps and d_x_rb <= eps and d_ra_rb <= eps:
@@ -445,11 +434,9 @@ def _outcome(call):
 @st.composite
 def _kernel_inputs(draw):
     """A triple (generic, colinear or with a pair about 1e-12 apart) in
-    1-4 dimensions at magnitudes 1e-6 to 1e6, the tolerances, a sphere
-    radius and a hyperplane offset."""
-    tol = draw(st.one_of(st.none(), st.builds(
-        Tolerances, colinearity_eps=st.floats(1e-14, 1e-2)
-    )))
+    1-4 dimensions at magnitudes 1e-6 to 1e6, the alignment slack (None
+    for the module's own), a sphere radius and a hyperplane offset."""
+    slack = draw(st.one_of(st.none(), st.floats(1e-14, 1e-2)))
     eps = _REF_POINT_EQ_EPS
     dim = draw(st.integers(1, 4))
     scale = draw(st.floats(1e-6, 1e6))
@@ -471,7 +458,7 @@ def _kernel_inputs(draw):
     order = draw(st.permutations(range(3)))
     radius = draw(st.floats(0.1, 10.0))
     offset = draw(st.sampled_from((0.0, -0.0)) | st.floats(-10.0, 10.0))
-    return [(u, v, w)[i] for i in order], tol, radius, offset
+    return [(u, v, w)[i] for i in order], slack, radius, offset
 
 
 @given(_kernel_inputs())
@@ -479,11 +466,14 @@ def _kernel_inputs(draw):
 # it is -0.0 in method form and 0.0 through @.
 @example(([np.array([-0.0]), np.array([1.0]), np.array([-0.0])], None, 1.0, 0.0))
 def test_kernels_match_the_reference_bitwise(case):
-    (p, q, r), tol, radius, offset = case
+    (p, q, r), slack, radius, offset = case
     assume(not _offset_overflows(q, offset))
     pairs = [
         (lambda: circumcenter(p, q, r), lambda: _ref_circumcenter(p, q, r)),
-        (lambda: classify_triple(p, q, r, tol), lambda: _ref_classify_triple(p, q, r, tol)),
+        (
+            lambda: classify_triple(p, q, r),
+            lambda: _ref_classify_triple(p, q, r, _REF_COLINEARITY_EPS if slack is None else slack),
+        ),
         (lambda: _norm(p - q), lambda: _ref_norm(p - q)),
         (
             lambda: _abs_cosine(p - r, q - r, _norm(p - r), _norm(q - r)),
@@ -498,12 +488,17 @@ def test_kernels_match_the_reference_bitwise(case):
             lambda: _ReferenceSphere(q, radius).project(r),
         ),
     ]
-    for new, ref in pairs:
-        got, want = _outcome(new), _outcome(ref)
-        if isinstance(want, ColinearityCase):
-            assert got is want
-        else:
-            assert got == want
+    patched = (
+        contextlib.nullcontext() if slack is None
+        else mock.patch.object(geometry, "_COLINEARITY_EPS", slack)
+    )
+    with patched:
+        for new, ref in pairs:
+            got, want = _outcome(new), _outcome(ref)
+            if isinstance(want, ColinearityCase):
+                assert got is want
+            else:
+                assert got == want
 
 
 _PLANE_COORDS = st.one_of(

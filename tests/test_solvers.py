@@ -26,7 +26,6 @@ from feaskit import (
     StepResult,
     StopReason,
     StopRule,
-    Tolerances,
     Trace,
     UnknownMethod,
     ZeroSubgradient,
@@ -43,7 +42,7 @@ from feaskit import (
     subgrad_proj_step,
     trace_errors,
 )
-from feaskit import solvers
+from feaskit import geometry, solvers
 from feaskit.cli import main
 from feaskit.solvers import _cycle_lag
 
@@ -74,27 +73,34 @@ def test_stop_rule_rejects_a_max_iter_that_is_no_integer(max_iter):
         StopRule(max_iter=max_iter)
 
 
+def _reflections(a, b, x) -> tuple[np.ndarray, np.ndarray]:
+    """R_A x and R_B R_A x, as a hybrid step reflects x."""
+    x = as_point(x)
+    rax = 2.0 * a.project(x) - x
+    return rax, 2.0 * b.project(rax) - rax
+
+
 def test_a_hybrid_step_averages_a_distinct_colinear_triple():
     # The parallel lines x0 = 1/2 and x0 = 3/2 reflect the origin to (1, 0)
     # and then to (2, 0).
     a, b = Hyperplane((1.0, 0.0), 0.5), Hyperplane((1.0, 0.0), 1.5)
+    rax, rbrax = _reflections(a, b, (0.0, 0.0))
+    assert _bits(rax) == _bits([1.0, 0.0]) and _bits(rbrax) == _bits([2.0, 0.0])
     step = ct_step(a, b, (0.0, 0.0))
-    assert _bits(step.rax) == _bits([1.0, 0.0]) and _bits(step.rbrax) == _bits([2.0, 0.0])
     assert step.case is ColinearityCase.DISTINCT_COLINEAR
     assert not step.used_circumcenter
     assert np.array_equal(step.next, np.array([1.0, 0.0]))
 
 
-def _spanning_step(tol=None) -> StepResult:
-    # From (3, 0), the parabola y = t**2 and the axis reflect to (-1, 2)
-    # and then to (-1, -2).
-    return ct_step(make_curve("poly2", a=1.0, b=0.0, c=0.0), X_AXIS, (3.0, 0.0), tol)
+# From (3, 0), the parabola y = t**2 and the axis reflect to (-1, 2) and
+# then to (-1, -2).
+_SPANNING = (make_curve("poly2", a=1.0, b=0.0, c=0.0), X_AXIS, (3.0, 0.0))
 
 
 def test_a_hybrid_step_takes_the_circumcenter_of_a_spanning_triple():
-    step = _spanning_step()
+    step = ct_step(*_SPANNING)
     assert step.case is ColinearityCase.NON_COLINEAR and step.used_circumcenter
-    assert _bits(step.next) == _bits(circumcenter((3.0, 0.0), step.rax, step.rbrax))
+    assert _bits(step.next) == _bits(circumcenter((3.0, 0.0), *_reflections(*_SPANNING)))
 
 
 def test_a_hybrid_step_classifies_its_triple_once_under_its_tolerances(monkeypatch):
@@ -106,11 +112,13 @@ def test_a_hybrid_step_classifies_its_triple_once_under_its_tolerances(monkeypat
 
     monkeypatch.setattr(solvers, "classify_triple", counted)
     # A switch this loose reads the spanning triple as colinear.
-    tol = Tolerances(colinearity_eps=0.6)
-    step = _spanning_step(tol)
+    monkeypatch.setattr(geometry, "_COLINEARITY_EPS", 0.6)
+    step = ct_step(*_SPANNING)
+    rax, rbrax = _reflections(*_SPANNING)
     assert step.case is ColinearityCase.DISTINCT_COLINEAR and not step.used_circumcenter
-    assert _bits(step.next) == _bits(0.5 * (np.array([3.0, 0.0]) + step.rbrax))
-    assert len(calls) == 1 and calls[0][3] is tol
+    assert _bits(step.next) == _bits(0.5 * (np.array([3.0, 0.0]) + rbrax))
+    assert len(calls) == 1
+    assert [_bits(p) for p in calls[0]] == [_bits(p) for p in ((3.0, 0.0), rax, rbrax)]
 
 
 def test_trace_validation():
@@ -649,32 +657,30 @@ class _SetWithTolParameter(FeasibleSet):
 
 def _trace_bits(trace, problem):
     steps = [
-        (r.case, r.used_circumcenter, *(_bits(getattr(r, f)) for f in ("next", "rax", "rbrax")))
-        for r in trace.step_results
+        (r.case, r.used_circumcenter, _bits(r.next)) for r in trace.step_results
     ]
     arrays = (trace.iterates, trace.residuals, _distances(trace, problem))
     return trace.stop, trace.message, trace.cycle_period, [_bits(a) for a in arrays], steps
 
 
 @pytest.mark.parametrize("name", ["sphere-line", "parabola", "signed-sqrt"])
-@pytest.mark.parametrize("tol", [None, Tolerances(colinearity_eps=0.01)])
-def test_a_set_whose_project_takes_tol_runs_as_the_set_it_wraps(name, tol):
+def test_a_set_whose_project_takes_tol_runs_as_the_set_it_wraps(name):
     p = builtin(name)
     wrapped = dataclasses.replace(
         p, a=_SetWithTolParameter(p.a), b=_SetWithTolParameter(p.b), root_curve=p.graph
     )
     x0 = p.default_x0
     for method in ("altproj", "crm", "dr"):
-        got, want = (_trace_bits(run(method, q.a, q.b, x0, tol=tol), q) for q in (wrapped, p))
+        got, want = (_trace_bits(run(method, q.a, q.b, x0), q) for q in (wrapped, p))
         assert got == want
-    got, want = (ct_step(q.a, q.b, x0, tol) for q in (wrapped, p))
+    got, want = (ct_step(q.a, q.b, x0) for q in (wrapped, p))
     assert (got.case, got.used_circumcenter, _bits(got.next)) == (
         want.case, want.used_circumcenter, _bits(want.next)
     )
     tables = [
         [
             {k: repr(v) for k, v in row.record().items() if k != "wall_time_ms"}
-            for row in compare(q, METHODS, tol=tol)
+            for row in compare(q, METHODS)
         ]
         for q in (p, wrapped)
     ]
@@ -684,7 +690,7 @@ def test_a_set_whose_project_takes_tol_runs_as_the_set_it_wraps(name, tol):
 def test_builtin_projections_take_only_the_point():
     for s in (X_AXIS, Sphere((0.0, 0.0), 1.0), builtin("parabola").graph):
         with pytest.raises(TypeError):
-            s.project((0.5, 0.5), Tolerances())
+            s.project((0.5, 0.5), 1e-9)
 
 
 def _unscreened_cycle_lag(iterates, window, eps):
@@ -763,25 +769,26 @@ class _EagerStep:
     used_circumcenter: bool
 
 
-def _eager_reflection_step(b, x, pax, tol, circumcenter_cases) -> _EagerStep:
-    # Verbatim copy, docstring dropped, of the step that classified every
-    # triple before DR deferred its case: the reference for DR's iterates.
+def _eager_reflection_step(b, x, pax, circumcenter_cases) -> _EagerStep:
+    # Copy, docstring and tolerance argument dropped, of the step that
+    # classified every triple before DR deferred its case: the reference
+    # for DR's iterates.
     rax = 2.0 * pax - x
     rbrax = 2.0 * b.project(rax) - rax
-    case = classify_triple(x, rax, rbrax, tol)
+    case = classify_triple(x, rax, rbrax)
     if case in circumcenter_cases:
         return _EagerStep(circumcenter(x, rax, rbrax), case, rax, rbrax, True)
     return _EagerStep(0.5 * (x + rbrax), case, rax, rbrax, False)
 
 
-def _eager_dr(b, graph, x, pax, tol):
-    result = _eager_reflection_step(b, x, pax, tol, frozenset())
+def _eager_dr(b, graph, x, pax):
+    result = _eager_reflection_step(b, x, pax, frozenset())
     return result.next, result
 
 
-def _eager_dr_xy(b, graph, x, pax, tol):
+def _eager_dr_xy(b, graph, x, pax):
     # The eager step on the arrays of a planar run's floats.
-    nxt, result = _eager_dr(b, graph, np.array(x), np.array(pax), tol)
+    nxt, result = _eager_dr(b, graph, np.array(x), np.array(pax))
     return nxt.tolist(), result
 
 
@@ -802,18 +809,15 @@ def _bits(a) -> bytes:
     return np.asarray(a).tobytes()
 
 
-# DR never reads the colinearity switch, so a looser one leaves its
-# iterates as they are.
-@pytest.mark.parametrize("tol", [None, Tolerances(colinearity_eps=0.01)])
-def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
+def test_dr_steps_read_the_case_the_eager_step_computed(monkeypatch):
     assert len(DR_RUNS) == 256 + len(problem_names())
     for name, x0 in DR_RUNS:
         p = builtin(name)
         x0 = p.default_x0 if x0 is None else x0
-        new = run("dr", p.a, p.b, x0, tol=tol)
+        new = run("dr", p.a, p.b, x0)
         with monkeypatch.context() as m:
             m.setitem(solvers._STEPS, "dr", _EAGER_DR)
-            old = run("dr", p.a, p.b, x0, tol=tol)
+            old = run("dr", p.a, p.b, x0)
         for field in ("stop", "message", "cycle_period"):
             assert getattr(new, field) == getattr(old, field)
         for got, want in [
@@ -872,7 +876,7 @@ def test_only_crm_steps_classify_and_record_their_triple(monkeypatch):
     step = crm.step_results[0]
     assert f"case={step.case!r}" in repr(step)
     assert dataclasses.asdict(step)["case"] is step.case
-    assert [f.name for f in dataclasses.fields(step)] == ["next", "case", "rax", "rbrax"]
+    assert [f.name for f in dataclasses.fields(step)] == ["next", "case"]
     assert isinstance(StepResult.used_circumcenter, property)
     with pytest.raises(dataclasses.FrozenInstanceError):
         step.case = ColinearityCase.DISTINCT_COLINEAR
@@ -902,22 +906,22 @@ def _checked_residual(a, b, x):
     return (max(solvers._norm(x - pax), d_b) if d_b == d_b else d_b), pax
 
 
-def _checked_altproj(b, graph, x, pax, tol):
+def _checked_altproj(b, graph, x, pax):
     return b.project(pax), None
 
 
-def _checked_crm(b, graph, x, pax, tol):
+def _checked_crm(b, graph, x, pax):
     rax = 2.0 * pax - x
     rbrax = 2.0 * b.project(rax) - rax
-    case = classify_triple(x, rax, rbrax, tol)
+    case = classify_triple(x, rax, rbrax)
     if case is ColinearityCase.NON_COLINEAR:
         nxt = circumcenter(x, rax, rbrax)
     else:
         nxt = 0.5 * (x + rbrax)
-    return nxt, StepResult(nxt, case, rax, rbrax)
+    return nxt, StepResult(nxt, case)
 
 
-def _checked_dr(b, graph, x, pax, tol):
+def _checked_dr(b, graph, x, pax):
     rax = 2.0 * pax - x
     return 0.5 * (x + as_point(2.0 * b.project(rax) - rax)), None
 
@@ -935,7 +939,6 @@ def _checked_run(method, a, b, x0, root_graph=None):
     graph = solvers.check_method(method, a, root_graph)
     step = _CHECKED_STEPS[method]
     stop = StopRule()
-    tol = None
     x = as_point(x0)
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")
@@ -956,7 +959,7 @@ def _checked_run(method, a, b, x0, root_graph=None):
             reason = StopReason.RESIDUAL_MET
         else:
             for _ in range(stop.max_iter):
-                nxt, result = step(b, graph, x, pax, tol)
+                nxt, result = step(b, graph, x, pax)
                 residual, pax = _checked_residual(a, b, nxt)
                 if result is not None:
                     steps.append(result)
@@ -992,7 +995,7 @@ def _run_outcome(run_fn):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tr = run_fn()
-    steps = [(r.case, *(_bits(getattr(r, f)) for f in ("next", "rax", "rbrax"))) for r in tr.step_results]
+    steps = [(r.case, _bits(r.next)) for r in tr.step_results]
     return (
         tr.method, tr.stop, tr.message, tr.cycle_period,
         _bits(tr.iterates), _bits(tr.residuals), steps,
