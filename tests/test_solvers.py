@@ -663,8 +663,19 @@ def _trace_bits(trace, problem):
     return trace.stop, trace.message, trace.cycle_period, [_bits(a) for a in arrays], steps
 
 
+# The alignment slack: None keeps the default, 0.01 patches a looser one.
+_SLACKS = pytest.mark.parametrize("tol", [None, 0.01], ids=["None", "tol1"])
+
+
+def _set_slack(monkeypatch, tol):
+    if tol is not None:
+        monkeypatch.setattr(geometry, "_COLINEARITY_EPS", tol)
+
+
 @pytest.mark.parametrize("name", ["sphere-line", "parabola", "signed-sqrt"])
-def test_a_set_whose_project_takes_tol_runs_as_the_set_it_wraps(name):
+@_SLACKS
+def test_a_set_whose_project_takes_tol_runs_as_the_set_it_wraps(name, tol, monkeypatch):
+    _set_slack(monkeypatch, tol)
     p = builtin(name)
     wrapped = dataclasses.replace(
         p, a=_SetWithTolParameter(p.a), b=_SetWithTolParameter(p.b), root_curve=p.graph
@@ -809,7 +820,11 @@ def _bits(a) -> bytes:
     return np.asarray(a).tobytes()
 
 
-def test_dr_steps_read_the_case_the_eager_step_computed(monkeypatch):
+# DR never reads the alignment slack, so a looser one leaves its
+# iterates as they are.
+@_SLACKS
+def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
+    _set_slack(monkeypatch, tol)
     assert len(DR_RUNS) == 256 + len(problem_names())
     for name, x0 in DR_RUNS:
         p = builtin(name)
