@@ -208,6 +208,8 @@ def read_trace(path):
         raise _TraceFileError(f"malformed trace file {path}: {exc}") from exc
     if iterates.ndim != 2 or iterates.shape[0] == 0:
         raise _TraceFileError("trace holds no iterates")
+    if values.size not in (0, len(iterates)):
+        raise _TraceFileError(f"malformed trace file {path}: {values.size} values, {len(iterates)} iterates")
     return meta, TraceSeries(label=meta.get("method", "trace"), iterates=iterates, values=values)
 
 

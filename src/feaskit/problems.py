@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DerivativeUndefined, DimensionMismatch, UnknownProblem
 from .geometry import _is_real, as_point
-from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere, _residual
+from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere, _projection, _residual
 
 _SOLUTION_RESIDUAL_TOL = 1e-10
 _CLASSIFY_SAMPLES = 64
@@ -171,7 +171,7 @@ class Problem:
         if eps is not None and not (_is_real(eps) and 0.0 < eps < math.inf):
             raise ValueError(f"epsilon_f must be a positive finite real, got {eps!r}")
         for s in sols:
-            r = _residual(self.a, self.b, s)[0]
+            r = _residual(_projection(self.a), _projection(self.b), s)[0]
             if not r <= _SOLUTION_RESIDUAL_TOL:
                 raise ValueError(
                     f"known solution {s.tolist()} of {self.name!r} has residual {r:.3e}"

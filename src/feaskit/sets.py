@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
-from .geometry import _POINT_EQ_EPS, _is_real, _norm, _norm_xy, _screened, as_point
+from .geometry import _POINT_EQ_EPS, _finite, _is_real, _norm, _norm_xy, _screened, as_point
 
 _GRID_POINTS = 2048
 # The ramp np.linspace scales and shifts into each 2048-point grid.
@@ -41,32 +41,6 @@ class FeasibleSet(ABC):
     @abstractmethod
     def project(self, x) -> np.ndarray:
         """Nearest point of the set to ``x`` (deterministic on ties)."""
-
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        """``project`` of a finite float point of the set's dimension,
-        which a closed-form set projects without checking it again."""
-        return self.project(x)
-
-
-def _residual(a: FeasibleSet, b: FeasibleSet, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """max(d_A(x), d_B(x)), NaN when either distance is, and P_A x,
-    which the next step reuses, for a checked point ``x`` of the sets'
-    dimension.  (Python's max drops a NaN second argument.)"""
-    pax = a._project(x)
-    d_b = _norm(x - b._project(x))
-    return (max(_norm(x - pax), d_b) if d_b == d_b else d_b), pax
-
-
-def _residual_xy(a: FeasibleSet, b: FeasibleSet, x) -> tuple[float, tuple[float, float]]:
-    """``_residual`` of the point ``x`` = (x0, x1) of a planar run, on
-    Python floats, bit for bit.  ``a`` and ``b`` are exactly ``Hyperplane``
-    or ``Sphere``; ``_HandOff`` leaves the run to the array path, so both
-    distances are finite."""
-    x0, x1 = x
-    p0, p1 = a._project_xy(x0, x1)
-    q0, q1 = b._project_xy(x0, x1)
-    d_b = _norm_xy(x0 - q0, x1 - q1)
-    return max(_norm_xy(x0 - p0, x1 - p1), d_b), (p0, p1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +137,37 @@ class Sphere(FeasibleSet):
             return c0 + self.radius, c1 + 0.0
         q = self.radius / n
         return c0 + q * v0, c1 + q * v1
+
+
+# The set types whose closed-form kernels (_project, and _project_xy on a
+# planar run) run applies to points it checked itself.  Every other set, a
+# subclass of these included, is projected through its own project.
+_CLOSED_FORM = (Hyperplane, Sphere)
+
+
+def _projection(s: FeasibleSet) -> Callable[[np.ndarray], np.ndarray]:
+    """The projection of ``s`` for finite float points of its dimension."""
+    return s._project if type(s) in _CLOSED_FORM else s.project
+
+
+def _residual(project_a, project_b, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """max(d_A(x), d_B(x)), NaN when either distance is, and P_A x, which
+    the next step reuses, for ``x`` checked finite, through the sets'
+    ``_projection``.  (Python's max drops a NaN second argument.)"""
+    pax = project_a(_finite(x))
+    d_b = _norm(x - project_b(x))
+    return (max(_norm(x - pax), d_b) if d_b == d_b else d_b), pax
+
+
+def _residual_xy(project_a, project_b, x) -> tuple[float, tuple[float, float]]:
+    """``_residual`` of the point ``x`` = (x0, x1) of a planar run, on
+    Python floats, bit for bit, through two ``_project_xy``.  ``_HandOff``
+    leaves the run to the array path, so both distances are finite."""
+    x0, x1 = x
+    p0, p1 = project_a(x0, x1)
+    q0, q1 = project_b(x0, x1)
+    d_b = _norm_xy(x0 - q0, x1 - q1)
+    return max(_norm_xy(x0 - p0, x1 - p1), d_b), (p0, p1)
 
 
 def _eval_curve(f: Callable, ts: np.ndarray) -> np.ndarray:
@@ -275,12 +280,14 @@ class FunctionGraph(FeasibleSet):
         return 2
 
     def derivative_defined_at(self, t: float) -> bool:
-        if self.derivative is None:
-            return False
         lo, hi = self.domain
-        if not (lo <= t <= hi):
+        if self.derivative is None or not lo <= t <= hi:
             return False
-        return all(abs(t - s) > _POINT_EQ_EPS for s in self.nonsmooth)
+        # A loop: all() over a generator costs _polish's three calls ~1 us.
+        for s in self.nonsmooth:
+            if not abs(t - s) > _POINT_EQ_EPS:
+                return False
+        return True
 
     def project(self, x) -> np.ndarray:
         """Nearest graph point to ``x``.
@@ -370,23 +377,17 @@ class FunctionGraph(FeasibleSet):
         """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0 from y,
         where the curve value is fy; None when it does not apply."""
         f, df = self.f, self.derivative
-        eps = _POINT_EQ_EPS
         h = 1e-6 * (1.0 + abs(y))
         y_lo = y - h
         y_hi = y + h
-        # derivative_defined_at(t) for t = y_lo, y, y_hi; y lies
-        # between the other two, so their domain test covers it.
-        lo, hi = self.domain
-        if df is None or not (lo <= y_lo and y_hi <= hi):
+        defined = self.derivative_defined_at
+        if not (defined(y_lo) and defined(y) and defined(y_hi)):
             return None
-        for s in self.nonsmooth:
-            if not (abs(y_lo - s) > eps and abs(y - s) > eps and abs(y_hi - s) > eps):
-                return None
         g0 = (y - x0) + (fy - x1) * float(df(y))
         g_hi = (y_hi - x0) + (float(f(y_hi)) - x1) * float(df(y_hi))
         g_lo = (y_lo - x0) + (float(f(y_lo)) - x1) * float(df(y_lo))
         slope = (g_hi - g_lo) / (2.0 * h)
-        if not math.isfinite(slope) or abs(slope) <= eps:
+        if not math.isfinite(slope) or abs(slope) <= _POINT_EQ_EPS:
             return None
         y_new = y - g0 / slope
         if not (wlo <= y_new <= whi) or not math.isfinite(y_new):

@@ -41,7 +41,7 @@ from .geometry import (
     circumcenter,
     classify_triple,
 )
-from .sets import FeasibleSet, FunctionGraph, Hyperplane, Sphere, _residual, _residual_xy
+from .sets import _CLOSED_FORM, FeasibleSet, FunctionGraph, _projection, _residual, _residual_xy
 
 # How many of the latest iterates the cycle test compares the newest with.
 _CYCLE_WINDOW = 8
@@ -129,12 +129,12 @@ class Trace:
 def ct_step(a: FeasibleSet, b: FeasibleSet, x) -> StepResult:
     """Hybrid step: circumcenter when the triple spans a triangle,
     averaged double reflection on every colinear configuration."""
-    # The closed-form sets' _project checks nothing, so the start is
-    # checked against both sets here, as run checks it.
+    # A set's _projection may check nothing, so the start is checked
+    # against both sets here, as run checks it.
     x = as_point(x, a.dimension)
     if b.dimension != x.size:
         raise DimensionMismatch(f"expected dimension {b.dimension}, got {x.size}")
-    return _crm(b, None, x, a._project(x))[1]
+    return _crm(_projection(b), None, x, _projection(a)(x))[1]
 
 
 def _derivative(g: FunctionGraph, t: float) -> float:
@@ -158,19 +158,19 @@ def subgrad_proj_step(g, y: float, ystar: float) -> float:
     return y - (float(f(y)) / nsq) * ystar
 
 
-# Run-loop steps, each (b, graph, x, P_A x) -> (next iterate, StepResult
-# or None).  Scalar steps move the abscissa t of x = (t, 0).  x is a
-# checked point of B's dimension, and each step checks the point it
-# projects onto B finite first.  A planar step (suffix _xy) takes x and
-# P_A x as pairs of Python floats and returns its iterate as one; it does
-# its array twin's operations in the same order, and the planar
-# projections' _HandOff stands in for the finiteness checks.
-def _altproj(b, graph, x, pax):
-    return b._project(_finite(pax)), None
+# Run-loop steps, each (project_b, graph, x, P_A x) -> (next iterate,
+# StepResult or None), with B's projection as run bound it.  Scalar steps
+# move the abscissa t of x = (t, 0).  x is a checked point of B's
+# dimension; each step checks the point it projects onto B finite first.
+# A planar step (suffix _xy) takes x, P_A x and project_b's arguments as
+# Python floats and returns its iterate as a pair, with its array twin's
+# operations in order; _HandOff stands in for the finiteness checks.
+def _altproj(project_b, graph, x, pax):
+    return project_b(_finite(pax)), None
 
 
-def _altproj_xy(b, graph, x, pax):
-    return b._project_xy(*pax), None
+def _altproj_xy(project_b, graph, x, pax):
+    return project_b(*pax), None
 
 
 def _hybrid(x, rax, rbrax):
@@ -183,42 +183,42 @@ def _hybrid(x, rax, rbrax):
     return nxt, StepResult(nxt, case)
 
 
-def _crm(b, graph, x, pax):
+def _crm(project_b, graph, x, pax):
     """Reflect ``x`` through A (as 2 ``pax`` - x, ``pax`` = P_A x), then
     through B, and take the hybrid step."""
     rax = _finite(2.0 * pax - x)
-    return _hybrid(x, rax, 2.0 * b._project(rax) - rax)
+    return _hybrid(x, rax, 2.0 * project_b(rax) - rax)
 
 
-def _crm_xy(b, graph, x, pax):
+def _crm_xy(project_b, graph, x, pax):
     # The triple goes to classify_triple and circumcenter as screened
     # arrays, so none of the dots they take overflows.
     x0, x1 = x
     r0 = 2.0 * pax[0] - x0
     r1 = 2.0 * pax[1] - x1
-    p0, p1 = b._project_xy(r0, r1)
+    p0, p1 = project_b(r0, r1)
     triple = _screened(x0, x1), _screened(r0, r1), _screened(2.0 * p0 - r0, 2.0 * p1 - r1)
     nxt, result = _hybrid(*triple)
     return nxt.tolist(), result
 
 
-def _dr(b, graph, x, pax):
+def _dr(project_b, graph, x, pax):
     """The average of x and R_B R_A x, reflected as in ``_crm``.  R_B R_A x
     is checked finite, so an overflowing reflection stops the run with
     NonFinitePoint before the average overflows too."""
     rax = _finite(2.0 * pax - x)
-    return 0.5 * (x + _finite(2.0 * b._project(rax) - rax)), None
+    return 0.5 * (x + _finite(2.0 * project_b(rax) - rax)), None
 
 
-def _dr_xy(b, graph, x, pax):
+def _dr_xy(project_b, graph, x, pax):
     x0, x1 = x
     r0 = 2.0 * pax[0] - x0
     r1 = 2.0 * pax[1] - x1
-    p0, p1 = b._project_xy(r0, r1)
+    p0, p1 = project_b(r0, r1)
     return [0.5 * (x0 + (2.0 * p0 - r0)), 0.5 * (x1 + (2.0 * p1 - r1))], None
 
 
-def _newton(b, graph, x, pax):
+def _newton(project_b, graph, x, pax):
     t = float(x[0])
     d = _derivative(graph, t)
     if abs(d) <= _POINT_EQ_EPS:
@@ -226,7 +226,7 @@ def _newton(b, graph, x, pax):
     return np.array([t - float(graph.f(t)) / d, 0.0]), None
 
 
-def _subgrad(b, graph, x, pax):
+def _subgrad(project_b, graph, x, pax):
     t = float(x[0])
     return np.array([subgrad_proj_step(graph, t, _derivative(graph, t)), 0.0]), None
 
@@ -240,9 +240,6 @@ _STEPS = {
     "newton": (_newton, None, True),
     "subgrad": (_subgrad, None, True),
 }
-# The set types whose pairs a 2-D run steps on Python floats
-# (``_project_xy``); a subclass keeps the array path.
-_PLANAR_SETS = (Hyperplane, Sphere)
 METHODS = tuple(_STEPS)
 
 
@@ -287,26 +284,30 @@ def run(
     (t, 0).  Residuals are always measured against ``a`` and ``b``.
     Reflection is 2P(x) - x and distance is ||x - P(x)|| for every set,
     from its projection; P_A x comes from the residual test of the same
-    iterate.  ``Hyperplane`` and ``Sphere`` project the points ``run``
-    checked itself through their unchecked ``_project``, and every other
-    set through ``project``.  A vector method on a 2-D start over two
-    sets that are exactly ``Hyperplane`` or ``Sphere`` runs on Python
-    floats through their ``_project_xy``, with the same operations in the
-    same order; a coordinate larger than 1e150 in magnitude before a dot,
-    or a non-finite one, repeats the whole run on arrays from ``x0``, so
-    the result is the array run's, bit for bit.  Errors of a step or of
-    an iterate's residual test are caught and reported through a trace
-    with stop reason ERROR rather than raised; the trace ends at the last
-    iterate whose residual is known, or holds the start with residual
-    NaN.
+    iterate.  The step and residual kernels take each set's projection,
+    bound once: a set that is exactly a ``Hyperplane`` or ``Sphere``
+    projects the points ``run`` checked itself through its unchecked
+    ``_project``, and every other set, subclasses included, through its
+    own ``project``.  A vector method on a 2-D start over two sets that
+    are exactly ``Hyperplane`` or ``Sphere`` runs on Python floats through
+    their ``_project_xy``, with the same operations in the same order; a
+    coordinate larger than 1e150 in magnitude before a dot, or a
+    non-finite one, repeats the whole run on arrays from ``x0``, so the
+    result is the array run's, bit for bit.  Errors of a step or of an
+    iterate's residual test are caught and reported through a trace with
+    stop reason ERROR rather than raised; the trace ends at the last
+    iterate whose residual is known, or holds the start with residual NaN.
 
-    Configuration errors raise instead: UnknownMethod for an unknown or
+    Configuration errors raise instead: TypeError for a ``stop`` that is
+    neither None nor a StopRule, UnknownMethod for an unknown or
     inapplicable method, DimensionMismatch for a start or set of another
     dimension, NonFinitePoint for a non-finite start.
     """
+    stop = StopRule() if stop is None else stop
+    if not isinstance(stop, StopRule):
+        raise TypeError(f"stop must be a StopRule or None, got {stop!r}")
     graph = check_method(method, a, root_graph)
     step, step_xy, _ = _STEPS[method]
-    stop = StopRule() if stop is None else stop
     x = as_point(x0)
     if graph is not None and x.size != 2:
         raise UnknownMethod("scalar methods need a 2-dimensional start point")
@@ -314,19 +315,14 @@ def run(
         raise DimensionMismatch(f"start {x.size}-D, sets {a.dimension}-D and {b.dimension}-D")
 
     t_start = time.perf_counter()
-    if step_xy is not None and x.size == 2 and type(a) in _PLANAR_SETS and type(b) in _PLANAR_SETS:
+    if step_xy is not None and x.size == 2 and type(a) in _CLOSED_FORM and type(b) in _CLOSED_FORM:
         planar = (step_xy, _residual_xy, _distance_xy)
         try:
-            return _iterate(method, planar, a, b, graph, x.tolist(), stop, t_start)
+            return _iterate(method, planar, a._project_xy, b._project_xy, graph, x.tolist(), stop, t_start)
         except _HandOff:
             pass
-    arrays = (step, _checked_residual, _distance)
-    return _iterate(method, arrays, a, b, graph, x, stop, t_start)
-
-
-def _checked_residual(a, b, x):
-    """``_residual`` of a point a step made, once it is checked finite."""
-    return _residual(a, b, _finite(x))
+    arrays = (step, _residual, _distance)
+    return _iterate(method, arrays, _projection(a), _projection(b), graph, x, stop, t_start)
 
 
 def _distance(u, v) -> float:
@@ -337,9 +333,10 @@ def _distance_xy(u, v) -> float:
     return _norm_xy(u[0] - v[0], u[1] - v[1])
 
 
-def _iterate(method, kernels, a, b, graph, x, stop, t_start) -> Trace:
+def _iterate(method, kernels, project_a, project_b, graph, x, stop, t_start) -> Trace:
     """The run loop of ``run`` from its checked start ``x``, with the
-    step, residual and distance ``kernels`` of the array or planar path."""
+    step, residual and distance ``kernels`` of the array or planar path
+    and the sets' projections that path applies."""
     step, residual_of, distance = kernels
     iterates = [x]
     # First coordinates of the iterates the cycle test can still reach.
@@ -351,13 +348,13 @@ def _iterate(method, kernels, a, b, graph, x, stop, t_start) -> Trace:
     cycle_period = None
 
     try:
-        residuals[0], pax = residual_of(a, b, x)
+        residuals[0], pax = residual_of(project_a, project_b, x)
         if residuals[0] <= stop.residual_tol:
             reason = StopReason.RESIDUAL_MET
         else:
             for _ in range(stop.max_iter):
-                nxt, result = step(b, graph, x, pax)
-                residual, pax = residual_of(a, b, nxt)
+                nxt, result = step(project_b, graph, x, pax)
+                residual, pax = residual_of(project_a, project_b, nxt)
                 if result is not None:
                     steps.append(result)
                 iterates.append(nxt)

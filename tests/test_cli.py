@@ -913,8 +913,13 @@ def test_a_csv_trace_whose_set_is_not_json_exits_65(tmp_path, capsys):
         {"residuals": {"a": 1}},
         {"problem": ["x"]},
         {"residuals": [[1.0, 0.5]]},
+        {"iterates": [[0, 0], [1, 1]], "residuals": [1], "method": "x"},
+        {"residuals": [1.0], "dist_to_solution": [1.0, 0.5]},
     ],
-    ids=["dist-a-number", "residuals-an-object", "problem-a-list", "residuals-a-matrix"],
+    ids=[
+        "dist-a-number", "residuals-an-object", "problem-a-list", "residuals-a-matrix",
+        "a-residual-short", "a-distance-extra",
+    ],
 )
 def test_malformed_json_traces_exit_65(field, tmp_path, capsys):
     path = tmp_path / "bad.json"

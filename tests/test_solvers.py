@@ -22,6 +22,7 @@ from feaskit import (
     Hyperplane,
     METHODS,
     NonFinitePoint,
+    Problem,
     Sphere,
     StepResult,
     StopReason,
@@ -71,6 +72,21 @@ def test_stop_rule_validation():
 def test_stop_rule_rejects_a_max_iter_that_is_no_integer(max_iter):
     with pytest.raises(ValueError, match="max_iter must be an integer"):
         StopRule(max_iter=max_iter)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: run("dr", p.a, p.b, p.default_x0, 5),
+        lambda p: compare(p, ["dr"], 100),
+        lambda p: run("dr", p.a, p.b, p.default_x0, stop={"max_iter": 3}),
+        lambda p: compare(p, ["crm", "dr"], stop={"max_iter": 3}),
+    ],
+    ids=["run-an-int", "compare-an-int", "run-a-dict", "compare-a-dict"],
+)
+def test_a_stop_that_is_no_stop_rule_raises_type_error_at_entry(call):
+    with pytest.raises(TypeError, match="stop must be a StopRule or None, got "):
+        call(builtin("sphere-line"))
 
 
 def _reflections(a, b, x) -> tuple[np.ndarray, np.ndarray]:
@@ -563,6 +579,84 @@ def test_only_exact_planar_pairs_run_on_floats_and_only_within_the_screen(monkey
     assert len(calls) == 3 * tr.iterations + 2
 
 
+class _Shell(Sphere):
+    pass
+
+
+_HALF_LINE = Hyperplane((0.0, 1.0), 0.5)
+_UNIT_CIRCLE = Sphere((0.0, 0.0), 1.0)
+_LOW_CIRCLE = Sphere((0.0, -0.5), 1.0)
+
+
+class _Lifted(Hyperplane):
+    """Built as the x-axis, but its project describes the line y = 0.5."""
+
+    def project(self, x):
+        return _HALF_LINE.project(x)
+
+
+class _Ring(Sphere):
+    """Built off the origin, but its project describes the unit circle."""
+
+    def project(self, x):
+        return _UNIT_CIRCLE.project(x)
+
+
+_SUBCLASS_STARTS = [(0.9, 0.2), (-1.3, 0.7), (2.0, -1.5), (0.1, 2.5), (-0.4, -0.6), (0.0, 3.0)]
+
+
+def _matches_its_reference(sets, reference, known_solutions):
+    """Every vector run, hybrid step and comparison row over ``sets``
+    equals the one over ``reference``, bit for bit; wall times aside."""
+    for x0 in _SUBCLASS_STARTS:
+        for method in _VECTOR_METHODS:
+            got = _run_outcome(lambda: run(method, *sets, x0))
+            assert got == _run_outcome(lambda: run(method, *reference, x0)), (x0, method)
+        got, want = ct_step(*sets, x0), ct_step(*reference, x0)
+        assert (got.case, _bits(got.next)) == (want.case, _bits(want.next))
+    tables = []
+    for a, b in (sets, reference):
+        problem = Problem("p", a, b, known_solutions, _SUBCLASS_STARTS[0])
+        rows = compare(problem, _VECTOR_METHODS)
+        tables.append([{k: v for k, v in r.record().items() if k != "wall_time_ms"} for r in rows])
+    assert tables[0] == tables[1]
+
+
+# Where the line y = 0.5 meets the unit circle.
+_HALF_ROOTS = [(-math.sqrt(3.0) / 2.0, 0.5), (math.sqrt(3.0) / 2.0, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "sets, reference, known_solutions",
+    [
+        ((_LOW_CIRCLE, _Lifted((0.0, 1.0))), (_LOW_CIRCLE, _HALF_LINE), [(0.0, 0.5)]),
+        ((_Lifted((0.0, 1.0)), _LOW_CIRCLE), (_HALF_LINE, _LOW_CIRCLE), [(0.0, 0.5)]),
+        ((_Ring((3.0, 3.0), 2.0), _HALF_LINE), (_UNIT_CIRCLE, _HALF_LINE), _HALF_ROOTS),
+        ((_Lifted((0.0, 1.0)), _Ring((3.0, 3.0), 2.0)), (_HALF_LINE, _UNIT_CIRCLE), _HALF_ROOTS),
+    ],
+    ids=["hyperplane-subclass-as-b", "hyperplane-subclass-as-a", "sphere-subclass", "both-subclasses"],
+)
+def test_a_subclass_is_projected_through_its_own_project(sets, reference, known_solutions):
+    # run, ct_step and a problem's check of its known solutions all take
+    # the projection a subclass's project describes, not its base's kernel.
+    _matches_its_reference(sets, reference, known_solutions)
+
+
+def test_a_subclass_that_overrides_nothing_runs_as_its_base():
+    # Built from _OFF_CENTRE_LINE's and _OFF_CENTRE_CIRCLE's arguments:
+    # a normal rescaled twice can move its offset by an ulp.
+    line, circle = _Line((1.0, 2.0), 0.75), _Shell((0.3, -0.4), 1.5)
+    for sets, reference in [
+        ((circle, line), (_OFF_CENTRE_CIRCLE, _OFF_CENTRE_LINE)),
+        ((line, circle), (_OFF_CENTRE_LINE, _OFF_CENTRE_CIRCLE)),
+        ((_LOW_CIRCLE, line), (_LOW_CIRCLE, _OFF_CENTRE_LINE)),
+    ]:
+        _matches_its_reference(sets, reference, ())
+        for x0, method in itertools.product(_OVERFLOWING_STARTS + _SCREENED_STARTS, _VECTOR_METHODS):
+            got = _run_outcome(lambda: run(method, *sets, x0))
+            assert got == _run_outcome(lambda: run(method, *reference, x0)), (x0, method)
+
+
 _PLANE_3 = Hyperplane((0.0, 0.0, 1.0), 0.0)
 _CIRCLE = Sphere((0.0, 0.0), 1.0)
 _BALL_SHELL = Sphere((0.0, 0.0, 0.0), 1.0)
@@ -792,20 +886,21 @@ def _eager_reflection_step(b, x, pax, circumcenter_cases) -> _EagerStep:
     return _EagerStep(0.5 * (x + rbrax), case, rax, rbrax, False)
 
 
-def _eager_dr(b, graph, x, pax):
-    result = _eager_reflection_step(b, x, pax, frozenset())
-    return result.next, result
+def _eager_dr(b):
+    """The eager step over ``b``, through its public project, as both
+    kernels of DR's method-table entry, so planar runs take it too.  The
+    kernels ignore the projection run hands them."""
 
+    def step(project_b, graph, x, pax):
+        result = _eager_reflection_step(b, x, pax, frozenset())
+        return result.next, result
 
-def _eager_dr_xy(b, graph, x, pax):
-    # The eager step on the arrays of a planar run's floats.
-    nxt, result = _eager_dr(b, graph, np.array(x), np.array(pax))
-    return nxt.tolist(), result
+    def step_xy(project_b, graph, x, pax):
+        # The eager step on the arrays of a planar run's floats.
+        nxt, result = step(project_b, graph, np.array(x), np.array(pax))
+        return nxt.tolist(), result
 
-
-# The eager step as both kernels of DR's method-table entry, so planar
-# runs take it too.
-_EAGER_DR = (_eager_dr, _eager_dr_xy, False)
+    return step, step_xy, False
 
 
 _BASIN = Path(__file__).resolve().parents[1] / "bench" / "reference" / "sphere-basin.json"
@@ -831,7 +926,7 @@ def test_dr_steps_read_the_case_the_eager_step_computed(tol, monkeypatch):
         x0 = p.default_x0 if x0 is None else x0
         new = run("dr", p.a, p.b, x0)
         with monkeypatch.context() as m:
-            m.setitem(solvers._STEPS, "dr", _EAGER_DR)
+            m.setitem(solvers._STEPS, "dr", _eager_dr(p.b))
             old = run("dr", p.a, p.b, x0)
         for field in ("stop", "message", "cycle_period"):
             assert getattr(new, field) == getattr(old, field)
@@ -867,7 +962,7 @@ def test_dr_trace_files_match_the_eager_step_byte_for_byte(name, tmp_path, capsy
         return codes, capsys.readouterr().out, csv.read_text("utf-8"), js.read_text("utf-8")
 
     new = traces("new")
-    monkeypatch.setitem(solvers._STEPS, "dr", _EAGER_DR)
+    monkeypatch.setitem(solvers._STEPS, "dr", _eager_dr(builtin(name).b))
     codes, out, csv, js = traces("old")
     # The eager step's files carry its cases; DR's leave them empty.
     assert csv != new[2] and js != new[3]
