@@ -73,9 +73,9 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-# A planar run keeps its points as Python floats and takes each dot in
-# numpy on a fresh 2-element array of coordinates no larger than this in
-# magnitude: such a dot is at most 2e300, so none overflows.
+# A planar run keeps its points as Python floats and takes each dot of
+# coordinates no larger than this in magnitude: such a dot is at most
+# 2e300, so none overflows.
 _PLANAR_SCREEN = 1e150
 
 
@@ -88,22 +88,51 @@ def _screened(u0: float, u1: float) -> np.ndarray:
     """A fresh array (u0, u1) to take a dot of, or ``_HandOff`` when a
     coordinate is NaN or larger than ``_PLANAR_SCREEN`` in magnitude.
 
-    The dots stay in numpy because OpenBLAS fuses the multiply-add: on a
-    2-core Xeon (numpy 2.4.6) a 2-vector ``ndarray.dot`` equalled
-    fma(u1, v1, u0 * v0) in 200,000 of 200,000 random draws from
-    [-1, 1], while the Python sum u0 * v0 + u1 * v1 differed in 52,504.
     Each dot gets its own array, never a shared scratch buffer, which
-    runs in concurrent threads would race on.
+    runs in concurrent threads would race on.  ``_dot_xy`` screens the
+    same way before it tests for a zero factor.
     """
     if not (abs(u0) <= _PLANAR_SCREEN and abs(u1) <= _PLANAR_SCREEN):
         raise _HandOff
     return np.array((u0, u1))
 
 
+def _dot_xy(u0: float, u1: float, v0: float, v1: float, u: np.ndarray | None = None) -> float:
+    """The dot of (u0, u1) with the point (v0, v1) of a planar run, as
+    numpy takes it on 2-element arrays, or ``_HandOff`` when the point
+    fails ``_screened``'s screen.  (u0, u1) is finite and within the
+    screen: a hyperplane's unit normal, passed as the array ``u`` too, or
+    the point itself, with ``u`` None, whose square takes one array.
+
+    When a factor of one product is exactly zero (+-0.0), the other
+    product is returned as a Python float, with no numpy call.  That is
+    numpy's result: the zero product of finite factors is exactly +-0,
+    and adding an exact zero to a nonzero value never rounds, so with or
+    without a fused multiply-add, in either summation order and on any
+    BLAS kernel, the dot is the correctly rounded other product.  Only a
+    zero result can differ, in its sign, and both callers erase that: a
+    square is never -0.0, and a hyperplane adds ``+ 0.0``.  The screen
+    runs first, so a factor is never infinite or NaN there, and no dot
+    overflows and makes numpy warn.
+
+    Any other dot stays in numpy, because OpenBLAS fuses the multiply-add:
+    on a 2-core Xeon (numpy 2.4.6) a 2-vector ``ndarray.dot`` equalled
+    fma(u1, v1, u0 * v0) in 200,000 of 200,000 random draws from
+    [-1, 1], while the Python sum u0 * v0 + u1 * v1 differed in 52,504.
+    """
+    if not (abs(v0) <= _PLANAR_SCREEN and abs(v1) <= _PLANAR_SCREEN):
+        raise _HandOff
+    if u0 == 0.0 or v0 == 0.0:
+        return u1 * v1
+    if u1 == 0.0 or v1 == 0.0:
+        return u0 * v0
+    v = np.array((v0, v1))
+    return float((v if u is None else u).dot(v))
+
+
 def _norm_xy(u0: float, u1: float) -> float:
     """``_norm`` of the vector (u0, u1), bit for bit."""
-    u = _screened(u0, u1)
-    return math.sqrt(u.dot(u))
+    return math.sqrt(_dot_xy(u0, u1, u0, u1))
 
 
 def circumcenter(u, v, w) -> np.ndarray:

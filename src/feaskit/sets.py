@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
-from .geometry import _POINT_EQ_EPS, _finite, _is_real, _norm, _norm_xy, _screened, as_point
+from .geometry import _POINT_EQ_EPS, _dot_xy, _finite, _is_real, _norm, _norm_xy, as_point
 
 _GRID_POINTS = 2048
 # The ramp np.linspace scales and shifts into each 2048-point grid.
@@ -89,8 +89,8 @@ class Hyperplane(FeasibleSet):
 
     def _project_xy(self, x0: float, x1: float) -> tuple[float, float]:
         # _project's operations, in its order, on the floats of a 2-D point.
-        k = float(self.normal.dot(_screened(x0, x1))) + 0.0 - self.offset
         n0, n1 = self.normal.tolist()
+        k = _dot_xy(n0, n1, x0, x1, self.normal) + 0.0 - self.offset
         return x0 - k * n0, x1 - k * n1
 
 

@@ -26,7 +26,7 @@ from feaskit import (
     compare,
 )
 from feaskit import geometry
-from feaskit.geometry import _SINGULAR_RTOL, _abs_cosine, _norm
+from feaskit.geometry import _PLANAR_SCREEN, _SINGULAR_RTOL, _abs_cosine, _dot_xy, _HandOff, _norm, _norm_xy
 
 CENTER_TOL = 1e-12
 EQUIDIST_TOL = 1e-10
@@ -527,6 +527,63 @@ def test_hyperplane_project_matches_the_matmul_reference_bitwise(normal_x, offse
         got = _outcome(lambda: Hyperplane(normal, offset).project(x))
         want = _outcome(lambda: _ReferenceHyperplane(normal, offset).project(x))
     assert got == want
+
+
+# A factor of a planar dot: a signed zero, a value whose square
+# underflows (1e-200 * 1e-200 is 0.0), or any value up to the screen.
+_DOT_FACTOR = (
+    st.sampled_from((0.0, -0.0, 1e-200, -1e-200, 5e-324, _PLANAR_SCREEN, -_PLANAR_SCREEN))
+    | st.floats(-_PLANAR_SCREEN, _PLANAR_SCREEN)
+    | st.floats(-10.0, 10.0)
+)
+
+
+@given(_DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, st.booleans())
+@example(0.0, 1.0, 0.5, -0.0, False)
+@example(-0.0, 1.0, 3.0, -0.0, False)
+@example(1e-200, -0.0, 1e-200, 3.0, False)
+@example(1e-200, 2.0, -1e-200, 0.0, False)
+@example(0.0, 1e-200, 0.0, 1e-200, True)
+@example(0.0, 0.0, -0.0, 1e-200, True)
+@example(0.0, 0.0, -0.0, -0.0, True)
+@example(_PLANAR_SCREEN, -0.0, -_PLANAR_SCREEN, _PLANAR_SCREEN, False)
+def test_planar_dot_matches_the_numpy_dot_bitwise(u0, u1, v0, v1, square):
+    # A zero result may differ in its sign only; both callers erase it
+    # (a square is never -0.0, and a hyperplane adds + 0.0).
+    if square:
+        u0, u1 = v0, v1
+    u = np.array((u0, u1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _dot_xy(u0, u1, v0, v1, None if square else u)
+        want = u.dot(np.array((v0, v1)))
+    assert type(got) is float
+    assert np.float64(got + 0.0).tobytes() == np.float64(want + 0.0).tobytes()
+    if square:
+        assert math.copysign(1.0, got) == 1.0
+        assert _norm_xy(v0, v1) == _norm(np.array((v0, v1)))
+
+
+@given(
+    st.sampled_from((math.inf, -math.inf, math.nan))
+    | st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: abs(v) > _PLANAR_SCREEN),
+    _DOT_FACTOR,
+    _DOT_FACTOR,
+    _DOT_FACTOR,
+    st.booleans(),
+)
+# A zero factor against the far coordinate: the screen runs first.
+@example(math.inf, 0.5, 0.0, 1.0, False)
+@example(1e160, 0.0, 1.0, 0.0, True)
+@example(math.nextafter(_PLANAR_SCREEN, math.inf), -0.0, -0.0, -0.0, False)
+def test_planar_dot_hands_off_past_the_screen_without_a_warning(far, near, u0, u1, swap):
+    v0, v1 = (near, far) if swap else (far, near)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(_HandOff):
+            _dot_xy(u0, u1, v0, v1, np.array((u0, u1)))
+        with pytest.raises(_HandOff):
+            _norm_xy(v0, v1)
 
 
 # A known failure, kept so that the fix has to flip the marker: the

@@ -33,6 +33,7 @@ from feaskit import (
     problem_to_dict,
     save_problem,
 )
+from feaskit.problems import set_from_dict, set_to_dict
 
 SOLUTION_TOL = 1e-10
 
@@ -358,6 +359,21 @@ def test_problem_json_round_trip(tmp_path):
         for t in (0.1, 0.5, -0.3):
             if p.graph.domain[0] <= t <= p.graph.domain[1]:
                 assert float(q.graph.f(t)) == float(p.graph.f(t))
+
+
+# A known failure, kept so that the fix has to flip the marker: a
+# hyperplane is saved with its unit normal and scaled offset, which
+# Hyperplane rescales again on loading, so the offset 0.33541019662496846
+# reloads as 0.3354101966249685 and the normal's bits change too.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="FOUND in CHANGES.md: a saved hyperplane is rescaled again when it is loaded",
+)
+def test_a_hyperplane_round_trips_through_its_descriptor_bit_for_bit():
+    h = Hyperplane((1.0, 2.0), 0.75)
+    g = set_from_dict(set_to_dict(h))
+    assert g.offset.hex() == h.offset.hex()
+    assert g.normal.tobytes() == h.normal.tobytes()
 
 
 def test_a_problem_has_no_multiplicity_and_documents_ignore_the_key():

@@ -190,15 +190,21 @@ _PLANAR_COORD = st.sampled_from((0.0, -0.0, _PLANAR_SCREEN, -_PLANAR_SCREEN)) | 
 def _planar_set_and_point(draw):
     """A 2-D hyperplane or sphere and a point within the screen.
 
-    Hyperplane normals point off the axes, some pre-scaled by 1e-200 or
-    1e200, and offsets are nonzero.  Sphere centres lie anywhere within
+    Hyperplane normals point off the axes or along one, with a signed
+    zero for the other component, some pre-scaled by 1e-200 or 1e200,
+    and offsets are signed zeros or not.  A coordinate normal puts one
+    factor of a dot at exactly zero.  Sphere centres lie anywhere within
     the screen, and the point is sometimes the centre itself."""
     x = np.array([draw(_PLANAR_COORD), draw(_PLANAR_COORD)])
     if draw(st.booleans()):
         scale = draw(st.sampled_from((1e-200, 1.0, 1e200)))
         normal = [scale * draw(st.floats(0.01, 100.0)) * draw(st.sampled_from((1.0, -1.0))) for _ in range(2)]
+        axis = draw(st.sampled_from((None, 0, 1)))
+        if axis is not None:
+            normal[axis] = draw(st.sampled_from((0.0, -0.0)))
+        offset = draw(st.sampled_from((0.0, -0.0)) | _magnitude(-300, 300))
         try:
-            return Hyperplane(normal, draw(_magnitude(-300, 300))), x
+            return Hyperplane(normal, offset), x
         except ValueError:
             # The offset overflows at a unit normal.
             assume(False)
@@ -213,6 +219,9 @@ def _planar_set_and_point(draw):
 @example((Sphere((-0.0, -0.0), 1.0), np.array([-0.0, -0.0])))
 @example((Hyperplane((1e-200, 3e-200), 0.5), np.array([-0.0, 1e150])))
 @example((Hyperplane((1e200, -1e200), -1e300), np.array([1e-300, -0.0])))
+@example((Hyperplane((-0.0, 2.0), 0.3), np.array([0.0, -0.0])))
+@example((Hyperplane((0.0, -1e-200), -0.0), np.array([-0.0, -0.0])))
+@example((Hyperplane((1e200, -0.0), 0.0), np.array([-3.0, 1e150])))
 def test_planar_projection_matches_the_array_projection_bitwise(case):
     # A planar run projects its float points through _project_xy, which
     # does _project's operations in _project's order.  A sphere hands off
@@ -233,7 +242,7 @@ def test_planar_projection_matches_the_array_projection_bitwise(case):
 
 
 @given(
-    st.sampled_from((Hyperplane((1.0, 2.0), 0.5), Sphere((0.5, -0.5), 2.0))),
+    st.sampled_from((Hyperplane((1.0, 2.0), 0.5), Hyperplane((0.0, 1.0), 0.0), Sphere((0.5, -0.5), 2.0))),
     st.sampled_from((math.inf, -math.inf, math.nan)) | _magnitude(150, 307).filter(
         lambda v: abs(v) > _PLANAR_SCREEN
     ),
@@ -242,6 +251,9 @@ def test_planar_projection_matches_the_array_projection_bitwise(case):
 )
 @example(Hyperplane((1.0, 2.0), 0.5), math.nextafter(_PLANAR_SCREEN, math.inf), 0.0, False)
 @example(Sphere((0.5, -0.5), 2.0), 1.7e308, 1.7e308, True)
+# The far coordinate meets the normal's zero: the screen runs first.
+@example(Hyperplane((0.0, 1.0), 0.0), math.inf, 0.5, False)
+@example(Hyperplane((0.0, 1.0), 0.0), math.nan, -0.0, False)
 def test_planar_projection_hands_off_past_the_screen_without_a_warning(s, far, near, swap):
     x0, x1 = (near, far) if swap else (far, near)
     with warnings.catch_warnings():

@@ -1121,7 +1121,11 @@ def _run_outcome(run_fn):
 # starts past the planar screen (1e150) whose residual does not.  All of
 # these hand off to the array path.  It is silent from the first two
 # screened starts; from the last two, CRM's triple overflows its dots,
-# and the array path warns.
+# and the array path warns.  Last, coordinate hyperplanes the catalog
+# lacks, whose dots have an exactly zero factor: the line y = 0.15 with
+# normal (-0.0, 1.0) against the off-centre circle, and the x-axis
+# against the y-axis, each in either order, from starts with a zero
+# coordinate and from starts past the screen.
 _POOL_STARTS = [DR_RUNS[i][1] for i in random.Random(0).sample(range(256), 32)]
 _OFF_CENTRE_STARTS = [(r.uniform(-3.0, 3.0), r.uniform(-3.0, 3.0)) for r in [random.Random(1)] for _ in range(16)]
 _OFF_CENTRE_LINE = Hyperplane((1.0, 2.0), 0.75)
@@ -1132,6 +1136,12 @@ _OVERFLOWING_STARTS = [
 ]
 _SCREENED_STARTS = [(1e152, 0.0), (-3e153, 2e153), (9e153, 9e153), (-9e153, 9e153)]
 _VECTOR_METHODS = ("altproj", "crm", "dr")
+_ZERO_NORMAL_LINE = Hyperplane((-0.0, 2.0), 0.3)
+_X_AXIS, _Y_AXIS = Hyperplane((0.0, 1.0)), Hyperplane((1.0, 0.0))
+_ZERO_COORDINATE_STARTS = [
+    (0.0, 2.0), (-0.0, -1.5), (2.5, 0.0), (-1.25, -0.0), (0.0, 0.15), (0.3, -0.0), (-0.0, 0.0),
+    (0.0, 1e152), (-0.0, -3e153), (9e153, -0.0),
+]
 
 
 def _parity_runs():
@@ -1146,6 +1156,10 @@ def _parity_runs():
     far = _OVERFLOWING_STARTS + _SCREENED_STARTS
     for a, b in ((line.a, line.b), (diagonal, circle), (circle, diagonal)):
         yield from (("overflow", a, b, x0, m, None) for x0 in far for m in _VECTOR_METHODS)
+    zero_starts = _ZERO_COORDINATE_STARTS + _SCREENED_STARTS
+    line_circle = (_ZERO_NORMAL_LINE, _OFF_CENTRE_CIRCLE)
+    for a, b in (line_circle, line_circle[::-1], (_X_AXIS, _Y_AXIS), (_Y_AXIS, _X_AXIS)):
+        yield from (("zero-factor", a, b, x0, m, None) for x0 in zero_starts for m in _VECTOR_METHODS)
 
 
 def test_run_matches_the_checked_loop_bit_for_bit():
