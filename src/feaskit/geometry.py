@@ -84,50 +84,43 @@ class _HandOff(Exception):
     non-finite one; ``run`` repeats the whole run on the array path."""
 
 
-def _screened(u0: float, u1: float) -> np.ndarray:
-    """A fresh array (u0, u1) to take a dot of, or ``_HandOff`` when a
-    coordinate is NaN or larger than ``_PLANAR_SCREEN`` in magnitude.
-
-    Each dot gets its own array, never a shared scratch buffer, which
-    runs in concurrent threads would race on.  ``_dot_xy`` screens the
-    same way before it tests for a zero factor.
-    """
-    if not (abs(u0) <= _PLANAR_SCREEN and abs(u1) <= _PLANAR_SCREEN):
-        raise _HandOff
-    return np.array((u0, u1))
-
-
 def _dot_xy(u0: float, u1: float, v0: float, v1: float, u: np.ndarray | None = None) -> float:
-    """The dot of (u0, u1) with the point (v0, v1) of a planar run, as
-    numpy takes it on 2-element arrays, or ``_HandOff`` when the point
-    fails ``_screened``'s screen.  (u0, u1) is finite and within the
-    screen: a hyperplane's unit normal, passed as the array ``u`` too, or
-    the point itself, with ``u`` None, whose square takes one array.
+    """The dot of (u0, u1) with (v0, v1), bitwise numpy's on the two
+    2-element arrays, or ``_HandOff`` when (v0, v1) has a coordinate that
+    is NaN or larger than ``_PLANAR_SCREEN`` in magnitude.  (u0, u1) is
+    finite and within the screen: a unit vector, a vector this screen
+    passed before, or (v0, v1) itself.  A hyperplane passes its normal as
+    the array ``u`` too.
 
     When a factor of one product is exactly zero (+-0.0), the other
-    product is returned as a Python float, with no numpy call.  That is
-    numpy's result: the zero product of finite factors is exactly +-0,
-    and adding an exact zero to a nonzero value never rounds, so with or
-    without a fused multiply-add, in either summation order and on any
-    BLAS kernel, the dot is the correctly rounded other product.  Only a
-    zero result can differ, in its sign, and both callers erase that: a
-    square is never -0.0, and a hyperplane adds ``+ 0.0``.  The screen
-    runs first, so a factor is never infinite or NaN there, and no dot
-    overflows and makes numpy warn.
+    product plus 0.0 is returned as a Python float, with no numpy call.
+    That is numpy's result: the zero product of finite factors is exactly
+    +-0, and adding an exact zero to a nonzero value never rounds, so with
+    or without a fused multiply-add, in either summation order and on any
+    BLAS kernel, the dot is the correctly rounded other product.  numpy
+    adds the BLAS dot to a sum that starts at +0.0, so its zero dot is
+    never -0.0, and neither is this one.  The screen runs first, so a
+    factor is never infinite or NaN there, and no dot overflows and makes
+    numpy warn.
 
-    Any other dot stays in numpy, because OpenBLAS fuses the multiply-add:
-    on a 2-core Xeon (numpy 2.4.6) a 2-vector ``ndarray.dot`` equalled
-    fma(u1, v1, u0 * v0) in 200,000 of 200,000 random draws from
-    [-1, 1], while the Python sum u0 * v0 + u1 * v1 differed in 52,504.
+    Any other dot stays in numpy, on fresh arrays (never a shared scratch
+    buffer, which runs in concurrent threads would race on), because
+    OpenBLAS fuses the multiply-add: on a 2-core Xeon (numpy 2.4.6) a
+    2-vector ``ndarray.dot`` equalled fma(u1, v1, u0 * v0) in 200,000 of
+    200,000 random draws from [-1, 1], while the Python sum
+    u0 * v0 + u1 * v1 differed in 52,504.  A square takes one array: its
+    factors are nonzero there, so equal ones are the same bits.
     """
     if not (abs(v0) <= _PLANAR_SCREEN and abs(v1) <= _PLANAR_SCREEN):
         raise _HandOff
     if u0 == 0.0 or v0 == 0.0:
-        return u1 * v1
+        return u1 * v1 + 0.0
     if u1 == 0.0 or v1 == 0.0:
-        return u0 * v0
+        return u0 * v0 + 0.0
     v = np.array((v0, v1))
-    return float((v if u is None else u).dot(v))
+    if u is None:
+        u = v if u0 == v0 and u1 == v1 else np.array((u0, u1))
+    return float(u.dot(v))
 
 
 def _norm_xy(u0: float, u1: float) -> float:
@@ -206,7 +199,6 @@ def classify_triple(x, rax, rbrax) -> ColinearityCase:
     x = as_point(x)
     rax = as_point(rax, x.size)
     rbrax = as_point(rbrax, x.size)
-    eps = _POINT_EQ_EPS
 
     u = x - rbrax
     v = rax - rbrax
@@ -216,8 +208,13 @@ def classify_triple(x, rax, rbrax) -> ColinearityCase:
     ratio = _abs_cosine(u, v, d_x_rb, d_ra_rb)
     if ratio is not None and ratio < 1.0 - _COLINEARITY_EPS:
         return ColinearityCase.NON_COLINEAR
+    return _colinear_case(_norm(x - rax), d_x_rb, d_ra_rb)
 
-    d_x_ra = _norm(x - rax)
+
+def _colinear_case(d_x_ra: float, d_x_rb: float, d_ra_rb: float) -> ColinearityCase:
+    """The case of a triple (x, Ra x, Rb Ra x) that the alignment test
+    reads as colinear, from its three distances."""
+    eps = _POINT_EQ_EPS
     if d_x_ra <= eps and d_x_rb <= eps and d_ra_rb <= eps:
         return ColinearityCase.ALL_COINCIDE
     if (d_x_ra <= eps and d_ra_rb > eps) or (d_ra_rb <= eps and d_x_ra > eps):
@@ -225,3 +222,79 @@ def classify_triple(x, rax, rbrax) -> ColinearityCase:
     if d_x_rb <= eps and d_x_ra > eps:
         return ColinearityCase.FIXED_POINT_PAIR
     return ColinearityCase.DISTINCT_COLINEAR
+
+
+def _hybrid_xy(x0: float, x1: float, r0: float, r1: float, b0: float, b1: float):
+    """The hybrid step on the planar triple x = (x0, x1), R_A x = (r0, r1),
+    R_B R_A x = (b0, b1): (next0, next1, case), bit for bit what
+    ``classify_triple`` and then ``circumcenter`` (or the average of x and
+    R_B R_A x) give on the three arrays, with the same
+    ``DistinctColinearInput``.  ``_HandOff`` when a coordinate of the
+    triple is NaN or past ``_PLANAR_SCREEN``, or a dot meets the screen.
+
+    Both public functions' operations, in their order, on Python floats,
+    each dot through ``_dot_xy``.  ``circumcenter``'s three coincidence
+    norms are ``classify_triple``'s ||x - R_B R_A x|| and
+    ||R_A x - R_B R_A x|| and ||x - R_A x||, and the sorted frame's n1
+    and ||d2|| are two of them: a - b is -(b - a) exactly, and
+    (-d).(-d) is d.d with or without a fused multiply-add.
+
+    Bounds: a coordinate of the triple past 1e150 hands off, and so does
+    a vector with a coordinate past 1e150 that a dot meets (a difference
+    of two points can reach 2e150).  So every norm is at most 1.5e150, as
+    is |t2| <= ||d2|| (q1 is a unit vector), and each dot, nu * nv,
+    t2 * t2, n2 * n2 and n1 * t2 is at most about 2e300: nothing
+    overflows.  Every divisor is positive: n1 and both legs' norms exceed
+    ``_POINT_EQ_EPS``, and n2 exceeds ``_SINGULAR_RTOL`` n1.  So |z2| is
+    at most 1e13 max(n1, ||d2||), no NaN arises, and the result is
+    finite.
+    """
+    screen = _PLANAR_SCREEN
+    if not (
+        abs(x0) <= screen and abs(x1) <= screen and abs(r0) <= screen
+        and abs(r1) <= screen and abs(b0) <= screen and abs(b1) <= screen
+    ):
+        raise _HandOff
+    eps = _POINT_EQ_EPS
+    # classify_triple: u = x - R_B R_A x, v = R_A x - R_B R_A x.
+    u0 = x0 - b0
+    u1 = x1 - b1
+    v0 = r0 - b0
+    v1 = r1 - b1
+    d_x_rb = _norm_xy(u0, u1)
+    d_ra_rb = _norm_xy(v0, v1)
+    d_x_ra = _norm_xy(x0 - r0, x1 - r1)
+    if not (
+        d_x_rb > eps and d_ra_rb > eps
+        and min(abs(_dot_xy(u0, u1, v0, v1)) / (d_x_rb * d_ra_rb), 1.0) < 1.0 - _COLINEARITY_EPS
+    ):
+        return 0.5 * (x0 + b0), 0.5 * (x1 + b1), _colinear_case(d_x_ra, d_x_rb, d_ra_rb)
+
+    # circumcenter: both legs are longer than eps, so the only
+    # coincidence left to test is x with R_A x, whose midpoint with
+    # R_B R_A x is the average.
+    if d_x_ra <= eps:
+        return 0.5 * (x0 + b0), 0.5 * (x1 + b1), ColinearityCase.NON_COLINEAR
+    # circumcenter's a, b, c: (a0, a1), (p0, p1), (c0, c1), sorted as lists
+    # of coordinates, ties in input order.  The pair without the point of
+    # input position k has the norm norms[k].
+    norms = (d_ra_rb, d_x_rb, d_x_ra)
+    (a0, a1, _), (p0, p1, ib), (c0, c1, ic) = sorted(((x0, x1, 0), (r0, r1, 1), (b0, b1, 2)))
+    d10 = p0 - a0
+    d11 = p1 - a1
+    d20 = c0 - a0
+    d21 = c1 - a1
+    n1 = norms[ic]
+    q10 = d10 / n1
+    q11 = d11 / n1
+    t2 = _dot_xy(q10, q11, d20, d21)
+    w0 = d20 - t2 * q10
+    w1 = d21 - t2 * q11
+    n2 = _norm_xy(w0, w1)
+    if n2 <= _SINGULAR_RTOL * max(n1, norms[ib]):
+        raise DistinctColinearInput("three distinct colinear points have no circumcenter")
+    q20 = w0 / n2
+    q21 = w1 / n2
+    z1 = 0.5 * n1
+    z2 = 0.5 * (t2 * t2 + n2 * n2 - n1 * t2) / n2
+    return a0 + z1 * q10 + z2 * q20, a1 + z1 * q11 + z2 * q21, ColinearityCase.NON_COLINEAR

@@ -25,7 +25,8 @@ _GRID_POINTS = 2048
 _GRID_INDEX = np.arange(float(_GRID_POINTS))
 _GRID_INDEX.setflags(write=False)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_TIE_BAND = 16.0 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_TIE_BAND = 16.0 * _EPS
 # Target bracket width of a graph projection's abscissa search.
 _PROJECTION_TOL = 1e-13
 
@@ -51,6 +52,12 @@ class Hyperplane(FeasibleSet):
     rescaled with it, so the point set is unchanged).  A normal whose
     largest coordinate lies outside [1e-150, 1e150] is first divided by
     that coordinate, so its squared norm neither overflows nor underflows.
+    A normal whose computed norm is already within 4 n 2^-52 of 1, in n
+    dimensions, is kept as given, and so is the offset.  Every normal
+    this class has rescaled is (its norm is off by at most about
+    (n + 3) 2^-53), so ``Hyperplane(h.normal, h.offset)``, and a
+    hyperplane saved and loaded through ``set_to_dict`` and
+    ``set_from_dict``, is ``h`` bit for bit.
     """
 
     normal: np.ndarray
@@ -67,7 +74,11 @@ class Hyperplane(FeasibleSet):
         if not 1e-150 <= big <= 1e150:
             n, offset = n / big, offset / big
         scale = _norm(n)
-        n, offset = n / scale, offset / scale
+        if abs(scale - 1.0) > 4.0 * n.size * _EPS:
+            n, offset = n / scale, offset / scale
+        else:
+            # as_point may return the caller's own array.
+            n = n.copy()
         if not math.isfinite(offset):
             raise ValueError(f"hyperplane offset {self.offset!r} overflows at a unit normal")
         n.setflags(write=False)

@@ -33,10 +33,10 @@ from .geometry import (
     ColinearityCase,
     _finite,
     _HandOff,
+    _hybrid_xy,
     _is_real,
     _norm,
     _norm_xy,
-    _screened,
     as_point,
     circumcenter,
     classify_triple,
@@ -191,15 +191,13 @@ def _crm(project_b, graph, x, pax):
 
 
 def _crm_xy(project_b, graph, x, pax):
-    # The triple goes to classify_triple and circumcenter as screened
-    # arrays, so none of the dots they take overflows.
+    # _crm's reflections, then _hybrid's step in one scalar kernel.
     x0, x1 = x
     r0 = 2.0 * pax[0] - x0
     r1 = 2.0 * pax[1] - x1
     p0, p1 = project_b(r0, r1)
-    triple = _screened(x0, x1), _screened(r0, r1), _screened(2.0 * p0 - r0, 2.0 * p1 - r1)
-    nxt, result = _hybrid(*triple)
-    return nxt.tolist(), result
+    n0, n1, case = _hybrid_xy(x0, x1, r0, r1, 2.0 * p0 - r0, 2.0 * p1 - r1)
+    return [n0, n1], StepResult(np.array((n0, n1)), case)
 
 
 def _dr(project_b, graph, x, pax):

@@ -538,7 +538,7 @@ _DOT_FACTOR = (
 )
 
 
-@given(_DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, st.booleans())
+@given(_DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, st.sampled_from((True, False, None)))
 @example(0.0, 1.0, 0.5, -0.0, False)
 @example(-0.0, 1.0, 3.0, -0.0, False)
 @example(1e-200, -0.0, 1e-200, 3.0, False)
@@ -547,18 +547,21 @@ _DOT_FACTOR = (
 @example(0.0, 0.0, -0.0, 1e-200, True)
 @example(0.0, 0.0, -0.0, -0.0, True)
 @example(_PLANAR_SCREEN, -0.0, -_PLANAR_SCREEN, _PLANAR_SCREEN, False)
+@example(-0.0, 1.0, 2.0, -0.0, None)
+@example(1.0, -0.0, -0.0, -1.0, None)
 def test_planar_dot_matches_the_numpy_dot_bitwise(u0, u1, v0, v1, square):
-    # A zero result may differ in its sign only; both callers erase it
-    # (a square is never -0.0, and a hyperplane adds + 0.0).
+    # square: the point's own square; False: a hyperplane's normal array;
+    # None: a dot of two vectors, each a fresh array.  numpy's dot of two
+    # coordinates is never -0.0, and neither is the planar one.
     if square:
         u0, u1 = v0, v1
     u = np.array((u0, u1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _dot_xy(u0, u1, v0, v1, None if square else u)
+        got = _dot_xy(u0, u1, v0, v1, u if square is False else None)
         want = u.dot(np.array((v0, v1)))
     assert type(got) is float
-    assert np.float64(got + 0.0).tobytes() == np.float64(want + 0.0).tobytes()
+    assert np.float64(got).tobytes() == want.tobytes()
     if square:
         assert math.copysign(1.0, got) == 1.0
         assert _norm_xy(v0, v1) == _norm(np.array((v0, v1)))
@@ -584,6 +587,138 @@ def test_planar_dot_hands_off_past_the_screen_without_a_warning(far, near, u0, u
             _dot_xy(u0, u1, v0, v1, np.array((u0, u1)))
         with pytest.raises(_HandOff):
             _norm_xy(v0, v1)
+
+
+# A coordinate of a planar triple: a signed zero, a value up to the
+# screen, or a small one.
+_TRIPLE_COORD = (
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, _PLANAR_SCREEN, -_PLANAR_SCREEN))
+    | st.floats(-_PLANAR_SCREEN, _PLANAR_SCREEN)
+    | st.floats(-10.0, 10.0)
+)
+
+
+def _turned(p, length, angle):
+    return p[0] + length * math.cos(angle), p[1] + length * math.sin(angle)
+
+
+@st.composite
+def _planar_triples(draw):
+    """Six floats, the triple x, R_A x, R_B R_A x, and the alignment slack
+    (None for the module's own).  The triple is free; or its coordinates
+    come from a pool of three, so that ties, +-0.0 and exact coincidences
+    are common; or some of its points coincide exactly or within about
+    1e-12; or the cosine at R_B R_A x is within a few ulps of
+    1 - slack; or one point is off the line through the others by a
+    height near _SINGULAR_RTOL times their extent."""
+    slack = draw(st.none() | st.sampled_from((1e-17, 1e-12, 0.6)) | st.floats(1e-14, 1e-2))
+    kind = draw(st.sampled_from(("free", "pool", "coincide", "aligned", "height")))
+    if kind == "free":
+        return tuple(draw(_TRIPLE_COORD) for _ in range(6)), slack
+    if kind == "pool":
+        pool = [draw(_TRIPLE_COORD) for _ in range(3)]
+        return tuple(draw(st.sampled_from(pool)) for _ in range(6)), slack
+    base = (draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0)))
+    scale = draw(st.floats(1e-6, 1e6))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    if kind == "coincide":
+        # Each point is one of two anchors, exactly or about 1e-12 off.
+        anchors = [base, _turned(base, scale, phi)]
+        points = []
+        for _ in range(3):
+            p = anchors[draw(st.integers(0, 1))]
+            if draw(st.booleans()):
+                p = _turned(p, draw(st.floats(0.5, 2.0)) * 1e-12, draw(st.floats(0.0, 2.0 * math.pi)))
+            points.append(p)
+        (x0, x1), (r0, r1), (b0, b1) = points
+        return (x0, x1, r0, r1, b0, b1), slack
+    if kind == "aligned":
+        # Legs at an angle whose cosine is within about k ulps of the
+        # switch, or of its negative.
+        theta0 = math.acos(1.0 - (geometry._COLINEARITY_EPS if slack is None else slack))
+        k = draw(st.integers(-8, 8))
+        theta = abs(theta0 + k * 1.1e-16 / max(math.sin(theta0), 1e-8))
+        if draw(st.booleans()):
+            theta = math.pi - theta
+        x = _turned(base, scale * draw(st.floats(0.1, 10.0)), phi)
+        r = _turned(base, scale, phi + theta)
+        return (*x, *r, *base), slack
+    # The third point at a relative height h off the line of the others.
+    h = math.copysign(10.0 ** draw(st.floats(-15.0, -11.0)), draw(st.sampled_from((1.0, -1.0))))
+    t = draw(st.floats(-2.0, 3.0))
+    far = _turned(base, scale, phi)
+    foot = _turned(base, t * scale, phi)
+    off = _turned(foot, h * scale, phi + math.pi / 2.0)
+    order = draw(st.permutations((base, far, off)))
+    return tuple(c for p in order for c in p), slack
+
+
+def _public_hybrid(x, rax, rbrax):
+    case = classify_triple(x, rax, rbrax)
+    nxt = circumcenter(x, rax, rbrax) if case is ColinearityCase.NON_COLINEAR else 0.5 * (x + rbrax)
+    return case, nxt.tobytes()
+
+
+def _kernel_hybrid(six):
+    n0, n1, case = geometry._hybrid_xy(*six)
+    assert type(n0) is float and type(n1) is float
+    return case, np.array((n0, n1)).tobytes()
+
+
+@given(_planar_triples())
+# Ties in the first coordinate, one of them 0.0 against -0.0, that the
+# second decides.
+@example(((-0.77, 1.27, -1.76, 1.08, -0.77, -2.64), None))
+@example(((0.0, -0.03, -0.0, -0.94, -0.31, 0.65), None))
+# x and R_A x coincide, and the triple still spans at R_B R_A x.
+@example(((1.0, 0.0, 1.0 + 2e-16, 4e-13, 1.0 + 6e-13, 9e-13), None))
+# Each pair coincides, in turn.
+@example(((0.5, -0.0, 0.5, 0.0, 2.0, 1.0), None))
+@example(((0.5, 1.0, 2.0, 1.0, 2.0, 1.0), None))
+@example(((2.0, 1.0, 0.5, 1.0, 2.0, 1.0), None))
+# A spanning triple whose frame dot the fused multiply-add rounds.
+@example(((-1.11, -2.672, -2.834, -3.479, -1.589, 0.825), None))
+# Three distinct colinear points; a triple whose in-plane height is
+# below _SINGULAR_RTOL times its longer leg from the first sorted point,
+# but not times the other; and points spanning at the screen.
+@example(((0.0, 0.0, 1.0, 1.0, 2.0, 2.0), 1e-17))
+@example(((-2.0428512542154222, 3.4265950127231015, -1.21, -0.55, -1.824971929333067, 2.386291798533035), 1e-17))
+@example(((_PLANAR_SCREEN, 0.0, 0.0, _PLANAR_SCREEN / 2.0, 0.0, 0.0), None))
+def test_planar_hybrid_kernel_is_the_public_pair_bit_for_bit(triple):
+    six, slack = triple
+    x, rax, rbrax = (np.array(six[i : i + 2]) for i in (0, 2, 4))
+    patched = (
+        contextlib.nullcontext() if slack is None
+        else mock.patch.object(geometry, "_COLINEARITY_EPS", slack)
+    )
+    with patched, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _outcome(lambda: _public_hybrid(x, rax, rbrax))
+        try:
+            got = _outcome(lambda: _kernel_hybrid(six))
+        except _HandOff:
+            # Only a difference within the triple past half the screen
+            # can take a dot past the screen.
+            legs = (x - rax, x - rbrax, rax - rbrax)
+            assert max(float(np.abs(d).max()) for d in legs) > _PLANAR_SCREEN / 2.0
+            return
+    if isinstance(want[0], ColinearityCase):
+        assert got[0] is want[0]
+    assert got == want
+
+
+@given(
+    st.sampled_from((math.inf, -math.inf, math.nan))
+    | st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: abs(v) > _PLANAR_SCREEN),
+    st.integers(0, 5),
+    st.lists(_TRIPLE_COORD, min_size=6, max_size=6),
+)
+def test_planar_hybrid_kernel_hands_off_a_triple_past_the_screen(far, i, six):
+    six[i] = far
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(_HandOff):
+            geometry._hybrid_xy(*six)
 
 
 # A known failure, kept so that the fix has to flip the marker: the

@@ -361,14 +361,9 @@ def test_problem_json_round_trip(tmp_path):
                 assert float(q.graph.f(t)) == float(p.graph.f(t))
 
 
-# A known failure, kept so that the fix has to flip the marker: a
-# hyperplane is saved with its unit normal and scaled offset, which
-# Hyperplane rescales again on loading, so the offset 0.33541019662496846
-# reloads as 0.3354101966249685 and the normal's bits change too.
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="FOUND in CHANGES.md: a saved hyperplane is rescaled again when it is loaded",
-)
+# A hyperplane is saved with its unit normal and scaled offset, which
+# Hyperplane keeps as given on loading: rescaled again, the offset
+# 0.33541019662496846 would reload as 0.3354101966249685.
 def test_a_hyperplane_round_trips_through_its_descriptor_bit_for_bit():
     h = Hyperplane((1.0, 2.0), 0.75)
     g = set_from_dict(set_to_dict(h))

@@ -77,15 +77,40 @@ def test_hyperplane_with_a_normal_whose_square_underflows():
 
 
 @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=4), st.floats(-1e6, 1e6))
+@example([0.6, 0.8], 0.5)
+@example([1.0, 1e-8], -2.0)
 def test_hyperplane_keeps_the_bits_of_an_ordinary_normal(normal, offset):
     # Largest coordinate in [1e-150, 1e150]: the normal and offset are
-    # divided by the norm alone, as before the pre-scaling.
+    # divided by the norm alone, as before the pre-scaling, unless that
+    # norm is within 4 n 2^-52 of 1; then both are kept as given.
     n = np.array(normal)
     assume(1e-150 <= np.abs(n).max())
     h = Hyperplane(normal, offset)
     scale = math.sqrt(float(np.dot(n, n)))
+    if abs(scale - 1.0) <= 4.0 * n.size * 2.0**-52:
+        scale = 1.0
     assert h.normal.tobytes() == (n / scale).tobytes()
     assert h.offset.hex() == (offset / scale).hex()
+
+
+@given(
+    st.integers(1, 64).flatmap(lambda n: st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)),
+    st.floats(-1e6, 1e6),
+)
+@example([1.0, 2.0], 0.75)
+def test_a_hyperplane_rebuilt_from_its_normal_and_offset_is_itself(normal, offset):
+    # A largest coordinate of at least 1e-6 keeps the offset finite at a
+    # unit normal.
+    assume(max(map(abs, normal)) >= 1e-6)
+    h = Hyperplane(normal, offset)
+    g = Hyperplane(h.normal, h.offset)
+    assert g.normal.tobytes() == h.normal.tobytes() and g.offset.hex() == h.offset.hex()
+    # The rebuilt normal is a copy: h's stays its own, read-only, and a
+    # caller's unit normal stays writable.
+    assert g.normal is not h.normal and not g.normal.flags.writeable
+    unit = h.normal.copy()
+    Hyperplane(unit, h.offset)
+    assert unit.flags.writeable
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])

@@ -970,18 +970,31 @@ def test_dr_trace_files_match_the_eager_step_byte_for_byte(name, tmp_path, capsy
 
 
 def test_only_crm_steps_classify_and_record_their_triple(monkeypatch):
-    calls = []
+    # A planar run classifies through the scalar kernel, an array run
+    # through the public classify_triple.
+    calls, kernel_calls = [], []
 
     def counted(*args):
         calls.append(args)
         return classify_triple(*args)
 
+    def counted_kernel(*args):
+        kernel_calls.append(args)
+        return geometry._hybrid_xy(*args)
+
     monkeypatch.setattr(solvers, "classify_triple", counted)
+    monkeypatch.setattr(solvers, "_hybrid_xy", counted_kernel)
     p = builtin("sphere-line")
     crm = run("crm", p.a, p.b, p.default_x0)
-    assert len(calls) == crm.iterations == len(crm.step_results)
-    calls.clear()
+    assert len(kernel_calls) == crm.iterations == len(crm.step_results) and calls == []
+    kernel_calls.clear()
     dr = run("dr", p.a, p.b, p.default_x0)
+    assert dr.iterations >= 2 and kernel_calls == [] and dr.step_results == ()
+    graph = builtin("parabola")
+    arrays = run("crm", graph.a, graph.b, graph.default_x0)
+    assert len(calls) == arrays.iterations == len(arrays.step_results) >= 2 and kernel_calls == []
+    calls.clear()
+    dr = run("dr", graph.a, graph.b, graph.default_x0)
     assert dr.iterations >= 2 and calls == [] and dr.step_results == ()
     step = crm.step_results[0]
     assert f"case={step.case!r}" in repr(step)
@@ -1121,11 +1134,12 @@ def _run_outcome(run_fn):
 # starts past the planar screen (1e150) whose residual does not.  All of
 # these hand off to the array path.  It is silent from the first two
 # screened starts; from the last two, CRM's triple overflows its dots,
-# and the array path warns.  Last, coordinate hyperplanes the catalog
+# and the array path warns.  Then coordinate hyperplanes the catalog
 # lacks, whose dots have an exactly zero factor: the line y = 0.15 with
 # normal (-0.0, 1.0) against the off-centre circle, and the x-axis
 # against the y-axis, each in either order, from starts with a zero
-# coordinate and from starts past the screen.
+# coordinate and from starts past the screen.  Last, the planar starts
+# of _KERNEL_BRANCH_STARTS (below).
 _POOL_STARTS = [DR_RUNS[i][1] for i in random.Random(0).sample(range(256), 32)]
 _OFF_CENTRE_STARTS = [(r.uniform(-3.0, 3.0), r.uniform(-3.0, 3.0)) for r in [random.Random(1)] for _ in range(16)]
 _OFF_CENTRE_LINE = Hyperplane((1.0, 2.0), 0.75)
@@ -1142,6 +1156,24 @@ _ZERO_COORDINATE_STARTS = [
     (0.0, 2.0), (-0.0, -1.5), (2.5, 0.0), (-1.25, -0.0), (0.0, 0.15), (0.3, -0.0), (-0.0, 0.0),
     (0.0, 1e152), (-0.0, -3e153), (9e153, -0.0),
 ]
+
+# Planar runs through every branch of the hybrid kernel: starts on
+# sphere-line's circle A (two distinct points) and near its root (a
+# distinct colinear triple, averaged); a start that R_B R_A fixes on a
+# circle and its tangent line (a fixed-point pair, then a period-1
+# cycle); parallel lines (averaged at every step); and two crossing
+# circles, from which CRM diverges until a triple, about 1e13 out, is
+# distinct and colinear to the circumcenter (DistinctColinearInput).
+_SPHERE_LINE = builtin("sphere-line")
+_TANGENT = (Sphere((0.0, 0.0), 1.0), Hyperplane((0.0, 1.0), 1.0))
+_PARALLEL = (Hyperplane((1.0, 0.0), 0.5), Hyperplane((1.0, 0.0), 1.5))
+_CIRCLES = (_OFF_CENTRE_CIRCLE, Sphere((-0.5, 0.2), 1.0))
+_KERNEL_BRANCH_STARTS = (
+    (_SPHERE_LINE.a, _SPHERE_LINE.b, ((0.6, 0.3), (0.0, 0.5), (3e-7, 6e-7))),
+    (*_TANGENT, ((0.0, 0.5), (-0.0, 0.25), (1.0, -0.0))),
+    (*_PARALLEL, ((0.0, 0.0), (0.5, 0.5))),
+    (*_CIRCLES, ((-3.0, 0.4), (-3.0, 0.9))),
+)
 
 
 def _parity_runs():
@@ -1160,6 +1192,8 @@ def _parity_runs():
     line_circle = (_ZERO_NORMAL_LINE, _OFF_CENTRE_CIRCLE)
     for a, b in (line_circle, line_circle[::-1], (_X_AXIS, _Y_AXIS), (_Y_AXIS, _X_AXIS)):
         yield from (("zero-factor", a, b, x0, m, None) for x0 in zero_starts for m in _VECTOR_METHODS)
+    for a, b, starts in _KERNEL_BRANCH_STARTS:
+        yield from (("kernel-branch", a, b, x0, m, None) for x0 in starts for m in _VECTOR_METHODS)
 
 
 def test_run_matches_the_checked_loop_bit_for_bit():
@@ -1172,3 +1206,24 @@ def test_run_matches_the_checked_loop_bit_for_bit():
     # The comparison reaches error paths of both the graphs and the
     # closed-form sets.
     assert errors >= 20
+
+
+def test_the_parity_runs_reach_every_branch_of_the_planar_hybrid_kernel(monkeypatch):
+    cases, stops, kernel_calls = set(), set(), []
+
+    def counted_kernel(*args):
+        kernel_calls.append(args)
+        return geometry._hybrid_xy(*args)
+
+    monkeypatch.setattr(solvers, "_hybrid_xy", counted_kernel)
+    for a, b, starts in _KERNEL_BRANCH_STARTS:
+        for x0 in starts:
+            kernel_calls.clear()
+            tr = run("crm", a, b, x0)
+            cases |= {r.case for r in tr.step_results}
+            stops.add((tr.stop, tr.message))
+            # Every step, and the one that raised, ran on the planar path.
+            assert len(kernel_calls) == tr.iterations + (tr.stop is StopReason.ERROR)
+    assert cases == set(ColinearityCase) - {ColinearityCase.ALL_COINCIDE}
+    assert (StopReason.CYCLE, "") in stops
+    assert (StopReason.ERROR, "DistinctColinearInput: three distinct colinear points have no circumcenter") in stops
