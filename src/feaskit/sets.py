@@ -18,7 +18,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyDomain, NonFinitePoint
-from .geometry import _POINT_EQ_EPS, _dot_xy, _finite, _is_real, _norm, _norm_xy, as_point
+from .geometry import (
+    _PLANAR_SCREEN,
+    _POINT_EQ_EPS,
+    _dot_xy,
+    _finite,
+    _HandOff,
+    _is_real,
+    _norm,
+    _norm_xy,
+    as_point,
+)
 
 _GRID_POINTS = 2048
 # The ramp np.linspace scales and shifts into each 2048-point grid.
@@ -150,9 +160,9 @@ class Sphere(FeasibleSet):
         return c0 + q * v0, c1 + q * v1
 
 
-# The set types whose closed-form kernels (_project, and _project_xy on a
-# planar run) run applies to points it checked itself.  Every other set, a
-# subclass of these included, is projected through its own project.
+# The set types whose closed-form kernel _project run applies to points it
+# checked itself.  Every other set, a subclass of these included, is
+# projected through its own project.
 _CLOSED_FORM = (Hyperplane, Sphere)
 
 
@@ -245,6 +255,15 @@ def _golden_min(f: Callable, x0: float, x1: float, a: float, b: float, xtol: flo
 class FunctionGraph(FeasibleSet):
     """Graph {(t, f(t)) : t in domain} of a scalar function.
 
+    ``run`` projects onto a graph through ``project``, except on a planar
+    run (``altproj``, ``crm`` or ``dr`` from a 2-D start over two sets
+    that are each exactly a ``Hyperplane``, ``Sphere`` or
+    ``FunctionGraph``), which projects its float points through the
+    private ``_project_xy``: the same search and the same oracle calls,
+    without the array around the point.  Subclasses, ``newton``,
+    ``subgrad``, ``ct_step`` and a problem's check of its known
+    solutions take ``project``.
+
     Parameters
     ----------
     f : callable
@@ -308,7 +327,8 @@ class FunctionGraph(FeasibleSet):
         |x1 - f(anchor)|, no graph point outside it can be nearer than
         (anchor, f(anchor)) itself.  A uniform grid (bitwise
         ``np.linspace``) locates the basin, a golden-section pass
-        narrows it to 1e-13, and one Newton step on the
+        narrows it to 1e-13 (``NonFinitePoint`` when a squared distance
+        it weighs overflows), and one Newton step on the
         stationarity equation polishes the result where the derivative
         oracle applies.  Declared nonsmooth abscissas inside the window
         always compete as candidates, which keeps projections landing on
@@ -317,7 +337,17 @@ class FunctionGraph(FeasibleSet):
         the kink candidates then beat the golden point and the window
         ends, and remaining ties go to the smallest abscissa.
         """
-        x0, x1 = as_point(x, 2).tolist()
+        return np.array(self._nearest(*as_point(x, 2).tolist()))
+
+    def _project_xy(self, x0: float, x1: float) -> tuple[float, float]:
+        # project on the floats of a planar run's point, or _HandOff for a
+        # coordinate that is NaN or past the screen, before any oracle call.
+        if not (abs(x0) <= _PLANAR_SCREEN and abs(x1) <= _PLANAR_SCREEN):
+            raise _HandOff
+        return self._nearest(x0, x1)
+
+    def _nearest(self, x0: float, x1: float) -> tuple[float, float]:
+        """``project``'s search from the finite point (x0, x1)."""
         lo, hi = self.domain
         f = self.f
         anchor = min(max(x0, lo), hi)
@@ -333,7 +363,7 @@ class FunctionGraph(FeasibleSet):
             fy = float(f(y))
             if not math.isfinite(fy):
                 raise NonFinitePoint(f"curve value at t={y!r} is not finite")
-            return np.array([y, fy])
+            return y, fy
 
         ts = _grid(wlo, whi)
         fs = _eval_curve(f, ts)
@@ -350,31 +380,37 @@ class FunctionGraph(FeasibleSet):
             i = int(np.nanargmin(d2))
         a = float(ts[i - 1 if i else 0])
         b = float(ts[i + 1 if i < _GRID_POINTS - 1 else i])
-        y_best, d_best, f_best = _golden_min(f, x0, x1, a, b, _PROJECTION_TOL)
+        # A float's ** 2 raises OverflowError where the grid's square is inf.
+        try:
+            y_best, d_best, f_best = _golden_min(f, x0, x1, a, b, _PROJECTION_TOL)
 
-        # Squared-distance values carry a few ulps of relative rounding
-        # noise, so near a flat basin bottom the bitwise-smallest value
-        # can sit a sqrt(eps)-sized abscissa error away from the true
-        # minimizer.  Candidates within that noise of the best value
-        # count as tied; the stationarity root and declared kinks then
-        # outrank the golden point, which outranks the window ends, and
-        # remaining ties go to the smallest abscissa, then to the first
-        # candidate.  Each candidate (distance squared, rank, t, f(t))
-        # keeps its curve value, which the winner returns.
-        candidates = [(d_best, 1, y_best, f_best)]
-        d_min = d_best
-        y_pol = self._polish(x0, x1, y_best, f_best, wlo, whi)
-        ranked = [] if y_pol is None else [(0, y_pol)]
-        ranked += [(0, s) for s in self.nonsmooth if wlo <= s <= whi]
-        ranked += [(2, wlo), (2, whi)]
-        for pri, t in ranked:
-            ft = float(f(t))
-            d = (x0 - t) ** 2 + (x1 - ft) ** 2
-            if d != d:
-                d = math.inf
-            elif d < d_min:
-                d_min = d
-            candidates.append((d, pri, t, ft))
+            # Squared-distance values carry a few ulps of relative rounding
+            # noise, so near a flat basin bottom the bitwise-smallest value
+            # can sit a sqrt(eps)-sized abscissa error away from the true
+            # minimizer.  Candidates within that noise of the best value
+            # count as tied; the stationarity root and declared kinks then
+            # outrank the golden point, which outranks the window ends, and
+            # remaining ties go to the smallest abscissa, then to the first
+            # candidate.  Each candidate (distance squared, rank, t, f(t))
+            # keeps its curve value, which the winner returns.
+            candidates = [(d_best, 1, y_best, f_best)]
+            d_min = d_best
+            y_pol = self._polish(x0, x1, y_best, f_best, wlo, whi)
+            ranked = [] if y_pol is None else [(0, y_pol)]
+            ranked += [(0, s) for s in self.nonsmooth if wlo <= s <= whi]
+            ranked += [(2, wlo), (2, whi)]
+            for pri, t in ranked:
+                ft = float(f(t))
+                d = (x0 - t) ** 2 + (x1 - ft) ** 2
+                if d != d:
+                    d = math.inf
+                elif d < d_min:
+                    d_min = d
+                candidates.append((d, pri, t, ft))
+        except OverflowError:
+            raise NonFinitePoint(
+                f"squared distance to the curve overflows for t in [{wlo!r}, {whi!r}]"
+            ) from None
         if not math.isfinite(d_min):
             raise NonFinitePoint(f"curve has no finite value near t in [{wlo!r}, {whi!r}]")
         top = d_min + _TIE_BAND * d_min
@@ -382,7 +418,8 @@ class FunctionGraph(FeasibleSet):
         for d, pri, t, ft in candidates:
             if d <= top and (y is None or pri < best or pri == best and t < y):
                 best, y, fy = pri, t, ft
-        return np.array([y, fy])
+        # A domain end or kink may be an int.
+        return float(y), fy
 
     def _polish(self, x0, x1, y, fy, wlo, whi):
         """One Newton step on (t - x0) + (f(t) - x1) f'(t) = 0 from y,
@@ -404,3 +441,8 @@ class FunctionGraph(FeasibleSet):
         if not (wlo <= y_new <= whi) or not math.isfinite(y_new):
             return None
         return y_new
+
+
+# The set types whose _project_xy a planar run applies to the float points
+# it made.  Every other set, a subclass of these included, runs on arrays.
+_PLANAR = (*_CLOSED_FORM, FunctionGraph)

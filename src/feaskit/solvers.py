@@ -41,7 +41,7 @@ from .geometry import (
     circumcenter,
     classify_triple,
 )
-from .sets import _CLOSED_FORM, FeasibleSet, FunctionGraph, _projection, _residual, _residual_xy
+from .sets import _PLANAR, FeasibleSet, FunctionGraph, _projection, _residual, _residual_xy
 
 # How many of the latest iterates the cycle test compares the newest with.
 _CYCLE_WINDOW = 8
@@ -287,11 +287,14 @@ def run(
     projects the points ``run`` checked itself through its unchecked
     ``_project``, and every other set, subclasses included, through its
     own ``project``.  A vector method on a 2-D start over two sets that
-    are exactly ``Hyperplane`` or ``Sphere`` runs on Python floats through
-    their ``_project_xy``, with the same operations in the same order; a
-    coordinate larger than 1e150 in magnitude before a dot, or a
-    non-finite one, repeats the whole run on arrays from ``x0``, so the
-    result is the array run's, bit for bit.  Errors of a step or of an
+    are each exactly a ``Hyperplane``, ``Sphere`` or ``FunctionGraph``
+    runs on Python floats through their ``_project_xy``, with the same
+    operations in the same order; a coordinate larger than 1e150 in
+    magnitude before a dot or a projection, or a non-finite one, repeats
+    the whole run on arrays from ``x0``, so the result is the array run's,
+    bit for bit.  That run takes back the graph projections the float run
+    made, in order, so the curve oracle is called, and numpy warns, as
+    often as on arrays alone.  Errors of a step or of an
     iterate's residual test are caught and reported through a trace with
     stop reason ERROR rather than raised; the trace ends at the last
     iterate whose residual is known, or holds the start with residual NaN.
@@ -313,14 +316,55 @@ def run(
         raise DimensionMismatch(f"start {x.size}-D, sets {a.dimension}-D and {b.dimension}-D")
 
     t_start = time.perf_counter()
-    if step_xy is not None and x.size == 2 and type(a) in _CLOSED_FORM and type(b) in _CLOSED_FORM:
+    made = None
+    if step_xy is not None and x.size == 2 and type(a) in _PLANAR and type(b) in _PLANAR:
         planar = (step_xy, _residual_xy, _distance_xy)
+        if type(a) is FunctionGraph or type(b) is FunctionGraph:
+            made = deque()
+            project_a, project_b = _kept(a, made), _kept(b, made)
+        else:
+            project_a, project_b = a._project_xy, b._project_xy
         try:
-            return _iterate(method, planar, a._project_xy, b._project_xy, graph, x.tolist(), stop, t_start)
+            return _iterate(method, planar, project_a, project_b, graph, x.tolist(), stop, t_start)
         except _HandOff:
             pass
+    if made:
+        project_a, project_b = _replayed(a, made), _replayed(b, made)
+    else:
+        project_a, project_b = _projection(a), _projection(b)
     arrays = (step, _residual, _distance)
-    return _iterate(method, arrays, _projection(a), _projection(b), graph, x, stop, t_start)
+    return _iterate(method, arrays, project_a, project_b, graph, x, stop, t_start)
+
+
+def _kept(s, made: deque):
+    """``s._project_xy``; for a graph, one that also appends each
+    projection it makes to ``made``."""
+    project_xy = s._project_xy
+    if type(s) is not FunctionGraph:
+        return project_xy
+
+    def kept(x0, x1):
+        p = project_xy(x0, x1)
+        made.append(p)
+        return p
+
+    return kept
+
+
+def _replayed(s, made: deque):
+    """``_projection(s)``; for a graph, one that first takes back, in
+    order, the projections ``_kept`` put in ``made``.  After a hand-off,
+    the array run projects the planar attempt's points again, bit for bit
+    and in the same order, so no projection asks the curve oracle, or
+    makes numpy warn, twice."""
+    project = _projection(s)
+    if type(s) is not FunctionGraph:
+        return project
+
+    def replayed(x):
+        return np.array(made.popleft()) if made else project(x)
+
+    return replayed
 
 
 def _distance(u, v) -> float:

@@ -424,6 +424,30 @@ def test_an_overflowing_dr_start_stops_with_its_message_and_plots(tmp_path, caps
     assert svg.count("<circle") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--problem", "parabola", "--x0", "1e60,0"],
+        ["run", "--problem", "pline", "--x0", "0,1e200"],
+        ["compare", "--problem", "psphere-3", "--x0", "1e200,0", "--format", "json"],
+        ["run", "--problem", "ellipse-line", "--x0", "0,1e170"],
+    ],
+)
+def test_a_start_whose_graph_projection_overflows_exits_error(argv, capsys):
+    # The squared distance to the curve overflows: the run stops with
+    # NonFinitePoint, and compare gives error rows.
+    message = "NonFinitePoint: squared distance to the curve overflows for t in ["
+    with np.errstate(over="ignore"):
+        assert main(argv) == EXIT_ERROR
+    out = capsys.readouterr().out
+    if argv[0] == "run":
+        assert "stop=error iterations=0" in out and f"message='{message}" in out
+    else:
+        rows = json.loads(out)
+        assert [r["method"] for r in rows] == ["crm", "dr"]
+        assert all(r["stop"] == "error" and r["note"].startswith(message) for r in rows)
+
+
 def test_plot_default_output_path(tmp_path, capsys):
     t1 = tmp_path / "solo.csv"
     assert main(["run", "--problem", "parabola", "--x0", "3,0", "--out", str(t1)]) == EXIT_OK

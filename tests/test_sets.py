@@ -406,6 +406,30 @@ def test_graph_projection_rejects_non_finite_curve_values():
         g.project((0.3, 5e-14))
 
 
+# Points far from the curve, where a squared distance overflows a float's
+# ** 2 (numpy's grid gives inf there): in the golden-section search, for
+# the four catalog graphs, and only at a window end among the candidates,
+# for the graph of exp from (0, 500), whose grid finds the nearest point.
+_OVERFLOWING_PROJECTIONS = [
+    (builtin("parabola").a, (1e60, 0.0)),
+    (builtin("pline").a, (0.0, 1e200)),
+    (builtin("psphere-3").a, (1e200, 0.0)),
+    (builtin("ellipse-line").a, (0.0, 1e170)),
+    (FunctionGraph(f=np.exp, derivative=np.exp), (0.0, 500.0)),
+]
+
+
+@pytest.mark.parametrize("g, x", _OVERFLOWING_PROJECTIONS)
+def test_a_graph_projection_whose_squared_distance_overflows_raises_non_finite_point(g, x):
+    projections = [g.project]
+    if max(map(abs, x)) <= _PLANAR_SCREEN:
+        projections.append(lambda x: g._project_xy(*x))
+    for project in projections:
+        with np.errstate(over="ignore"), pytest.raises(NonFinitePoint) as info:
+            project(x)
+        assert str(info.value).startswith("squared distance to the curve overflows for t in [")
+
+
 def test_graph_projection_brackets_the_finite_part_of_a_partly_nan_curve():
     # The grid's first sample in the window is NaN; np.argmin would stop
     # there and bracket no finite value.

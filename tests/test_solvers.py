@@ -520,12 +520,18 @@ def _counted(project, calls):
 def test_run_makes_one_graph_projection_per_iterate(method, monkeypatch):
     # Every iterate's residual projects onto the graph A once, and the
     # reflection and alternating-projection steps reuse that projection.
+    # A vector method runs on the planar path, which projects onto the
+    # graph through _project_xy; newton and subgrad run on arrays, through
+    # the public project.
     p = builtin("parabola")
-    calls = []
-    monkeypatch.setattr(FunctionGraph, "project", _counted(FunctionGraph.project, calls))
+    kernel, public = [], []
+    monkeypatch.setattr(FunctionGraph, "_project_xy", _counted(FunctionGraph._project_xy, kernel))
+    monkeypatch.setattr(FunctionGraph, "project", _counted(FunctionGraph.project, public))
     tr = run(method, p.a, p.b, (0.75, 0.5), StopRule(max_iter=12))
     assert tr.iterations >= 3
+    calls, unused = (public, kernel) if method in ("newton", "subgrad") else (kernel, public)
     assert len(calls) == tr.iterations + 1
+    assert unused == []
 
 
 # sphere-line in the plane, and a sphere against a plane in R^3 through
@@ -581,6 +587,15 @@ def test_only_exact_planar_pairs_run_on_floats_and_only_within_the_screen(monkey
 
 class _Shell(Sphere):
     pass
+
+
+class _Curve(FunctionGraph):
+    pass
+
+
+def _curve(g: FunctionGraph) -> _Curve:
+    """``g`` as a subclass that overrides nothing."""
+    return _Curve(**{f.name: getattr(g, f.name) for f in dataclasses.fields(g)})
 
 
 _HALF_LINE = Hyperplane((0.0, 1.0), 0.5)
@@ -644,12 +659,16 @@ def test_a_subclass_is_projected_through_its_own_project(sets, reference, known_
 
 def test_a_subclass_that_overrides_nothing_runs_as_its_base():
     # Built from _OFF_CENTRE_LINE's and _OFF_CENTRE_CIRCLE's arguments:
-    # a normal rescaled twice can move its offset by an ulp.
+    # a normal rescaled twice can move its offset by an ulp.  A graph
+    # subclass runs on arrays, its base on the planar path.
     line, circle = _Line((1.0, 2.0), 0.75), _Shell((0.3, -0.4), 1.5)
+    ellipse = builtin("ellipse-line")
     for sets, reference in [
         ((circle, line), (_OFF_CENTRE_CIRCLE, _OFF_CENTRE_LINE)),
         ((line, circle), (_OFF_CENTRE_LINE, _OFF_CENTRE_CIRCLE)),
         ((_LOW_CIRCLE, line), (_LOW_CIRCLE, _OFF_CENTRE_LINE)),
+        ((_curve(ellipse.a), ellipse.b), (ellipse.a, ellipse.b)),
+        ((line, _curve(ellipse.a)), (_OFF_CENTRE_LINE, ellipse.a)),
     ]:
         _matches_its_reference(sets, reference, ())
         for x0, method in itertools.product(_OVERFLOWING_STARTS + _SCREENED_STARTS, _VECTOR_METHODS):
@@ -991,11 +1010,16 @@ def test_only_crm_steps_classify_and_record_their_triple(monkeypatch):
     dr = run("dr", p.a, p.b, p.default_x0)
     assert dr.iterations >= 2 and kernel_calls == [] and dr.step_results == ()
     graph = builtin("parabola")
-    arrays = run("crm", graph.a, graph.b, graph.default_x0)
-    assert len(calls) == arrays.iterations == len(arrays.step_results) >= 2 and kernel_calls == []
-    calls.clear()
-    dr = run("dr", graph.a, graph.b, graph.default_x0)
-    assert dr.iterations >= 2 and calls == [] and dr.step_results == ()
+    crm = run("crm", graph.a, graph.b, graph.default_x0)
+    assert len(kernel_calls) == crm.iterations == len(crm.step_results) >= 2 and calls == []
+    kernel_calls.clear()
+    # A graph subclass, and a sphere against a plane in R^3, run on arrays.
+    for a, b, x0 in ((_curve(graph.a), graph.b, graph.default_x0), _COUNTED_RUNS[1][0]):
+        arrays = run("crm", a, b, x0)
+        assert len(calls) == arrays.iterations == len(arrays.step_results) >= 2 and kernel_calls == []
+        calls.clear()
+        dr = run("dr", a, b, x0)
+        assert dr.iterations >= 2 and calls == [] and dr.step_results == ()
     step = crm.step_results[0]
     assert f"case={step.case!r}" in repr(step)
     assert dataclasses.asdict(step)["case"] is step.case
@@ -1206,6 +1230,95 @@ def test_run_matches_the_checked_loop_bit_for_bit():
     # The comparison reaches error paths of both the graphs and the
     # closed-form sets.
     assert errors >= 20
+
+
+# Every catalog graph against its line, in either order, and the graph of
+# log against the x-axis, under each vector method, each through a curve
+# oracle that counts its calls.  The starts: four seeded in [-3, 3]^2;
+# two past the planar screen, which hand off before any oracle call; two
+# whose graph projection overflows a squared distance (NonFinitePoint),
+# within the screen on parabola and past it; and starts within the screen
+# from which CRM's triple leaves it after one or two graph projections,
+# which the array run takes back.  From (1, 9e149), log's grid reaches
+# negative abscissas, so a projection it takes back made numpy warn.
+_LOG = FunctionGraph(f=np.log, derivative=lambda t: 1.0 / t)
+_GRAPH_STARTS = [(r.uniform(-3.0, 3.0), r.uniform(-3.0, 3.0)) for r in [random.Random(2)] for _ in range(4)]
+_GRAPH_STARTS += [(1e152, 0.0), (0.5, -3e153), (1e60, 0.0), (0.0, 1e200)]
+_GRAPH_STARTS += [
+    (6.169396027122597e149, 1.0786039391691094e140), (0.0, 9e149), (1.0, 9e149),
+    (-2.425916941804779, 8.412738684807753e149), (2.584625805543562e139, 9.171432392778641e149),
+    (-1.9727175648462554, -7.789796993944551e149), (5.401695061011547e149, 1.232380732025349e135),
+]
+
+
+def _graph_parity_runs():
+    pairs = [(p.name, p.a, p.b) for p in map(builtin, problem_names()) if isinstance(p.a, FunctionGraph)]
+    for name, g, line in pairs + [("log", _LOG, X_AXIS)]:
+        for order in ("ab", "ba"):
+            yield from ((name, order, g, line, x0, m) for x0 in _GRAPH_STARTS for m in _VECTOR_METHODS)
+
+
+def _counting(g: FunctionGraph, calls: list) -> FunctionGraph:
+    """``g`` with a curve oracle that appends to ``calls`` on each call."""
+    f = g.f
+
+    def counted(t):
+        calls.append(1)
+        return f(t)
+
+    return dataclasses.replace(g, f=counted)
+
+
+def test_graph_runs_match_the_checked_loop_with_the_same_oracle_calls(monkeypatch):
+    # A planar run over a graph that hands off restarts on arrays from x0,
+    # and takes back the graph projections it made, so the curve oracle is
+    # called, and numpy warns, as often as on the checked loop.
+    handoffs, calls = [], []
+    iterate = solvers._iterate
+
+    def counted_iterate(*args):
+        before = len(calls)
+        try:
+            return iterate(*args)
+        except geometry._HandOff:
+            handoffs.append(len(calls) - before)
+            raise
+
+    monkeypatch.setattr(solvers, "_iterate", counted_iterate)
+    handed_off, overflowed = set(), False
+    for name, order, g, line, x0, method in _graph_parity_runs():
+        outcomes = []
+        handoffs.clear()
+        for run_fn in (run, _checked_run):
+            calls.clear()
+            counted = _counting(g, calls)
+            sets = (counted, line) if order == "ab" else (line, counted)
+            outcomes.append((_run_outcome(lambda: run_fn(method, *sets, x0)), len(calls)))
+        assert outcomes[0] == outcomes[1], (name, order, x0, method)
+        trace, _ = outcomes[0]
+        if handoffs:
+            handed_off.add((handoffs[0] > 0, bool(trace[-1])))
+        overflowed |= trace[2].startswith("NonFinitePoint: squared distance to the curve overflows")
+    # Hand-offs before and after oracle calls, and one after a projection
+    # that warned, were compared; so was the overflow.
+    assert {(False, False), (True, False), (True, True)} <= handed_off and overflowed
+
+
+def test_a_run_from_where_a_graph_projection_overflows_ends_with_non_finite_point(monkeypatch):
+    # From (1e60, 0) the vector methods meet the overflow on the planar
+    # path, newton on arrays; from (0, 1e200), past the screen, every
+    # method meets it on arrays.
+    public = []
+    monkeypatch.setattr(FunctionGraph, "project", _counted(FunctionGraph.project, public))
+    for name, x0 in (("parabola", (1e60, 0.0)), ("pline", (0.0, 1e200))):
+        p = builtin(name)
+        for method in ("crm", "dr", "altproj", "newton"):
+            public.clear()
+            with np.errstate(over="ignore"):
+                tr = run(method, p.a, p.b, x0)
+            assert tr.stop is StopReason.ERROR and tr.iterations == 0
+            assert tr.message.startswith("NonFinitePoint: squared distance to the curve overflows for t in [")
+            assert len(public) == (x0[1] == 1e200 or method == "newton")
 
 
 def test_the_parity_runs_reach_every_branch_of_the_planar_hybrid_kernel(monkeypatch):
