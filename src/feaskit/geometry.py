@@ -84,6 +84,13 @@ class _HandOff(Exception):
     non-finite one; ``run`` repeats the whole run on the array path."""
 
 
+# Veltkamp's splitter for doubles, 2**27 + 1.
+_SPLITTER = 134217729.0
+# A planar dot whose second product is smaller than this in magnitude
+# stays in numpy: below it Dekker's product may not be exact.
+_TWO_PRODUCT_FLOOR = 2.0**-900
+
+
 def _dot_xy(u0: float, u1: float, v0: float, v1: float, u: np.ndarray | None = None) -> float:
     """The dot of (u0, u1) with (v0, v1), bitwise numpy's on the two
     2-element arrays, or ``_HandOff`` when (v0, v1) has a coordinate that
@@ -103,13 +110,40 @@ def _dot_xy(u0: float, u1: float, v0: float, v1: float, u: np.ndarray | None = N
     factor is never infinite or NaN there, and no dot overflows and makes
     numpy warn.
 
-    Any other dot stays in numpy, on fresh arrays (never a shared scratch
-    buffer, which runs in concurrent threads would race on), because
-    OpenBLAS fuses the multiply-add: on a 2-core Xeon (numpy 2.4.6) a
-    2-vector ``ndarray.dot`` equalled fma(u1, v1, u0 * v0) in 200,000 of
-    200,000 random draws from [-1, 1], while the Python sum
-    u0 * v0 + u1 * v1 differed in 52,504.  A square takes one array: its
-    factors are nonzero there, so equal ones are the same bits.
+    Every other dot is fma(u1, v1, u0 * v0), the exact u1 * v1 plus the
+    rounded u0 * v0, rounded once, which is numpy's: OpenBLAS's ddot
+    takes a 2-vector in its tail loop ``dot += y[i] * x[i]`` from 0.0,
+    contracted to a fused multiply-add, and numpy adds that to +0.0.  On a
+    2-core Xeon (numpy 2.4.6) a 2-vector ``ndarray.dot`` equalled
+    fma(u1, v1, u0 * v0) in 200,000 of 200,000 random draws from
+    [-1, 1], while the Python sum u0 * v0 + u1 * v1 differed in 52,504.
+    The dot is taken on floats:
+
+    - h = u1 * v1 rounded, and lo = u1 * v1 - h exactly, by Dekker's
+      product (Dekker 1971, *Numer. Math.* 18): each factor splits into
+      two halves of 26 bits (Veltkamp's splitter 2**27 + 1), the four
+      half products are exact, and so is every sum that builds lo.  The
+      screen keeps each factor below 1e150, so the splitter's product
+      does not overflow.  Dekker's product is exact when
+      e(u1) + e(v1) >= -1022, with e the exponent of a factor written as
+      an integer significand below 2**53 times a power of two (Boldo,
+      *IJCAR* 2006).  |u1 * v1| < 2**(e(u1) + e(v1) + 106), so
+      |h| <= 2**(e(u1) + e(v1) + 106), and |h| >= 2**-900
+      (``_TWO_PRODUCT_FLOOR``) gives e(u1) + e(v1) >= -1006; a smaller
+      h stays in numpy.  A square takes the form 2 a1 a2 for its two
+      cross products; they are the same exact value.
+    - ``math.fsum`` rounds the exact sum of its inputs once (Shewchuk
+      1997, *Discrete Comput. Geom.* 18), so fsum((h, lo, u0 * v0)) is
+      RN(u1 * v1 + RN(u0 * v0)) = fma(u1, v1, u0 * v0).  It is at most
+      about 2e300, so nothing overflows.  Adding 0.0 turns an exact zero
+      sum into +0.0, as numpy's +0.0 start does.
+
+    numpy's dot takes the same dot, on fresh arrays (never a shared
+    scratch buffer, which runs in concurrent threads would race on), when
+    |h| is below the floor, and on a numpy whose 2-vector dot is not this
+    fused rule: ``_FUSED_DOT``, probed once at import, tells.  A square
+    takes one array there: its factors are nonzero, so equal ones are the
+    same bits.
     """
     if not (abs(v0) <= _PLANAR_SCREEN and abs(v1) <= _PLANAR_SCREEN):
         raise _HandOff
@@ -117,10 +151,38 @@ def _dot_xy(u0: float, u1: float, v0: float, v1: float, u: np.ndarray | None = N
         return u1 * v1 + 0.0
     if u1 == 0.0 or v1 == 0.0:
         return u0 * v0 + 0.0
+    h = u1 * v1
+    if _FUSED_DOT and abs(h) >= _TWO_PRODUCT_FLOOR:
+        t = _SPLITTER * u1
+        a1 = t - (t - u1)
+        a2 = u1 - a1
+        if u1 == v1:
+            lo = ((a1 * a1 - h) + 2.0 * a1 * a2) + a2 * a2
+        else:
+            t = _SPLITTER * v1
+            b1 = t - (t - v1)
+            b2 = v1 - b1
+            lo = ((a1 * b1 - h) + a1 * b2 + a2 * b1) + a2 * b2
+        return math.fsum((h, lo, u0 * v0)) + 0.0
     v = np.array((v0, v1))
     if u is None:
         u = v if u0 == v0 and u1 == v1 else np.array((u0, u1))
     return float(u.dot(v))
+
+
+# Dots (u0, u1, v0, v1) on which the plain sum u0 * v0 + u1 * v1,
+# fma(u1, v1, u0 * v0) and fma(u0, v0, u1 * v1) differ, and a square on
+# which fma(u1, v1, u0 * v0) differs from the other two.
+_DOT_PROBE = (
+    (-2.1, 2.2, -2.5, -2.5), (0.6, 0.9, 2.7, -2.8), (2.3, -2.7, -0.8, -0.7), (0.1, 0.4, 0.1, 0.4)
+)
+# Whether numpy's 2-vector dot in this process is fma(u1, v1, u0 * v0):
+# _dot_xy's float rule, which it takes while this is True, against numpy
+# on each probe.
+_FUSED_DOT = True
+_FUSED_DOT = all(
+    _dot_xy(*p) == float(np.array(p[:2]).dot(np.array(p[2:]))) for p in _DOT_PROBE
+)
 
 
 def _norm_xy(u0: float, u1: float) -> float:

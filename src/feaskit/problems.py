@@ -187,11 +187,20 @@ class Problem:
 
 def nearest_solution(problem: Problem, x) -> np.ndarray | None:
     """Known solution closest to ``x`` (the first of equally close ones),
-    or None when none are stored."""
+    or None when none are stored.  Where a squared distance overflows,
+    every distance is compared over the same power of two, with no numpy
+    warning."""
     sols = problem.known_solutions
     if not sols:
         return None
     d = np.array(sols) - as_point(x, sols[0].size)
+    # A square of a coordinate up to 1e150 is at most 1e300, and no point
+    # has the 1e8 coordinates whose squares' sum would overflow.
+    big = max(map(abs, d.ravel().tolist()))
+    if big > 1e150:
+        with np.errstate(over="ignore"):
+            if math.inf in (d * d).sum(axis=1).tolist():
+                d = d * 2.0 ** -math.frexp(big)[1]
     return sols[int(np.argmin((d * d).sum(axis=1)))]
 
 

@@ -401,13 +401,12 @@ def test_an_overflowing_dr_start_stops_with_its_message_and_plots(tmp_path, caps
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main([*argv, "--out", str(path)]) == EXIT_ERROR
-    # Overflow in the residual's norm, in R_B R_A x, in choosing the
-    # nearest solution and in the distances to it; none in averaging x
-    # with R_B R_A x.
+    # Overflow in the residual's norm, in R_B R_A x and in the distances
+    # to the nearest solution; none in choosing that solution, nor in
+    # averaging x with R_B R_A x.
     assert {(str(w.message), os.path.basename(w.filename)) for w in caught} == {
         ("overflow encountered in dot", "geometry.py"),
         ("overflow encountered in multiply", "solvers.py"),
-        ("overflow encountered in multiply", "problems.py"),
         ("overflow encountered in square", "solvers.py"),
     }
     meta, series = read_trace(path)

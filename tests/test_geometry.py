@@ -3,6 +3,7 @@
 import contextlib
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,16 @@ from feaskit import (
     compare,
 )
 from feaskit import geometry
-from feaskit.geometry import _PLANAR_SCREEN, _SINGULAR_RTOL, _abs_cosine, _dot_xy, _HandOff, _norm, _norm_xy
+from feaskit.geometry import (
+    _PLANAR_SCREEN,
+    _SINGULAR_RTOL,
+    _TWO_PRODUCT_FLOOR,
+    _abs_cosine,
+    _dot_xy,
+    _HandOff,
+    _norm,
+    _norm_xy,
+)
 
 CENTER_TOL = 1e-12
 EQUIDIST_TOL = 1e-10
@@ -565,6 +575,74 @@ def test_planar_dot_matches_the_numpy_dot_bitwise(u0, u1, v0, v1, square):
     if square:
         assert math.copysign(1.0, got) == 1.0
         assert _norm_xy(v0, v1) == _norm(np.array((v0, v1)))
+
+
+def test_planar_dot_falls_back_to_numpy_where_numpy_does_not_fuse(monkeypatch):
+    # On a numpy whose 2-vector dot is not fma(u1, v1, u0 * v0), every dot
+    # without a zero factor is numpy's own, so still numpy's bits, on the
+    # probes (where the plain sum is not numpy's) too.
+    monkeypatch.setattr(geometry, "_FUSED_DOT", False)
+    for u0, u1, v0, v1 in geometry._DOT_PROBE:
+        assert _dot_xy(u0, u1, v0, v1) == np.array((u0, u1)).dot(np.array((v0, v1)))
+    test_planar_dot_matches_the_numpy_dot_bitwise()
+
+
+def _fused(u0, u1, v0, v1) -> float:
+    """fma(u1, v1, u0 * v0) plus 0.0, in exact arithmetic: the exact
+    u1 * v1 plus the rounded u0 * v0, rounded once by ``float``."""
+    return float(Fraction(u1) * Fraction(v1) + Fraction(u0 * v0)) + 0.0
+
+
+_A = 2.0**-450 * (1.0 + 2.0**-29)
+_B = 2.0**-450 * (1.0 + 2.0**-30)
+
+
+@given(_DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, st.booleans())
+# u1 * v1 just above the floor, then just below it (numpy's dot), where
+# u0 * v0 cancels its rounded value and the result is the product's
+# rounding error.
+@example(-(2.0**-450), _B, _A, _B, False)
+@example(-(2.0**-451), _B / 2.0, _A, _B, False)
+@example(0.0, 0.0, 2.0**-451, _B, True)
+@example(0.0, 0.0, 2.0**-452, _B / 2.0, True)
+# A subnormal u0 * v0, and 5e-324 as a factor of the split product.
+@example(1e-160, 0.1, -1e-160, 3.0, False)
+@example(1e-87, 5e-324, -1e-87, _PLANAR_SCREEN, False)
+@example(5e-324, 5e-324, 5e-324, 5e-324, False)
+# The screen: products of 1e300 that cancel.
+@example(_PLANAR_SCREEN, _PLANAR_SCREEN, -_PLANAR_SCREEN, math.nextafter(_PLANAR_SCREEN, 0.0), False)
+@example(0.0, 0.0, _PLANAR_SCREEN, -_PLANAR_SCREEN, True)
+def test_planar_dot_is_the_fused_multiply_add_rounded_once(u0, u1, v0, v1, square):
+    # The float rule against exact arithmetic, whatever this numpy's dot
+    # does: only a dot with no zero factor and u1 * v1 below the floor is
+    # numpy's, which is this rule where numpy fuses.
+    if square:
+        u0, u1 = v0, v1
+    with_numpy = 0.0 not in (u0, u1, v0, v1) and abs(u1 * v1) < _TWO_PRODUCT_FLOOR
+    assume(geometry._FUSED_DOT or not with_numpy)
+    with mock.patch.object(geometry, "_FUSED_DOT", True):
+        got = _dot_xy(u0, u1, v0, v1)
+    assert type(got) is float
+    want = _fused(u0, u1, v0, v1)
+    assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
+
+def test_the_dot_probe_tells_the_fused_rule_from_the_other_two():
+    # On each probe, the plain sum and fma(u0, v0, u1 * v1) both differ
+    # from fma(u1, v1, u0 * v0), so a numpy that takes either passes no
+    # probe; off the square, all three differ.
+    for u0, u1, v0, v1 in geometry._DOT_PROBE:
+        plain = float(Fraction(u0 * v0) + Fraction(u1 * v1))
+        fused = _fused(u0, u1, v0, v1)
+        reverse = float(Fraction(u0) * Fraction(v0) + Fraction(u1 * v1))
+        assert plain != fused and reverse != fused
+        assert plain != reverse or (u0, u1) == (v0, v1)
+    assert any((u0, u1) == (v0, v1) for u0, u1, v0, v1 in geometry._DOT_PROBE)
+    numpy_fuses = all(
+        float(np.array((u0, u1)).dot(np.array((v0, v1)))) == _fused(u0, u1, v0, v1)
+        for u0, u1, v0, v1 in geometry._DOT_PROBE
+    )
+    assert geometry._FUSED_DOT is numpy_fuses
 
 
 @given(

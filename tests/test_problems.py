@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -286,6 +288,60 @@ def test_nearest_solution_picks_closest_candidate():
         known_solutions=(), default_x0=(1.0, 0.0),
     )
     assert nearest_solution(empty, (1.0, 0.0)) is None
+
+
+# The catalog's problems with two roots, and two roots 6e153 apart on
+# the x-axis, so that a far point is much closer to one of them.
+_TWO_ROOTS = [builtin(n) for n in problem_names() if len(builtin(n).known_solutions) == 2]
+_TWO_ROOTS.append(Problem(
+    name="far-roots", a=Hyperplane((0.0, 1.0), 0.0), b=Hyperplane((0.0, 1.0), 0.0),
+    known_solutions=((3e153, 0.0), (-3e153, 0.0)), default_x0=(0.0, 0.0),
+))
+
+
+def _exactly_nearest(p, x):
+    """The first known solution whose float difference from ``x`` has the
+    least squared length, in exact arithmetic."""
+    rows = (np.array(p.known_solutions) - np.array(x)).tolist()
+    k = min(range(len(rows)), key=lambda i: sum(Fraction(c) ** 2 for c in rows[i]))
+    return p.known_solutions[k]
+
+
+# Far points: every squared distance overflows, or (from 1.3e154 and
+# -1.4e154) only the one to the farther of the far roots.
+@pytest.mark.parametrize(
+    "x",
+    [
+        (1e200, 0.0), (-1e200, 0.0), (0.0, 1e200), (1e160, 1e160),
+        (2e154, 1e154), (-2e154, 1e154), (1.3e154, 0.0), (-1.4e154, 0.0),
+    ],
+)
+def test_nearest_solution_compares_overflowing_distances_without_a_warning(x):
+    assert len(_TWO_ROOTS) > 5
+    for p in _TWO_ROOTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nearest_solution(p, x)
+        assert got is _exactly_nearest(p, x), (p.name, x)
+
+
+_FAR_COORD = st.floats(-1e155, 1e155) | st.floats(-10.0, 10.0)
+
+
+@given(st.sampled_from(_TWO_ROOTS), _FAR_COORD, _FAR_COORD)
+def test_nearest_solution_keeps_every_finite_comparison(p, x0, x1):
+    # Where every squared distance is finite, the same argmin over the
+    # same values as (d * d).sum(axis=1).
+    d = np.array(p.known_solutions) - np.array((x0, x1))
+    with np.errstate(over="ignore"):
+        squares = (d * d).sum(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nearest_solution(p, (x0, x1))
+    if np.isfinite(squares).all():
+        assert got is p.known_solutions[int(np.argmin(squares))]
+    else:
+        assert any(got is s for s in p.known_solutions)
 
 
 def test_classify_conditions_verdicts():

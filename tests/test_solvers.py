@@ -1232,6 +1232,13 @@ def test_run_matches_the_checked_loop_bit_for_bit():
     assert errors >= 20
 
 
+def test_run_matches_the_checked_loop_where_numpy_does_not_fuse(monkeypatch):
+    # On a numpy whose 2-vector dot is not fma(u1, v1, u0 * v0), the
+    # planar dots without a zero factor are numpy's own.
+    monkeypatch.setattr(geometry, "_FUSED_DOT", False)
+    test_run_matches_the_checked_loop_bit_for_bit()
+
+
 # Every catalog graph against its line, in either order, and the graph of
 # log against the x-axis, under each vector method, each through a curve
 # oracle that counts its calls.  The starts: four seeded in [-3, 3]^2;
