@@ -167,6 +167,10 @@ class Problem:
         dims = {self.a.dimension, self.b.dimension, x0.size, *(s.size for s in sols)}
         if len(dims) > 1:
             raise DimensionMismatch(f"problem {self.name!r} mixes dimensions {sorted(dims)}")
+        # The solutions as the rows of one frozen matrix, for nearest_solution.
+        matrix = np.array(sols).reshape(len(sols), x0.size)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "_solution_matrix", matrix)
         eps = self.epsilon_f
         if eps is not None and not (_is_real(eps) and 0.0 < eps < math.inf):
             raise ValueError(f"epsilon_f must be a positive finite real, got {eps!r}")
@@ -193,15 +197,15 @@ def nearest_solution(problem: Problem, x) -> np.ndarray | None:
     sols = problem.known_solutions
     if not sols:
         return None
-    d = np.array(sols) - as_point(x, sols[0].size)
+    d = problem._solution_matrix - as_point(x, sols[0].size)
     # A square of a coordinate up to 1e150 is at most 1e300, and no point
     # has the 1e8 coordinates whose squares' sum would overflow.
     big = max(map(abs, d.ravel().tolist()))
     if big > 1e150:
         with np.errstate(over="ignore"):
-            if math.inf in (d * d).sum(axis=1).tolist():
+            if math.inf in np.add.reduce(d * d, axis=1).tolist():
                 d = d * 2.0 ** -math.frexp(big)[1]
-    return sols[int(np.argmin((d * d).sum(axis=1)))]
+    return sols[int(np.add.reduce(d * d, axis=1).argmin())]
 
 
 # The catalog: problem documents in the schema problem_to_dict writes,

@@ -94,6 +94,8 @@ class Hyperplane(FeasibleSet):
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", offset)
+        # The normal's floats, which a planar run's _project_xy reads.
+        object.__setattr__(self, "_normal_xy", tuple(n.tolist()) if n.size == 2 else None)
 
     @property
     def dimension(self) -> int:
@@ -110,7 +112,7 @@ class Hyperplane(FeasibleSet):
 
     def _project_xy(self, x0: float, x1: float) -> tuple[float, float]:
         # _project's operations, in its order, on the floats of a 2-D point.
-        n0, n1 = self.normal.tolist()
+        n0, n1 = self._normal_xy
         k = _dot_xy(n0, n1, x0, x1, self.normal) + 0.0 - self.offset
         return x0 - k * n0, x1 - k * n1
 
@@ -126,6 +128,8 @@ class Sphere(FeasibleSet):
         c = as_point(self.center).copy()
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
+        # The center's floats, which a planar run's _project_xy reads.
+        object.__setattr__(self, "_center_xy", tuple(c.tolist()) if c.size == 2 else None)
         if not (_is_real(self.radius) and 0.0 < self.radius < math.inf):
             raise ValueError(f"sphere radius must be positive and finite, got {self.radius!r}")
         object.__setattr__(self, "radius", float(self.radius))
@@ -150,7 +154,7 @@ class Sphere(FeasibleSet):
 
     def _project_xy(self, x0: float, x1: float) -> tuple[float, float]:
         # _project's operations, in its order, on the floats of a 2-D point.
-        c0, c1 = self.center.tolist()
+        c0, c1 = self._center_xy
         v0 = x0 - c0
         v1 = x1 - c1
         n = _norm_xy(v0, v1)

@@ -16,6 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from numbers import Integral
 
 import numpy as np
@@ -79,6 +80,10 @@ class StopRule:
             raise ValueError("max_iter must be at least 1")
 
 
+# The rule of a run with stop=None, frozen and checked once.
+_DEFAULT_STOP = StopRule()
+
+
 @dataclass(frozen=True, eq=False)
 class StepResult:
     """One hybrid step: the new iterate ``next`` and the ``case`` of the
@@ -113,7 +118,8 @@ class Trace:
         self.residuals = np.asarray(self.residuals, dtype=float)
         if self.residuals.shape != (self.iterates.shape[0],):
             raise ValueError("residuals length must match iterates length")
-        if self.residuals.size and float(self.residuals.min()) < 0.0:
+        # Elementwise, so that a NaN residual does not hide a negative one.
+        if (self.residuals < 0.0).any():
             raise ValueError("residuals must be nonnegative")
 
     @property
@@ -304,7 +310,7 @@ def run(
     inapplicable method, DimensionMismatch for a start or set of another
     dimension, NonFinitePoint for a non-finite start.
     """
-    stop = StopRule() if stop is None else stop
+    stop = _DEFAULT_STOP if stop is None else stop
     if not isinstance(stop, StopRule):
         raise TypeError(f"stop must be a StopRule or None, got {stop!r}")
     graph = check_method(method, a, root_graph)
@@ -318,7 +324,7 @@ def run(
     t_start = time.perf_counter()
     made = None
     if step_xy is not None and x.size == 2 and type(a) in _PLANAR and type(b) in _PLANAR:
-        planar = (step_xy, _residual_xy, _distance_xy)
+        planar = (step_xy, _residual_xy, _distance_xy, _stack_xy)
         if type(a) is FunctionGraph or type(b) is FunctionGraph:
             made = deque()
             project_a, project_b = _kept(a, made), _kept(b, made)
@@ -332,7 +338,7 @@ def run(
         project_a, project_b = _replayed(a, made), _replayed(b, made)
     else:
         project_a, project_b = _projection(a), _projection(b)
-    arrays = (step, _residual, _distance)
+    arrays = (step, _residual, _distance, np.array)
     return _iterate(method, arrays, project_a, project_b, graph, x, stop, t_start)
 
 
@@ -375,11 +381,18 @@ def _distance_xy(u, v) -> float:
     return _norm_xy(u[0] - v[0], u[1] - v[1])
 
 
+def _stack_xy(rows) -> np.ndarray:
+    """``np.array(rows)`` of a planar run's rows of two Python floats, bit
+    for bit, from one flat pass."""
+    return np.fromiter(chain.from_iterable(rows), float, 2 * len(rows)).reshape(-1, 2)
+
+
 def _iterate(method, kernels, project_a, project_b, graph, x, stop, t_start) -> Trace:
     """The run loop of ``run`` from its checked start ``x``, with the
-    step, residual and distance ``kernels`` of the array or planar path
-    and the sets' projections that path applies."""
-    step, residual_of, distance = kernels
+    step, residual, distance and iterate-stacking ``kernels`` of the array
+    or planar path and the sets' projections that path applies."""
+    step, residual_of, distance, stack = kernels
+    tol = stop.residual_tol
     iterates = [x]
     # First coordinates of the iterates the cycle test can still reach.
     firsts = deque([float(x[0])], maxlen=_CYCLE_WINDOW + 1)
@@ -391,7 +404,7 @@ def _iterate(method, kernels, project_a, project_b, graph, x, stop, t_start) -> 
 
     try:
         residuals[0], pax = residual_of(project_a, project_b, x)
-        if residuals[0] <= stop.residual_tol:
+        if residuals[0] <= tol:
             reason = StopReason.RESIDUAL_MET
         else:
             for _ in range(stop.max_iter):
@@ -402,7 +415,7 @@ def _iterate(method, kernels, project_a, project_b, graph, x, stop, t_start) -> 
                 iterates.append(nxt)
                 firsts.append(float(nxt[0]))
                 residuals.append(residual)
-                if residuals[-1] <= stop.residual_tol:
+                if residuals[-1] <= tol:
                     reason = StopReason.RESIDUAL_MET
                     break
                 lag = _cycle_lag(iterates, firsts, distance)
@@ -417,7 +430,7 @@ def _iterate(method, kernels, project_a, project_b, graph, x, stop, t_start) -> 
 
     return Trace(
         method=method,
-        iterates=np.array(iterates),
+        iterates=stack(iterates),
         residuals=np.array(residuals),
         step_results=tuple(steps),
         stop=reason,
@@ -443,8 +456,9 @@ def _cycle_lag(iterates, firsts, distance) -> int | None:
     back = reversed(firsts)
     new0 = next(back)
     eps = _POINT_EQ_EPS
+    screen = 2.0 * eps
     for lag, first in enumerate(back, 1):
-        if abs(new0 - first) > 2.0 * eps:
+        if abs(new0 - first) > screen:
             continue
         if distance(new, iterates[-1 - lag]) <= eps:
             return lag

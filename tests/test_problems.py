@@ -277,6 +277,21 @@ def test_a_problem_freezes_copies_of_the_callers_arrays():
             frozen[0] = 0.0
 
 
+def test_the_solution_matrix_is_frozen_and_rebuilt_with_the_problem():
+    # nearest_solution reads the known solutions as the rows of one
+    # matrix, which the problem stacks once.
+    p = builtin("sphere-line")
+    assert p._solution_matrix.tolist() == [s.tolist() for s in p.known_solutions]
+    with pytest.raises(ValueError, match="read-only"):
+        p._solution_matrix[0, 0] = 0.0
+    swapped = dataclasses.replace(p, known_solutions=p.known_solutions[::-1])
+    assert swapped._solution_matrix.tolist() == [s.tolist() for s in p.known_solutions[::-1]]
+    assert nearest_solution(swapped, (0.9, 0.0)) is swapped.known_solutions[1]
+    lone = dataclasses.replace(p, known_solutions=p.known_solutions[1:])
+    assert nearest_solution(lone, (0.9, 0.0)) is lone.known_solutions[0]
+    assert dataclasses.replace(p, known_solutions=())._solution_matrix.shape == (0, 2)
+
+
 def test_nearest_solution_picks_closest_candidate():
     p = builtin("sphere-line")
     root = math.sqrt(3.0) / 2.0

@@ -1,5 +1,6 @@
 """Projections, reflections, and distances for the three set kinds."""
 
+import dataclasses
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from feaskit import (
     run,
 )
 from feaskit.geometry import _PLANAR_SCREEN, _HandOff
+from feaskit.problems import set_from_dict, set_to_dict
 from feaskit.sets import _PROJECTION_TOL, _grid
 from feaskit.sets import _golden_min as _sets_golden_min
 
@@ -209,6 +211,7 @@ def _magnitude(lo_exp: int, hi_exp: int):
 # A coordinate of a planar run's point: a signed zero, or a magnitude
 # from 1e-300 up to the screen.
 _PLANAR_COORD = st.sampled_from((0.0, -0.0, _PLANAR_SCREEN, -_PLANAR_SCREEN)) | _magnitude(-300, 149)
+_SUBNORMALS = (5e-324, -5e-324, 2.5e-310, -1e-315)
 
 
 @st.composite
@@ -216,27 +219,44 @@ def _planar_set_and_point(draw):
     """A 2-D hyperplane or sphere and a point within the screen.
 
     Hyperplane normals point off the axes or along one, with a signed
-    zero for the other component, some pre-scaled by 1e-200 or 1e200,
-    and offsets are signed zeros or not.  A coordinate normal puts one
-    factor of a dot at exactly zero.  Sphere centres lie anywhere within
-    the screen, and the point is sometimes the centre itself."""
+    zero or a subnormal for the other component, some pre-scaled by
+    1e-200 or 1e200, and offsets are signed zeros or not.  A coordinate
+    normal puts one factor of a dot at exactly zero.  Sphere centres lie
+    anywhere within the screen, a subnormal coordinate included, and the
+    point is sometimes the centre itself."""
     x = np.array([draw(_PLANAR_COORD), draw(_PLANAR_COORD)])
     if draw(st.booleans()):
         scale = draw(st.sampled_from((1e-200, 1.0, 1e200)))
         normal = [scale * draw(st.floats(0.01, 100.0)) * draw(st.sampled_from((1.0, -1.0))) for _ in range(2)]
         axis = draw(st.sampled_from((None, 0, 1)))
         if axis is not None:
-            normal[axis] = draw(st.sampled_from((0.0, -0.0)))
+            normal[axis] = draw(st.sampled_from((0.0, -0.0) + _SUBNORMALS))
         offset = draw(st.sampled_from((0.0, -0.0)) | _magnitude(-300, 300))
         try:
             return Hyperplane(normal, offset), x
         except ValueError:
             # The offset overflows at a unit normal.
             assume(False)
-    center = np.array([draw(_PLANAR_COORD), draw(_PLANAR_COORD)])
+    coord = _PLANAR_COORD | st.sampled_from(_SUBNORMALS)
+    center = np.array([draw(coord), draw(coord)])
     if draw(st.booleans()):
         x = center
     return Sphere(center, abs(draw(_magnitude(-300, 300)))), x
+
+
+def _bound_floats(s) -> bytes:
+    """The bytes of the floats a planar set bound, checked to be its
+    normal's or centre's, bit for bit, the sign of zero and subnormals
+    included."""
+    array, bound = (s.normal, s._normal_xy) if isinstance(s, Hyperplane) else (s.center, s._center_xy)
+    assert type(bound) is tuple and all(type(v) is float for v in bound)
+    assert np.array(bound).tobytes() == array.tobytes()
+    return np.array(bound).tobytes()
+
+
+def test_sets_of_other_dimensions_bind_no_floats():
+    assert Hyperplane((1.0, 2.0, 2.0), 0.5)._normal_xy is None
+    assert Sphere((0.5,), 1.0)._center_xy is None
 
 
 @given(_planar_set_and_point())
@@ -247,11 +267,21 @@ def _planar_set_and_point(draw):
 @example((Hyperplane((-0.0, 2.0), 0.3), np.array([0.0, -0.0])))
 @example((Hyperplane((0.0, -1e-200), -0.0), np.array([-0.0, -0.0])))
 @example((Hyperplane((1e200, -0.0), 0.0), np.array([-3.0, 1e150])))
+@example((Hyperplane((-5e-324, 1.0), -0.0), np.array([0.5, -0.0])))
+@example((Sphere((2.5e-310, -0.0), 1.0), np.array([-1e-315, 3.0])))
 def test_planar_projection_matches_the_array_projection_bitwise(case):
     # A planar run projects its float points through _project_xy, which
-    # does _project's operations in _project's order.  A sphere hands off
-    # exactly when x - c leaves the screen.
+    # does _project's operations in _project's order, on the normal's or
+    # centre's floats that the set bound when it was built.  A sphere
+    # hands off exactly when x - c leaves the screen.
     s, x = case
+    bound = _bound_floats(s)
+    # A set built from another's fields, or loaded from its document,
+    # binds its own floats.
+    field = "normal" if isinstance(s, Hyperplane) else "center"
+    swapped = dataclasses.replace(s, **{field: getattr(s, field)[::-1]})
+    assert _bound_floats(swapped) == bound[8:] + bound[:8]
+    assert _bound_floats(set_from_dict(set_to_dict(s))) == bound
     x0, x1 = x.tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -43,7 +43,7 @@ from feaskit import (
     subgrad_proj_step,
     trace_errors,
 )
-from feaskit import geometry, solvers
+from feaskit import geometry, sets, solvers
 from feaskit.cli import main
 from feaskit.solvers import _cycle_lag
 
@@ -143,6 +143,11 @@ def test_trace_validation():
         Trace(method="dr", iterates=pts, residuals=np.zeros(2))
     with pytest.raises(ValueError):
         Trace(method="dr", iterates=pts, residuals=np.array([1.0, -1.0, 0.0]))
+    # A NaN residual does not hide a negative one.
+    with pytest.raises(ValueError, match="nonnegative"):
+        Trace("dr", [[0, 0], [1, 1]], [math.nan, -1.0])
+    # An ERROR run records its start with residual NaN.
+    assert Trace("dr", [[0.5, 0.5]], [math.nan]).iterations == 0
     tr = Trace(method="dr", iterates=pts, residuals=np.zeros(3))
     assert tr.iterations == 2
     assert np.array_equal(tr.final, pts[-1])
@@ -1138,14 +1143,16 @@ def _checked_run(method, a, b, x0, root_graph=None):
 
 
 def _run_outcome(run_fn):
-    """A run's trace, bit for bit, and the numpy warnings it raised."""
+    """A run's trace, bit for bit (every field but wall_time, and the
+    iterates' dtype, layout and shape), and the numpy warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         tr = run_fn()
     steps = [(r.case, _bits(r.next)) for r in tr.step_results]
+    it = tr.iterates
     return (
         tr.method, tr.stop, tr.message, tr.cycle_period,
-        _bits(tr.iterates), _bits(tr.residuals), steps,
+        it.dtype, it.flags.c_contiguous, it.shape, _bits(it), _bits(tr.residuals), steps,
         [(w.category, str(w.message)) for w in caught],
     )
 
@@ -1220,23 +1227,45 @@ def _parity_runs():
         yield from (("kernel-branch", a, b, x0, m, None) for x0 in starts for m in _VECTOR_METHODS)
 
 
-def test_run_matches_the_checked_loop_bit_for_bit():
-    errors = 0
+def test_run_matches_the_checked_loop_bit_for_bit(monkeypatch):
+    # A planar run stacks its rows of floats as np.array(rows) does, bit
+    # for bit, into a float64, C-contiguous (k, 2) array; the checked loop
+    # stacks arrays with np.array.  run(stop=None) is run(stop=StopRule()).
+    stack_xy, stacked = solvers._stack_xy, []
+
+    def checked_stack(rows):
+        got, want = stack_xy(rows), np.array(rows)
+        assert (got.dtype, got.flags.c_contiguous, got.shape) == (np.float64, True, (len(rows), 2))
+        assert _bits(got) == _bits(want) and want.dtype == np.float64
+        stacked.append(rows)
+        return got
+
+    monkeypatch.setattr(solvers, "_stack_xy", checked_stack)
+    errors = handoffs = 0
     for name, a, b, x0, method, graph in _parity_runs():
+        before = len(stacked)
         got = _run_outcome(lambda: run(method, a, b, x0, root_graph=graph))
+        planar = method in _VECTOR_METHODS and len(x0) == 2 and {type(a), type(b)} <= set(sets._PLANAR)
+        handoffs += planar and len(stacked) == before
         want = _run_outcome(lambda: _checked_run(method, a, b, x0, root_graph=graph))
         assert got == want, (name, x0, method)
+        assert _run_outcome(lambda: run(method, a, b, x0, StopRule(), root_graph=graph)) == got
         errors += want[1] is StopReason.ERROR
     # The comparison reaches error paths of both the graphs and the
-    # closed-form sets.
+    # closed-form sets, and planar runs that hand off to arrays (they
+    # stack no rows of floats), that meet the residual at their start and
+    # that hold a -0.0.
     assert errors >= 20
+    assert handoffs >= 20
+    assert any(len(rows) == 1 for rows in stacked)
+    assert any(math.copysign(1.0, v) < 0.0 for rows in stacked for row in rows for v in row if v == 0.0)
 
 
 def test_run_matches_the_checked_loop_where_numpy_does_not_fuse(monkeypatch):
     # On a numpy whose 2-vector dot is not fma(u1, v1, u0 * v0), the
     # planar dots without a zero factor are numpy's own.
     monkeypatch.setattr(geometry, "_FUSED_DOT", False)
-    test_run_matches_the_checked_loop_bit_for_bit()
+    test_run_matches_the_checked_loop_bit_for_bit(monkeypatch)
 
 
 # Every catalog graph against its line, in either order, and the graph of
