@@ -91,13 +91,12 @@ _SPLITTER = 134217729.0
 _TWO_PRODUCT_FLOOR = 2.0**-900
 
 
-def _dot_xy(u0: float, u1: float, v0: float, v1: float, u: np.ndarray | None = None) -> float:
+def _dot_xy(u0: float, u1: float, v0: float, v1: float) -> float:
     """The dot of (u0, u1) with (v0, v1), bitwise numpy's on the two
     2-element arrays, or ``_HandOff`` when (v0, v1) has a coordinate that
     is NaN or larger than ``_PLANAR_SCREEN`` in magnitude.  (u0, u1) is
     finite and within the screen: a unit vector, a vector this screen
-    passed before, or (v0, v1) itself.  A hyperplane passes its normal as
-    the array ``u`` too.
+    passed before, or (v0, v1) itself.
 
     When a factor of one product is exactly zero (+-0.0), the other
     product plus 0.0 is returned as a Python float, with no numpy call.
@@ -165,9 +164,7 @@ def _dot_xy(u0: float, u1: float, v0: float, v1: float, u: np.ndarray | None = N
             lo = ((a1 * b1 - h) + a1 * b2 + a2 * b1) + a2 * b2
         return math.fsum((h, lo, u0 * v0)) + 0.0
     v = np.array((v0, v1))
-    if u is None:
-        u = v if u0 == v0 and u1 == v1 else np.array((u0, u1))
-    return float(u.dot(v))
+    return float((v if u0 == v0 and u1 == v1 else np.array((u0, u1))).dot(v))
 
 
 # Dots (u0, u1, v0, v1) on which the plain sum u0 * v0 + u1 * v1,

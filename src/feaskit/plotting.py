@@ -143,7 +143,12 @@ def _semilog_panel(series) -> list[str]:
 
 def _trajectory_panel(series, sets) -> list[str]:
     x0, y0, x1, y1 = _RIGHT
+    # The view frames the finite iterates (the origin when none is), and
+    # _polyline drops the points it cannot place.
     pts = np.vstack([s.iterates for s in series])
+    pts = pts[np.isfinite(pts).all(axis=1)]
+    if not pts.size:
+        pts = np.zeros((1, 2))
     (xlo, ylo), (xhi, yhi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
     # Centre and half extents from halved bounds, which do not overflow
     # near the largest double.  Wherever the halves are exact and the

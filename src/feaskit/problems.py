@@ -134,7 +134,8 @@ CURVES = {
 
 
 def make_curve(name: str, **params) -> FunctionGraph:
-    """Build a registry curve by id."""
+    """Build a registry curve by id, from parameters that are finite reals."""
+    _reals(params.values(), "graph params")
     try:
         builder = CURVES[name]
     except KeyError:
@@ -156,25 +157,23 @@ class Problem:
     root_curve: FunctionGraph | None = None
 
     def __post_init__(self):
-        # Frozen copies: as_point hands back a caller's float array itself.
-        sols = tuple(as_point(s).copy() for s in self.known_solutions)
-        for s in sols:
-            s.setflags(write=False)
-        object.__setattr__(self, "known_solutions", sols)
+        sols = [as_point(s) for s in self.known_solutions]
+        # A frozen copy: as_point hands back a caller's float array itself.
         x0 = as_point(self.default_x0).copy()
         x0.setflags(write=False)
         object.__setattr__(self, "default_x0", x0)
         dims = {self.a.dimension, self.b.dimension, x0.size, *(s.size for s in sols)}
         if len(dims) > 1:
             raise DimensionMismatch(f"problem {self.name!r} mixes dimensions {sorted(dims)}")
-        # The solutions as the rows of one frozen matrix, for nearest_solution.
+        # The solutions are the rows of one frozen matrix, for nearest_solution.
         matrix = np.array(sols).reshape(len(sols), x0.size)
         matrix.setflags(write=False)
         object.__setattr__(self, "_solution_matrix", matrix)
+        object.__setattr__(self, "known_solutions", tuple(matrix))
         eps = self.epsilon_f
         if eps is not None and not (_is_real(eps) and 0.0 < eps < math.inf):
             raise ValueError(f"epsilon_f must be a positive finite real, got {eps!r}")
-        for s in sols:
+        for s in self.known_solutions:
             r = _residual(_projection(self.a), _projection(self.b), s)[0]
             if not r <= _SOLUTION_RESIDUAL_TOL:
                 raise ValueError(
@@ -386,9 +385,7 @@ def set_from_dict(d: dict) -> FeasibleSet:
     if kind == "sphere":
         return Sphere(center=_reals(d["center"], "sphere center"), radius=d["radius"])
     if kind == "graph":
-        params = d.get("params", {})
-        _reals(params.values(), "graph params")
-        return make_curve(d["curve"], **params)
+        return make_curve(d["curve"], **d.get("params", {}))
     raise UnknownProblem(f"unknown set kind {kind!r}")
 
 
@@ -425,7 +422,7 @@ def problem_from_dict(d: dict) -> Problem:
             epsilon_f=d.get("epsilon_f"),
             root_curve=root_curve,
         )
-    # AttributeError: a set or params that is not an object; OverflowError: a huge integer.
+    # AttributeError: a set that is not an object; OverflowError: a huge integer.
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UnknownProblem(f"bad problem document: {exc}") from exc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -113,7 +114,7 @@ class Hyperplane(FeasibleSet):
     def _project_xy(self, x0: float, x1: float) -> tuple[float, float]:
         # _project's operations, in its order, on the floats of a 2-D point.
         n0, n1 = self._normal_xy
-        k = _dot_xy(n0, n1, x0, x1, self.normal) + 0.0 - self.offset
+        k = _dot_xy(n0, n1, x0, x1) + 0.0 - self.offset
         return x0 - k * n0, x1 - k * n1
 
 
@@ -164,9 +165,8 @@ class Sphere(FeasibleSet):
         return c0 + q * v0, c1 + q * v1
 
 
-# The set types whose closed-form kernel _project run applies to points it
-# checked itself.  Every other set, a subclass of these included, is
-# projected through its own project.
+# The set types whose unchecked _project run applies to points it checked;
+# every other set, a subclass of these included, projects through project.
 _CLOSED_FORM = (Hyperplane, Sphere)
 
 
@@ -447,6 +447,30 @@ class FunctionGraph(FeasibleSet):
         return y_new
 
 
-# The set types whose _project_xy a planar run applies to the float points
-# it made.  Every other set, a subclass of these included, runs on arrays.
+# The set types a planar run projects onto on floats; a subclass runs on arrays.
 _PLANAR = (*_CLOSED_FORM, FunctionGraph)
+
+
+def _run_projections(s: FeasibleSet):
+    """``run``'s projections onto ``s``: ``s._project_xy`` for a 2-D set
+    exactly of a ``_PLANAR`` type (else None), and ``_projection(s)``.  A
+    graph's first keeps each projection it makes, and its second takes
+    them back, in order, before it projects: after a hand-off, the array
+    run projects the planar attempt's points onto ``s`` again, bit for bit
+    and in order, so the curve oracle is not asked, nor numpy warns, twice."""
+    project = _projection(s)
+    if type(s) not in _PLANAR or s.dimension != 2:
+        return None, project
+    if type(s) is not FunctionGraph:
+        return s._project_xy, project
+    project_xy, made = s._project_xy, deque()
+
+    def kept(x0, x1):
+        p = project_xy(x0, x1)
+        made.append(p)
+        return p
+
+    def replayed(x):
+        return np.array(made.popleft()) if made else project(x)
+
+    return kept, replayed

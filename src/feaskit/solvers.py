@@ -42,7 +42,7 @@ from .geometry import (
     circumcenter,
     classify_triple,
 )
-from .sets import _PLANAR, FeasibleSet, FunctionGraph, _projection, _residual, _residual_xy
+from .sets import FeasibleSet, FunctionGraph, _projection, _residual, _residual_xy, _run_projections
 
 # How many of the latest iterates the cycle test compares the newest with.
 _CYCLE_WINDOW = 8
@@ -116,6 +116,8 @@ class Trace:
     def __post_init__(self):
         self.iterates = np.atleast_2d(np.asarray(self.iterates, dtype=float))
         self.residuals = np.asarray(self.residuals, dtype=float)
+        if self.iterates.ndim != 2 or not self.iterates.shape[1]:
+            raise ValueError("iterates must be points of one dimension with at least one coordinate")
         if self.residuals.shape != (self.iterates.shape[0],):
             raise ValueError("residuals length must match iterates length")
         # Elementwise, so that a NaN residual does not hide a negative one.
@@ -288,13 +290,13 @@ def run(
     (t, 0).  Residuals are always measured against ``a`` and ``b``.
     Reflection is 2P(x) - x and distance is ||x - P(x)|| for every set,
     from its projection; P_A x comes from the residual test of the same
-    iterate.  The step and residual kernels take each set's projection,
-    bound once: a set that is exactly a ``Hyperplane`` or ``Sphere``
-    projects the points ``run`` checked itself through its unchecked
+    iterate.  The kernels take each set's two projections, bound once by
+    one rule: on arrays, a set that is exactly a ``Hyperplane`` or
+    ``Sphere`` projects the points ``run`` checked through its unchecked
     ``_project``, and every other set, subclasses included, through its
-    own ``project``.  A vector method on a 2-D start over two sets that
-    are each exactly a ``Hyperplane``, ``Sphere`` or ``FunctionGraph``
-    runs on Python floats through their ``_project_xy``, with the same
+    own ``project``; on floats, a 2-D set exactly a ``Hyperplane``,
+    ``Sphere`` or ``FunctionGraph`` projects through ``_project_xy``.  A
+    vector method over two such sets runs on Python floats, with the same
     operations in the same order; a coordinate larger than 1e150 in
     magnitude before a dot or a projection, or a non-finite one, repeats
     the whole run on arrays from ``x0``, so the result is the array run's,
@@ -322,55 +324,15 @@ def run(
         raise DimensionMismatch(f"start {x.size}-D, sets {a.dimension}-D and {b.dimension}-D")
 
     t_start = time.perf_counter()
-    made = None
-    if step_xy is not None and x.size == 2 and type(a) in _PLANAR and type(b) in _PLANAR:
+    (a_xy, project_a), (b_xy, project_b) = _run_projections(a), _run_projections(b)
+    if step_xy is not None and a_xy is not None and b_xy is not None:
         planar = (step_xy, _residual_xy, _distance_xy, _stack_xy)
-        if type(a) is FunctionGraph or type(b) is FunctionGraph:
-            made = deque()
-            project_a, project_b = _kept(a, made), _kept(b, made)
-        else:
-            project_a, project_b = a._project_xy, b._project_xy
         try:
-            return _iterate(method, planar, project_a, project_b, graph, x.tolist(), stop, t_start)
+            return _iterate(method, planar, a_xy, b_xy, graph, x.tolist(), stop, t_start)
         except _HandOff:
             pass
-    if made:
-        project_a, project_b = _replayed(a, made), _replayed(b, made)
-    else:
-        project_a, project_b = _projection(a), _projection(b)
     arrays = (step, _residual, _distance, np.array)
     return _iterate(method, arrays, project_a, project_b, graph, x, stop, t_start)
-
-
-def _kept(s, made: deque):
-    """``s._project_xy``; for a graph, one that also appends each
-    projection it makes to ``made``."""
-    project_xy = s._project_xy
-    if type(s) is not FunctionGraph:
-        return project_xy
-
-    def kept(x0, x1):
-        p = project_xy(x0, x1)
-        made.append(p)
-        return p
-
-    return kept
-
-
-def _replayed(s, made: deque):
-    """``_projection(s)``; for a graph, one that first takes back, in
-    order, the projections ``_kept`` put in ``made``.  After a hand-off,
-    the array run projects the planar attempt's points again, bit for bit
-    and in the same order, so no projection asks the curve oracle, or
-    makes numpy warn, twice."""
-    project = _projection(s)
-    if type(s) is not FunctionGraph:
-        return project
-
-    def replayed(x):
-        return np.array(made.popleft()) if made else project(x)
-
-    return replayed
 
 
 def _distance(u, v) -> float:

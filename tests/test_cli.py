@@ -391,6 +391,22 @@ def test_plot_traces(tmp_path, capsys):
     assert svg.startswith("<svg ")
     # Shared sets: both set outlines join the two traces.
     assert svg.count("<polyline") >= 6
+    # A trace edited to hold an inf or a NaN iterate, or only NaN ones,
+    # still plots: the view frames the finite iterates (the origin when
+    # none is), and only points it can place are drawn.
+    lines = t1.read_text(encoding="utf-8").splitlines()
+    rows = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    for edit, kept in (({rows[1]: "inf,0"}, 3), ({rows[1]: "0,nan"}, 3), (dict.fromkeys(rows, "nan,nan"), 0)):
+        edited = tmp_path / "edited.csv"
+        cells = [line.split(",") for line in lines]
+        for i, xy in edit.items():
+            cells[i][1:3] = xy.split(",")
+        edited.write_text("\n".join(",".join(c) for c in cells) + "\n", encoding="utf-8")
+        assert main(["plot", str(edited), "--out", str(fig)]) == EXIT_OK
+        svg = fig.read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<circle") == kept
+    capsys.readouterr()
 
 
 def test_an_overflowing_dr_start_stops_with_its_message_and_plots(tmp_path, capsys):

@@ -548,7 +548,7 @@ _DOT_FACTOR = (
 )
 
 
-@given(_DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, st.sampled_from((True, False, None)))
+@given(_DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, _DOT_FACTOR, st.booleans())
 @example(0.0, 1.0, 0.5, -0.0, False)
 @example(-0.0, 1.0, 3.0, -0.0, False)
 @example(1e-200, -0.0, 1e-200, 3.0, False)
@@ -557,19 +557,18 @@ _DOT_FACTOR = (
 @example(0.0, 0.0, -0.0, 1e-200, True)
 @example(0.0, 0.0, -0.0, -0.0, True)
 @example(_PLANAR_SCREEN, -0.0, -_PLANAR_SCREEN, _PLANAR_SCREEN, False)
-@example(-0.0, 1.0, 2.0, -0.0, None)
-@example(1.0, -0.0, -0.0, -1.0, None)
+@example(-0.0, 1.0, 2.0, -0.0, False)
+@example(1.0, -0.0, -0.0, -1.0, False)
 def test_planar_dot_matches_the_numpy_dot_bitwise(u0, u1, v0, v1, square):
-    # square: the point's own square; False: a hyperplane's normal array;
-    # None: a dot of two vectors, each a fresh array.  numpy's dot of two
+    # square: the point's own square; else a dot of two vectors, each a
+    # fresh array (a hyperplane's normal among them).  numpy's dot of two
     # coordinates is never -0.0, and neither is the planar one.
     if square:
         u0, u1 = v0, v1
-    u = np.array((u0, u1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _dot_xy(u0, u1, v0, v1, u if square is False else None)
-        want = u.dot(np.array((v0, v1)))
+        got = _dot_xy(u0, u1, v0, v1)
+        want = np.array((u0, u1)).dot(np.array((v0, v1)))
     assert type(got) is float
     assert np.float64(got).tobytes() == want.tobytes()
     if square:
@@ -662,7 +661,7 @@ def test_planar_dot_hands_off_past_the_screen_without_a_warning(far, near, u0, u
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(_HandOff):
-            _dot_xy(u0, u1, v0, v1, np.array((u0, u1)))
+            _dot_xy(u0, u1, v0, v1)
         with pytest.raises(_HandOff):
             _norm_xy(v0, v1)
 

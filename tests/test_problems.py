@@ -247,6 +247,18 @@ def test_make_curve_registry():
     assert float(g.derivative(2.0)) == 9.0
     with pytest.raises(UnknownProblem):
         make_curve("cubic")
+    # Parameters are finite reals, checked before the curve is built: a NaN
+    # one would otherwise build a curve that is NaN everywhere.
+    for name, params in (
+        ("pnorm_branch", {"p": math.nan}),
+        ("pnorm_branch", {"p": 2.0, "b": math.nan}),
+        ("poly2", {"a": math.nan}),
+        ("poly2", {"a": math.inf}),
+        ("poly2", {"a": "x"}),
+        ("poly2", {"a": True}),
+    ):
+        with pytest.raises(UnknownProblem, match="graph params must hold finite reals"):
+            make_curve(name, **params)
 
 
 def test_problem_validation():

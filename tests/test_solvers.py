@@ -6,7 +6,7 @@ import json
 import math
 import random
 import warnings
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +148,13 @@ def test_trace_validation():
         Trace("dr", [[0, 0], [1, 1]], [math.nan, -1.0])
     # An ERROR run records its start with residual NaN.
     assert Trace("dr", [[0.5, 0.5]], [math.nan]).iterations == 0
+    # Iterates are points of one dimension with at least one coordinate; a
+    # single point is one row.
+    with pytest.raises(ValueError, match="points of one dimension"):
+        Trace("dr", [], [0.0])
+    with pytest.raises(ValueError, match="points of one dimension"):
+        Trace("dr", np.zeros((2, 2, 2)), [0.0, 0.0])
+    assert Trace("dr", [0.5, 0.5], [0.0]).iterates.tolist() == [[0.5, 0.5]]
     tr = Trace(method="dr", iterates=pts, residuals=np.zeros(3))
     assert tr.iterations == 2
     assert np.array_equal(tr.final, pts[-1])
@@ -1269,14 +1276,18 @@ def test_run_matches_the_checked_loop_where_numpy_does_not_fuse(monkeypatch):
 
 
 # Every catalog graph against its line, in either order, and the graph of
-# log against the x-axis, under each vector method, each through a curve
-# oracle that counts its calls.  The starts: four seeded in [-3, 3]^2;
+# log against the x-axis, under each vector method, each graph through a
+# curve oracle that counts its calls.  The starts: four seeded in [-3, 3]^2;
 # two past the planar screen, which hand off before any oracle call; two
 # whose graph projection overflows a squared distance (NonFinitePoint),
 # within the screen on parabola and past it; and starts within the screen
 # from which CRM's triple leaves it after one or two graph projections,
 # which the array run takes back.  From (1, 9e149), log's grid reaches
 # negative abscissas, so a projection it takes back made numpy warn.
+# Then pline's and signed-sqrt's graphs against each other, in either
+# order, and signed-sqrt's graph as both sets, from two seeded starts, one
+# past the screen and one from which CRM hands off after oracle calls on
+# each of the three.
 _LOG = FunctionGraph(f=np.log, derivative=lambda t: 1.0 / t)
 _GRAPH_STARTS = [(r.uniform(-3.0, 3.0), r.uniform(-3.0, 3.0)) for r in [random.Random(2)] for _ in range(4)]
 _GRAPH_STARTS += [(1e152, 0.0), (0.5, -3e153), (1e60, 0.0), (0.0, 1e200)]
@@ -1285,21 +1296,25 @@ _GRAPH_STARTS += [
     (-2.425916941804779, 8.412738684807753e149), (2.584625805543562e139, 9.171432392778641e149),
     (-1.9727175648462554, -7.789796993944551e149), (5.401695061011547e149, 1.232380732025349e135),
 ]
+_GRAPH_PAIR_STARTS = [*_GRAPH_STARTS[:2], (0.0, 1e200), (-1.9727175648462554, -7.789796993944551e149)]
 
 
 def _graph_parity_runs():
-    pairs = [(p.name, p.a, p.b) for p in map(builtin, problem_names()) if isinstance(p.a, FunctionGraph)]
-    for name, g, line in pairs + [("log", _LOG, X_AXIS)]:
-        for order in ("ab", "ba"):
-            yield from ((name, order, g, line, x0, m) for x0 in _GRAPH_STARTS for m in _VECTOR_METHODS)
+    pairs = [(p.a, p.b) for p in map(builtin, problem_names()) if isinstance(p.a, FunctionGraph)]
+    runs = [("graph-line", *sets, _GRAPH_STARTS) for g, line in pairs + [(_LOG, X_AXIS)] for sets in ((g, line), (line, g))]
+    kinked, root = builtin("pline").a, builtin("signed-sqrt").a
+    for kind, a, b in (("two-graphs", kinked, root), ("two-graphs", root, kinked), ("one-graph", root, root)):
+        runs.append((kind, a, b, _GRAPH_PAIR_STARTS))
+    for kind, a, b, starts in runs:
+        yield from ((kind, a, b, x0, m) for x0 in starts for m in _VECTOR_METHODS)
 
 
-def _counting(g: FunctionGraph, calls: list) -> FunctionGraph:
-    """``g`` with a curve oracle that appends to ``calls`` on each call."""
+def _counting(g: FunctionGraph, calls: list, role: str) -> FunctionGraph:
+    """``g`` with a curve oracle that appends ``role`` to ``calls`` on each call."""
     f = g.f
 
     def counted(t):
-        calls.append(1)
+        calls.append(role)
         return f(t)
 
     return dataclasses.replace(g, f=counted)
@@ -1307,8 +1322,9 @@ def _counting(g: FunctionGraph, calls: list) -> FunctionGraph:
 
 def test_graph_runs_match_the_checked_loop_with_the_same_oracle_calls(monkeypatch):
     # A planar run over a graph that hands off restarts on arrays from x0,
-    # and takes back the graph projections it made, so the curve oracle is
-    # called, and numpy warns, as often as on the checked loop.
+    # and takes back the graph projections it made, so each set's curve
+    # oracle is called, and numpy warns, as often as on the checked loop.
+    # A graph that is both sets counts its calls for both roles together.
     handoffs, calls = [], []
     iterate = solvers._iterate
 
@@ -1321,23 +1337,29 @@ def test_graph_runs_match_the_checked_loop_with_the_same_oracle_calls(monkeypatc
             raise
 
     monkeypatch.setattr(solvers, "_iterate", counted_iterate)
-    handed_off, overflowed = set(), False
-    for name, order, g, line, x0, method in _graph_parity_runs():
+    handed_off, after_calls, overflowed = set(), set(), False
+    for kind, a, b, x0, method in _graph_parity_runs():
+        roles = ("ab", "ab") if a is b else ("a", "b")
+        sets = [_counting(s, calls, r) if isinstance(s, FunctionGraph) else s for s, r in zip((a, b), roles)]
+        if a is b:
+            sets[1] = sets[0]
         outcomes = []
         handoffs.clear()
         for run_fn in (run, _checked_run):
             calls.clear()
-            counted = _counting(g, calls)
-            sets = (counted, line) if order == "ab" else (line, counted)
-            outcomes.append((_run_outcome(lambda: run_fn(method, *sets, x0)), len(calls)))
-        assert outcomes[0] == outcomes[1], (name, order, x0, method)
+            outcomes.append((_run_outcome(lambda: run_fn(method, *sets, x0)), Counter(calls)))
+        assert outcomes[0] == outcomes[1], (kind, roles, x0, method)
         trace, _ = outcomes[0]
         if handoffs:
             handed_off.add((handoffs[0] > 0, bool(trace[-1])))
+            if handoffs[0] > 0:
+                after_calls.add(kind)
         overflowed |= trace[2].startswith("NonFinitePoint: squared distance to the curve overflows")
     # Hand-offs before and after oracle calls, and one after a projection
-    # that warned, were compared; so was the overflow.
+    # that warned, were compared; so was the overflow.  Two graphs, and one
+    # graph as both sets, handed off after oracle calls too.
     assert {(False, False), (True, False), (True, True)} <= handed_off and overflowed
+    assert after_calls == {"graph-line", "two-graphs", "one-graph"}
 
 
 def test_a_run_from_where_a_graph_projection_overflows_ends_with_non_finite_point(monkeypatch):
